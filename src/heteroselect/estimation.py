@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_space import Model, is_power_of_two, project
+from .model_space import Model, _dimension_bound_holds, is_power_of_two, project
 
 KAPPA = 1.0 + 2.0 * math.exp(-1.0)
 
@@ -41,6 +41,8 @@ class Observations:
             raise ValueError("replicates must be 1-d arrays of equal length")
         if not is_power_of_two(len(self.y1)):
             raise ValueError(f"length must be a power of two, got {len(self.y1)}")
+        if not (np.isfinite(self.y1).all() and np.isfinite(self.y2).all()):
+            raise ValueError("replicates must be finite")
 
     @property
     def n(self) -> int:
@@ -139,18 +141,13 @@ def best_approx(m: Model, truth: TruthSpec) -> tuple[Estimate, float]:
     return Estimate(mean=s_m, variance=sigma_m, model=m), bias
 
 
-def check_dimension_bound(m: Model, gamma: float, theta: float) -> bool:
-    """Whether n is large enough relative to the model dimension: n >= theta/(theta-1)*(gamma+2)*D."""
-    return m.n >= theta / (theta - 1.0) * (gamma + 2.0) * m.dim
-
-
 def prop1_bounds(m: Model, truth: TruthSpec, gamma: float, theta: float) -> tuple[float, float]:
     """Lower and upper bounds sandwiching the Kullback risk of the fitted pair.
 
     lower = max(bias, D/(4*gamma)); upper = bias + kappa*gamma^2*theta^2*D with
     kappa = 1 + 2/e.  Requires the dimension bound to hold for the model.
     """
-    if not check_dimension_bound(m, gamma, theta):
+    if not _dimension_bound_holds(m.n, m.dim, gamma, theta):
         raise ValueError(
             f"dimension bound violated: n={m.n} < {theta / (theta - 1.0) * (gamma + 2.0) * m.dim:.1f}"
         )

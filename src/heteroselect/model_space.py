@@ -9,7 +9,7 @@ sample size; everything downstream enumerates this family exhaustively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,21 +55,13 @@ class DyadicPartition:
     def block_size(self) -> int:
         return self.n // self.num_blocks
 
-    def blocks(self) -> list[range]:
-        """Zero-based index ranges of the blocks, in order."""
-        w = self.block_size
-        return [range(i * w, (i + 1) * w) for i in range(self.num_blocks)]
-
     def block_means(self, y: np.ndarray) -> np.ndarray:
-        """Per-block means, length num_blocks."""
-        return y.reshape(self.num_blocks, self.block_size).mean(axis=1)
+        """Per-block means along the last axis, which shrinks from n to num_blocks."""
+        return y.reshape(y.shape[:-1] + (self.num_blocks, self.block_size)).mean(axis=-1)
 
     def expand(self, block_values: np.ndarray) -> np.ndarray:
-        """Blow per-block values back up to a length-n vector."""
-        return np.repeat(np.asarray(block_values, dtype=float), self.block_size)
-
-    def refines(self, other: "DyadicPartition") -> bool:
-        return self.n == other.n and self.level >= other.level
+        """Blow per-block values along the last axis back up to length n."""
+        return np.repeat(np.asarray(block_values, dtype=float), self.block_size, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -77,12 +69,13 @@ class Model:
     """A coarse partition for the variance and a dyadic refinement for the mean.
 
     per_block_dim is the number of fine blocks inside each coarse block; it is
-    restricted to powers of two so the fine partition is itself dyadic.
+    restricted to powers of two so the fine partition is itself dyadic.  The
+    fine partition is derived from the other two fields.
     """
 
     coarse: DyadicPartition
     per_block_dim: int
-    fine: DyadicPartition
+    fine: DyadicPartition = field(init=False)
 
     def __post_init__(self):
         d = self.per_block_dim
@@ -92,15 +85,12 @@ class Model:
             raise ValueError(
                 f"per_block_dim {d} exceeds coarse block size {self.coarse.block_size}"
             )
-        if self.fine.n != self.coarse.n:
-            raise ValueError("coarse and fine partitions disagree on n")
-        if self.fine.num_blocks != self.coarse.num_blocks * d:
-            raise ValueError("fine partition is not the d-fold refinement of coarse")
+        fine = DyadicPartition(self.coarse.level + int(math.log2(d)), self.coarse.n)
+        object.__setattr__(self, "fine", fine)
 
     @classmethod
     def create(cls, n: int, level: int, per_block_dim: int) -> "Model":
-        fine_level = level + int(math.log2(per_block_dim))
-        return cls(DyadicPartition(level, n), per_block_dim, DyadicPartition(fine_level, n))
+        return cls(DyadicPartition(level, n), per_block_dim)
 
     @property
     def n(self) -> int:
@@ -146,6 +136,11 @@ class CollectionConfig:
             raise ValueError(f"delta must be > 0, got {self.delta}")
 
 
+def _dimension_bound_holds(n: int, dim: int, gamma: float, theta: float) -> bool:
+    """Whether n >= theta/(theta-1) * (gamma+2) * D, the sample size a model of dimension D needs."""
+    return dim <= (theta - 1.0) / theta * n / (gamma + 2.0)
+
+
 def build_collection(cfg: CollectionConfig) -> list[Model]:
     """Enumerate all admissible models, in canonical order.
 
@@ -158,14 +153,13 @@ def build_collection(cfg: CollectionConfig) -> list[Model]:
     """
     n = cfg.n
     k_n = n.bit_length() - 1
-    dim_cap_small = (cfg.theta - 1.0) / cfg.theta * n / (cfg.gamma + 2.0)
     dim_cap_log = 5.0 * cfg.delta * cfg.gamma * n / log_power(n, cfg.epsilon) if n > 1 else 0.0
     models = []
     for k in range(k_n + 1):
         d = 1
         while d <= 2 ** (k_n - k):
             dim = 2**k * (d + 1)
-            if dim <= dim_cap_small and dim <= dim_cap_log:
+            if _dimension_bound_holds(n, dim, cfg.gamma, cfg.theta) and dim <= dim_cap_log:
                 models.append(Model.create(n, k, d))
             d *= 2
     if not models:

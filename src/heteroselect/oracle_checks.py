@@ -124,16 +124,14 @@ def variance_mean_check(
 
     rng = seeds.stream()
     sd = np.sqrt(truth.sigma)
-    nf, sf = m.fine.num_blocks, m.fine.block_size
-    nc, sc = m.coarse.num_blocks, m.coarse.block_size
-    total = np.zeros(nc)
-    total_sq = np.zeros(nc)
+    total = np.zeros(m.num_coarse)
+    total_sq = np.zeros(m.num_coarse)
     done = 0
     while done < reps:
         r = min(chunk, reps - done)
         y2 = truth.s + sd * rng.standard_normal((r, m.n))
-        proj = np.repeat(y2.reshape(r, nf, sf).mean(axis=2), sf, axis=1)
-        sighat = ((y2 - proj) ** 2).reshape(r, nc, sc).mean(axis=2)
+        proj = m.fine.expand(m.fine.block_means(y2))
+        sighat = m.coarse.block_means((y2 - proj) ** 2)
         total += sighat.sum(axis=0)
         total_sq += (sighat**2).sum(axis=0)
         done += r

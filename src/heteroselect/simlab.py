@@ -1,9 +1,16 @@
 """Simulation lab: scenarios, seeded data generation and Monte Carlo risk studies.
 
-Every experiment runs on deterministic per-replication RNG substreams so that
-results are reproducible bit-for-bit and independent of execution order.
-Common random numbers are shared across compared configurations (all models of
-a collection, all gamma values of a table row) to reduce ratio variance.
+Every experiment goes through one replication engine, `_run`:
+
+- Replication r draws from the substream keyed (r,) of its seed policy, so
+  results are reproducible bit-for-bit and independent of execution order.
+  A degenerate draw (a variance estimate collapses) is redrawn; its k-th
+  redraw comes from the substream (r, k).
+- All compared runs of one scenario (the models of a collection; the oracle
+  and every gamma of a table row) share one set of draws, common random
+  numbers that reduce ratio variance.  A draw degenerate for any of them is
+  redrawn for all of them.
+- At most DEGENERATE_BUDGET (0.1%) of the replications may be redrawn.
 """
 
 from __future__ import annotations
@@ -160,12 +167,47 @@ def get_scenario(name: str) -> Scenario:
     raise KeyError(f"unknown scenario {name!r}")
 
 
-def sample(scenario: Scenario, n: int, rng: np.random.Generator) -> Observations:
+def _draw(truth: TruthSpec, rng: np.random.Generator) -> Observations:
     """Draw the two replicates; the first n normal draws feed y1, the next n feed y2."""
-    truth = scenario.truth(n)
+    n = truth.n
     z = rng.standard_normal(2 * n)
     sd = np.sqrt(truth.sigma)
     return Observations(y1=truth.s + sd * z[:n], y2=truth.s + sd * z[n:])
+
+
+def sample(scenario: Scenario, n: int, rng: np.random.Generator) -> Observations:
+    """Draw the two replicates of the scenario at sample size n."""
+    return _draw(scenario.truth(n), rng)
+
+
+def _run(scenario, n, seeds, reps, evaluate):
+    """The replication engine: evaluate(obs, truth) on each of reps draws.
+
+    Returns (stacked values, number of redraws).  Replication r draws from the
+    stream (r,) and, while evaluate raises DegenerateVarianceError, redraws
+    from (r, 1), (r, 2), ..., up to _MAX_REDRAWS attempts in all.
+    """
+    truth = scenario.truth(n)
+    values = []
+    degenerate = 0
+    for r in range(reps):
+        for attempt in range(_MAX_REDRAWS):
+            obs = _draw(truth, seeds.stream(*((r,) if attempt == 0 else (r, attempt))))
+            try:
+                values.append(evaluate(obs, truth))
+                break
+            except DegenerateVarianceError:
+                degenerate += 1
+        else:
+            raise DegenerateVarianceError(
+                f"replication {r}: degenerate variance persisted across {_MAX_REDRAWS} redraws"
+            )
+    if degenerate > DEGENERATE_BUDGET * reps:
+        raise DegenerateVarianceError(
+            f"{degenerate} degenerate replications out of {reps} exceed the "
+            f"{DEGENERATE_BUDGET:.1%} budget"
+        )
+    return np.array(values), degenerate
 
 
 def _loss(est: Estimate, truth: TruthSpec, kind: str) -> float:
@@ -178,40 +220,15 @@ def _loss(est: Estimate, truth: TruthSpec, kind: str) -> float:
     raise ValueError(f"unknown risk kind {kind!r}")
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in RISK_KINDS:
-        raise ValueError(f"kind must be one of {RISK_KINDS}, got {kind!r}")
-
-
-def _replicate(scenario, n, seeds, r, evaluate):
-    """Run one replication, redrawing on degenerate variances.
-
-    Returns (value, redraws).  The redraw stream is keyed (r, attempt) so the
-    base stream (r,) stays untouched for clean replications.
-    """
-    for attempt in range(_MAX_REDRAWS):
-        key = (r,) if attempt == 0 else (r, attempt)
-        obs = sample(scenario, n, seeds.stream(*key))
-        try:
-            return evaluate(obs), attempt
-        except DegenerateVarianceError:
-            continue
-    raise DegenerateVarianceError(
-        f"replication {r}: degenerate variance persisted across {_MAX_REDRAWS} redraws"
-    )
-
-
-def _check_budget(degenerate: int, reps: int) -> None:
-    if degenerate > DEGENERATE_BUDGET * reps:
-        raise DegenerateVarianceError(
-            f"{degenerate} degenerate replications out of {reps} exceed the "
-            f"{DEGENERATE_BUDGET:.1%} budget"
-        )
+def _estimate(target: Target, obs: Observations) -> Estimate:
+    if isinstance(target, SelectionTarget):
+        return select(target.collection, obs, target.spec).estimate
+    return fit(target, obs)
 
 
 def _aggregate(losses: np.ndarray, kind: str, degenerate: int) -> RiskReport:
     reps = len(losses)
-    se = float(losses.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    se = float(losses.std(ddof=1) / math.sqrt(reps))
     return RiskReport(
         estimate=float(losses.mean()),
         std_error=se,
@@ -219,6 +236,20 @@ def _aggregate(losses: np.ndarray, kind: str, degenerate: int) -> RiskReport:
         kind=kind,
         degenerate=degenerate,
     )
+
+
+def _risks(scenario, n, targets, reps, seeds, kind) -> list[RiskReport]:
+    """One risk report per target (a Model or a SelectionTarget), all scored on the same draws."""
+    if kind not in RISK_KINDS:
+        raise ValueError(f"kind must be one of {RISK_KINDS}, got {kind!r}")
+    if reps < 2:
+        raise ValueError(f"reps must be >= 2, got {reps}")
+
+    def evaluate(obs, truth):
+        return [_loss(_estimate(t, obs), truth, kind) for t in targets]
+
+    losses, degenerate = _run(scenario, n, seeds, reps, evaluate)
+    return [_aggregate(losses[:, j], kind, degenerate) for j in range(len(targets))]
 
 
 def mc_risk(
@@ -230,24 +261,7 @@ def mc_risk(
     kind: str = "kullback",
 ) -> RiskReport:
     """Monte Carlo risk of a fixed model or of the full selection pipeline."""
-    _check_kind(kind)
-    if reps < 2:
-        raise ValueError(f"reps must be >= 2, got {reps}")
-    truth = scenario.truth(n)
-    if isinstance(target, SelectionTarget):
-        def evaluate(obs):
-            return _loss(select(target.collection, obs, target.spec).estimate, truth, kind)
-    else:
-        def evaluate(obs):
-            return _loss(fit(target, obs), truth, kind)
-
-    losses = np.empty(reps)
-    degenerate = 0
-    for r in range(reps):
-        losses[r], redraws = _replicate(scenario, n, seeds, r, evaluate)
-        degenerate += redraws
-    _check_budget(degenerate, reps)
-    return _aggregate(losses, kind, degenerate)
+    return _risks(scenario, n, [target], reps, seeds, kind)[0]
 
 
 def risk_profile(
@@ -263,23 +277,9 @@ def risk_profile(
     A replication whose draw is degenerate for any model is redrawn for all of
     them, so every model sees exactly the same observations.
     """
-    _check_kind(kind)
     if not collection:
         raise ValueError("empty model collection")
-    if reps < 2:
-        raise ValueError(f"reps must be >= 2, got {reps}")
-    truth = scenario.truth(n)
-
-    def evaluate(obs):
-        return np.array([_loss(fit(m, obs), truth, kind) for m in collection])
-
-    losses = np.empty((reps, len(collection)))
-    degenerate = 0
-    for r in range(reps):
-        losses[r], redraws = _replicate(scenario, n, seeds, r, evaluate)
-        degenerate += redraws
-    _check_budget(degenerate, reps)
-    return [_aggregate(losses[:, j], kind, degenerate) for j in range(len(collection))]
+    return _risks(scenario, n, collection, reps, seeds, kind)
 
 
 def oracle_risk(
@@ -320,20 +320,23 @@ def ratio_table(
     The oracle is estimated once per scenario over the collection built with
     the scenario's true gamma; each grid gamma drives both the collection
     filters and the penalty of the selection run.  All runs of one scenario
-    share the same replication seeds.
+    are scored on the same draws, each drawn once.
     """
-    _check_kind(kind)
     if not gamma_grid:
         raise ValueError("empty gamma grid")
     cells = []
     for i, sc in enumerate(scenarios):
-        sc_seeds = seeds.namespaced(i)
         oracle_coll = build_collection(CollectionConfig(n, sc.true_gamma, theta, epsilon, delta))
-        _, oracle = oracle_risk(sc, n, oracle_coll, reps, sc_seeds, kind)
-        for g in gamma_grid:
-            coll = build_collection(CollectionConfig(n, g, theta, epsilon, delta))
-            spec = PenaltySpec(gamma=g, theta=theta, epsilon=epsilon)
-            rep = mc_risk(sc, n, SelectionTarget(coll, spec), reps, sc_seeds, kind)
+        selections = [
+            SelectionTarget(
+                build_collection(CollectionConfig(n, g, theta, epsilon, delta)),
+                PenaltySpec(gamma=g, theta=theta, epsilon=epsilon),
+            )
+            for g in gamma_grid
+        ]
+        reports = _risks(sc, n, oracle_coll + selections, reps, seeds.namespaced(i), kind)
+        oracle = min(reports[: len(oracle_coll)], key=lambda rep: rep.estimate)
+        for g, rep in zip(gamma_grid, reports[len(oracle_coll) :]):
             ratio = rep.estimate / oracle.estimate
             se = abs(ratio) * math.sqrt(
                 (rep.std_error / rep.estimate) ** 2 + (oracle.std_error / oracle.estimate) ** 2
@@ -360,17 +363,11 @@ def selection_frequency(
     collection = build_collection(CollectionConfig(n, g, theta, epsilon, delta))
     spec = PenaltySpec(gamma=g, theta=theta, epsilon=epsilon)
 
-    def evaluate(obs):
+    def evaluate(obs, truth):
         return 1.0 if predicate(select(collection, obs, spec).chosen) else 0.0
 
-    hits = 0.0
-    degenerate = 0
-    for r in range(reps):
-        value, redraws = _replicate(scenario, n, seeds, r, evaluate)
-        hits += value
-        degenerate += redraws
-    _check_budget(degenerate, reps)
-    return hits / reps
+    hits, _ = _run(scenario, n, seeds, reps, evaluate)
+    return float(hits.mean())
 
 
 @dataclass(frozen=True)

@@ -183,3 +183,13 @@ def test_observations_validation():
         Observations(y1=np.zeros(3), y2=np.zeros(3))
     with pytest.raises(ValueError):
         Observations(y1=np.zeros(4), y2=np.zeros(8))
+
+
+def test_observations_reject_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        y = np.zeros(4)
+        y[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Observations(y1=y, y2=np.ones(4))
+        with pytest.raises(ValueError, match="finite"):
+            Observations(y1=np.ones(4), y2=y)

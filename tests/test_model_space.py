@@ -17,11 +17,11 @@ from heteroselect.model_space import (
 
 def test_partition_blocks_cover_and_are_equal_sized():
     p = DyadicPartition(level=2, n=16)
-    blocks = p.blocks()
-    assert len(blocks) == 4
-    assert all(len(b) == 4 for b in blocks)
-    flat = [i for b in blocks for i in b]
-    assert flat == list(range(16))
+    labels = p.expand(np.arange(p.num_blocks))
+    # every index belongs to exactly one block, blocks are consecutive and equal-sized
+    assert len(labels) == 16
+    np.testing.assert_array_equal(labels, np.arange(16) // 4)
+    np.testing.assert_array_equal(np.bincount(labels.astype(int)), [4, 4, 4, 4])
 
 
 def test_partition_rejects_bad_inputs():
@@ -45,11 +45,11 @@ def test_model_rejects_non_power_of_two_dim():
 
 def test_fine_blocks_nest_in_coarse_blocks():
     m = Model.create(32, 2, 4)
-    coarse = m.coarse.blocks()
-    fine = m.fine.blocks()
-    for i, cb in enumerate(coarse):
-        covered = [idx for fb in fine[i * 4 : (i + 1) * 4] for idx in fb]
-        assert covered == list(cb)
+    coarse = m.coarse.expand(np.arange(m.coarse.num_blocks))
+    fine = m.fine.expand(np.arange(m.fine.num_blocks))
+    assert m.fine.num_blocks == 4 * m.coarse.num_blocks
+    # fine blocks 4i, ..., 4i+3 exactly cover coarse block i
+    np.testing.assert_array_equal(fine // 4, coarse)
 
 
 def brute_force_collection(cfg):
@@ -135,7 +135,11 @@ def test_nested_refinement():
     rng = np.random.default_rng(1)
     m_coarse = Model.create(64, 1, 2)  # fine level 2
     m_fine = Model.create(64, 2, 4)  # fine level 4, refines level 2
-    assert m_fine.fine.refines(m_coarse.fine)
+    assert m_fine.fine.n == m_coarse.fine.n and m_fine.fine.level >= m_coarse.fine.level
+    shift = 2 ** (m_fine.fine.level - m_coarse.fine.level)
+    fine_labels = m_fine.fine.expand(np.arange(m_fine.fine.num_blocks))
+    coarse_labels = m_coarse.fine.expand(np.arange(m_coarse.fine.num_blocks))
+    np.testing.assert_array_equal(fine_labels // shift, coarse_labels)
     y = rng.normal(size=64)
     np.testing.assert_allclose(
         project(m_coarse, project(m_fine, y)), project(m_coarse, y), rtol=1e-12

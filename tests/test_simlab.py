@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from heteroselect import simlab
+from heteroselect.estimation import DegenerateVarianceError, fit, kl_divergence
 from heteroselect.model_space import CollectionConfig, build_collection
 from heteroselect.selector import PenaltySpec
 from heteroselect.simlab import (
+    Scenario,
     SeedPolicy,
     SelectionTarget,
     builtin_scenarios,
@@ -145,6 +148,27 @@ def test_ratio_table_layout_and_determinism():
         ratio_table(sc, [], 128, 20, SeedPolicy(17))
 
 
+def test_ratio_table_equals_separate_passes():
+    scenarios = [get_scenario("M1"), get_scenario("M4")]
+    grid = [1.0, 2.5]
+    n, reps, seeds = 128, 20, SeedPolicy(43)
+    cells = ratio_table(scenarios, grid, n, reps, seeds)
+    expected = []
+    for i, sc in enumerate(scenarios):
+        sc_seeds = seeds.namespaced(i)
+        oracle_coll = build_collection(CollectionConfig(n, sc.true_gamma, 2.0, 0.01, 3.0))
+        _, oracle = oracle_risk(sc, n, oracle_coll, reps, sc_seeds)
+        for g in grid:
+            coll = build_collection(CollectionConfig(n, g, 2.0, 0.01, 3.0))
+            rep = mc_risk(sc, n, SelectionTarget(coll, PenaltySpec(g, 2.0, 0.01)), reps, sc_seeds)
+            ratio = rep.estimate / oracle.estimate
+            se = abs(ratio) * math.sqrt(
+                (rep.std_error / rep.estimate) ** 2 + (oracle.std_error / oracle.estimate) ** 2
+            )
+            expected.append((sc.name, g, ratio, se))
+    assert [(c.scenario, c.gamma, c.ratio, c.std_error) for c in cells] == expected
+
+
 def test_selection_frequency_trivial_predicate():
     sc = get_scenario("M1")
     assert selection_frequency(sc, 64, lambda m: True, 1000, SeedPolicy(19)) == 1.0
@@ -193,3 +217,65 @@ def test_doubling_reps_shrinks_std_error():
     small = mc_risk(sc, 64, coll[0], 200, SeedPolicy(41))
     large = mc_risk(sc, 64, coll[0], 800, SeedPolicy(41))
     assert large.std_error < small.std_error
+
+
+def _tiny_variance_scenario():
+    return Scenario("tiny", lambda x: np.zeros_like(x), lambda x: np.full_like(x, 1e-14), true_gamma=1.0)
+
+
+def _recording_fit(monkeypatch, bad_draws=()):
+    """Patch the lab's fit to record each draw and to reject the given y1 draws as degenerate."""
+    seen = []
+    bad = {y1.tobytes() for y1 in bad_draws}
+
+    def fake_fit(m, obs):
+        seen.append(obs)
+        if obs.y1.tobytes() in bad:
+            raise DegenerateVarianceError("forced")
+        return fit(m, obs)
+
+    monkeypatch.setattr(simlab, "fit", fake_fit)
+    return seen
+
+
+def test_persistent_degenerate_draws_raise_after_max_redraws(monkeypatch):
+    sc = _tiny_variance_scenario()
+    coll = build_collection(CollectionConfig(16, 1.0, 2.0, 0.01, 3.0))
+    seeds = SeedPolicy(1)
+    seen = _recording_fit(monkeypatch)
+    with pytest.raises(DegenerateVarianceError, match="persisted"):
+        mc_risk(sc, 16, coll[0], 10, seeds)
+    keys = [(0,)] + [(0, k) for k in range(1, simlab._MAX_REDRAWS)]
+    assert len(seen) == len(keys)
+    for obs, key in zip(seen, keys):
+        np.testing.assert_array_equal(obs.y1, sample(sc, 16, seeds.stream(*key)).y1)
+    with pytest.raises(DegenerateVarianceError, match="persisted"):
+        risk_profile(sc, 16, coll, 10, seeds)
+    with pytest.raises(DegenerateVarianceError, match="persisted"):
+        selection_frequency(sc, 16, lambda m: True, 1000, seeds)
+
+
+def test_degenerate_draw_is_redrawn_from_its_substream(monkeypatch):
+    sc = get_scenario("M2")
+    model = build_collection(CollectionConfig(16, 1.0, 2.0, 0.01, 3.0))[0]
+    seeds = SeedPolicy(11)
+    reps = 1000
+    _recording_fit(monkeypatch, [sample(sc, 16, seeds.stream(3)).y1])
+    rep = mc_risk(sc, 16, model, reps, seeds)
+    assert rep.degenerate == 1
+    truth = sc.truth(16)
+    losses = []
+    for r in range(reps):
+        est = fit(model, sample(sc, 16, seeds.stream(*((3, 1) if r == 3 else (r,)))))
+        losses.append(kl_divergence(truth, est.mean, est.variance))
+    assert rep.estimate == np.array(losses).mean()
+
+
+@pytest.mark.parametrize("bad_keys", [[(3,), (5,)], [(3,), (3, 1)]])
+def test_second_degenerate_draw_exceeds_budget(monkeypatch, bad_keys):
+    sc = get_scenario("M2")
+    model = build_collection(CollectionConfig(16, 1.0, 2.0, 0.01, 3.0))[0]
+    seeds = SeedPolicy(11)
+    _recording_fit(monkeypatch, [sample(sc, 16, seeds.stream(*key)).y1 for key in bad_keys])
+    with pytest.raises(DegenerateVarianceError, match="budget"):
+        mc_risk(sc, 16, model, 1000, seeds)
