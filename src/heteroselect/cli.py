@@ -103,6 +103,14 @@ def _power_of_two_length(y1, y2, truncate: bool):
     return y1[:lower], y2[:lower]
 
 
+def _collection_config(n: int, gamma: float, args) -> CollectionConfig:
+    """The collection configuration the flags describe; a bad value is an input error."""
+    try:
+        return CollectionConfig(n, gamma, args.theta, args.epsilon, args.delta)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -115,8 +123,7 @@ def cmd_fit(args) -> int:
     y1, y2 = _read_pairs(args.input)
     y1, y2 = _power_of_two_length(y1, y2, args.truncate)
     obs = Observations(y1=y1, y2=y2)
-    cfg = CollectionConfig(obs.n, args.gamma, args.theta, args.epsilon, args.delta)
-    collection = build_collection(cfg)
+    collection = build_collection(_collection_config(obs.n, args.gamma, args))
     spec = PenaltySpec(gamma=args.gamma, theta=args.theta, epsilon=args.epsilon)
     result = select(collection, obs, spec)
     chosen_audit = next(a for a in result.per_model if a.model is result.chosen)
@@ -156,6 +163,10 @@ def cmd_table(args) -> int:
     grid = _parse_floats(args.gamma_grid)
     if not grid:
         raise InputError("empty gamma grid")
+    for g in grid:
+        _collection_config(args.n, g, args)
+    if args.reps < 2:
+        raise InputError(f"--reps must be >= 2, got {args.reps}")
     cells = ratio_table(
         scenarios,
         grid,
@@ -224,6 +235,8 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     seeds = SeedPolicy(seed)
     kappa = args.kappa
+    sandwich_scenario = get_scenario("M1")
+    _collection_config(args.n, sandwich_scenario.true_gamma, args)
     checks = []
 
     exact = lemma11_check(
@@ -264,7 +277,7 @@ def cmd_verify(args) -> int:
     )
 
     entries = prop1_sandwich_check(
-        get_scenario("M1"),
+        sandwich_scenario,
         n=args.n,
         reps=max(args.reps // 50, 2000),
         seeds=seeds.namespaced(3),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_space import Model, _dimension_bound_holds, is_power_of_two, project
+from .model_space import Model, _dimension_bound_holds, _project, is_power_of_two, project
 
 KAPPA = 1.0 + 2.0 * math.exp(-1.0)
 
@@ -83,8 +83,12 @@ def phi(u):
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise ValueError("phi requires strictly positive arguments")
-    out = np.log(u) + 1.0 / u - 1.0
+    out = _phi(u)
     return float(out) if out.ndim == 0 else out
+
+
+def _phi(u):
+    return np.log(u) + 1.0 / u - 1.0
 
 
 def kl_divergence(truth: TruthSpec, mean: np.ndarray, variance: np.ndarray) -> float:
@@ -95,7 +99,7 @@ def kl_divergence(truth: TruthSpec, mean: np.ndarray, variance: np.ndarray) -> f
         raise ValueError("mean/variance length mismatch with truth")
     if np.any(variance <= 0):
         raise ValueError("variance must be strictly positive")
-    return 0.5 * float(np.sum((truth.s - mean) ** 2 / variance + phi(variance / truth.sigma)))
+    return float(_loss("kullback", truth, mean, variance))
 
 
 def log_likelihood(y1: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float:
@@ -107,7 +111,7 @@ def log_likelihood(y1: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> fl
         raise ValueError("length mismatch")
     if np.any(variance <= 0):
         raise ValueError("variance must be strictly positive")
-    return 0.5 * float(np.sum((y1 - mean) ** 2 / variance + np.log(variance)))
+    return float(_neg_log_likelihood(y1, mean, variance))
 
 
 def fit(m: Model, obs: Observations) -> Estimate:
@@ -115,14 +119,40 @@ def fit(m: Model, obs: Observations) -> Estimate:
     variance of the second replicate for the variance."""
     if obs.n != m.n:
         raise ValueError(f"observations have length {obs.n}, model expects {m.n}")
-    mean = project(m, obs.y1)
-    resid_sq = (obs.y2 - project(m, obs.y2)) ** 2
-    block_var = m.coarse.block_means(resid_sq)
-    if np.any(block_var < VARIANCE_FLOOR):
+    mean, block_var, degenerate = _fit_rows(m, obs.y1, obs.y2)
+    if degenerate:
         raise DegenerateVarianceError(
             "zero residual variance on a coarse block: second replicate lies in the mean space"
         )
     return Estimate(mean=mean, variance=m.coarse.expand(block_var), model=m)
+
+
+# Unchecked kernels along the last axis.  The public functions above call them on
+# one vector and the simulation lab on an (R, n) block of replications, so each
+# quantity has one formula and a batched row equals the scalar value bit for bit.
+
+
+def _fit_rows(m: Model, y1: np.ndarray, y2: np.ndarray):
+    """`fit`: the mean, the variance per coarse block, and whether any block fell below VARIANCE_FLOOR."""
+    mean = _project(m, y1)
+    block_var = m.coarse.block_means((y2 - _project(m, y2)) ** 2)
+    return mean, block_var, np.any(block_var < VARIANCE_FLOOR, axis=-1)
+
+
+def _neg_log_likelihood(y1, mean, variance):
+    """`log_likelihood`."""
+    return 0.5 * np.sum((y1 - mean) ** 2 / variance + np.log(variance), axis=-1)
+
+
+def _loss(kind: str, truth: TruthSpec, mean, variance):
+    """The loss of a fitted pair: 'kullback' (`kl_divergence`), 'quadratic_mean' or 'quadratic_variance'."""
+    if kind == "kullback":
+        return 0.5 * np.sum((truth.s - mean) ** 2 / variance + _phi(variance / truth.sigma), axis=-1)
+    if kind == "quadratic_mean":
+        return np.sum((truth.s - mean) ** 2, axis=-1)
+    if kind == "quadratic_variance":
+        return np.sum((truth.sigma - variance) ** 2, axis=-1)
+    raise ValueError(f"unknown risk kind {kind!r}")
 
 
 def best_approx(m: Model, truth: TruthSpec) -> tuple[Estimate, float]:

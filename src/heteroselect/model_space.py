@@ -176,6 +176,11 @@ def project(m: Model, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (m.n,):
         raise ValueError(f"expected a length-{m.n} vector, got shape {y.shape}")
+    return _project(m, y)
+
+
+def _project(m: Model, y: np.ndarray) -> np.ndarray:
+    """`project` along the last axis of y, unchecked: the batched and scalar fits share it."""
     return m.fine.expand(m.fine.block_means(y))
 
 

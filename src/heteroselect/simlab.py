@@ -2,10 +2,15 @@
 
 Every experiment goes through one replication engine, `_run`:
 
-- Replication r draws from the substream keyed (r,) of its seed policy, so
-  results are reproducible bit-for-bit and independent of execution order.
-  A degenerate draw (a variance estimate collapses) is redrawn; its k-th
-  redraw comes from the substream (r, k).
+- Replications are drawn and scored in blocks of max(1, 2**16 // n) rows.
+  Replication r draws from the substream keyed (r,) of its seed policy, so
+  results are reproducible bit-for-bit, independent of execution order and
+  of the block size.  A degenerate draw (a variance estimate collapses) is
+  redrawn; its k-th redraw comes from the substream (r, k).
+- A block is scored by fitting each distinct model once over all its rows,
+  with the kernels `fit`, `log_likelihood` and `kl_divergence` share, so each
+  row's chosen model and loss equal those of the scalar `fit`/`select` path
+  bit for bit.
 - All compared runs of one scenario (the models of a collection; the oracle
   and every gamma of a table row) share one set of draws, common random
   numbers that reduce ratio variance.  A draw degenerate for any of them is
@@ -23,14 +28,14 @@ import numpy as np
 
 from .estimation import (
     DegenerateVarianceError,
-    Estimate,
     Observations,
     TruthSpec,
-    fit,
-    kl_divergence,
+    _fit_rows,
+    _loss,
+    _neg_log_likelihood,
 )
 from .model_space import CollectionConfig, Model, build_collection, is_power_of_two
-from .selector import PenaltySpec, select
+from .selector import PenaltySpec, penalty
 
 RISK_KINDS = ("kullback", "quadratic_mean", "quadratic_variance")
 
@@ -38,6 +43,10 @@ RISK_KINDS = ("kullback", "quadratic_mean", "quadratic_variance")
 DEGENERATE_BUDGET = 1e-3
 
 _MAX_REDRAWS = 8
+
+#: Data points per block of replications: a block holds max(1, _BLOCK_POINTS // n) draws,
+#: so each (R, n) float temporary takes 512 KiB for n <= _BLOCK_POINTS.
+_BLOCK_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -167,63 +176,106 @@ def get_scenario(name: str) -> Scenario:
     raise KeyError(f"unknown scenario {name!r}")
 
 
-def _draw(truth: TruthSpec, rng: np.random.Generator) -> Observations:
-    """Draw the two replicates; the first n normal draws feed y1, the next n feed y2."""
+def _draw(truth: TruthSpec, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the two replicates once per generator, one row each; the first n normal
+    draws of a row feed y1, the next n feed y2."""
     n = truth.n
-    z = rng.standard_normal(2 * n)
+    z = np.array([rng.standard_normal(2 * n) for rng in rngs])
     sd = np.sqrt(truth.sigma)
-    return Observations(y1=truth.s + sd * z[:n], y2=truth.s + sd * z[n:])
+    return truth.s + sd * z[:, :n], truth.s + sd * z[:, n:]
 
 
 def sample(scenario: Scenario, n: int, rng: np.random.Generator) -> Observations:
     """Draw the two replicates of the scenario at sample size n."""
-    return _draw(scenario.truth(n), rng)
+    y1, y2 = _draw(scenario.truth(n), [rng])
+    return Observations(y1=y1[0], y2=y2[0])
 
 
 def _run(scenario, n, seeds, reps, evaluate):
-    """The replication engine: evaluate(obs, truth) on each of reps draws.
+    """The replication engine: evaluate(y1, y2, truth) on blocks of the reps draws.
 
-    Returns (stacked values, number of redraws).  Replication r draws from the
-    stream (r,) and, while evaluate raises DegenerateVarianceError, redraws
+    A block stacks max(1, _BLOCK_POINTS // n) replications as rows of (R, n)
+    arrays; evaluate returns per-row values and a per-row degenerate mask.
+    Returns (the values of all replications, number of redraws).  Replication
+    r draws from the stream (r,) and, while its row is degenerate, redraws
     from (r, 1), (r, 2), ..., up to _MAX_REDRAWS attempts in all.
     """
     truth = scenario.truth(n)
-    values = []
+    rows = max(1, _BLOCK_POINTS // n)
+    blocks = []
     degenerate = 0
-    for r in range(reps):
+    for start in range(0, reps, rows):
+        pending = np.arange(start, min(start + rows, reps))
+        block = None
         for attempt in range(_MAX_REDRAWS):
-            obs = _draw(truth, seeds.stream(*((r,) if attempt == 0 else (r, attempt))))
-            try:
-                values.append(evaluate(obs, truth))
+            keys = [(r,) if attempt == 0 else (r, attempt) for r in pending.tolist()]
+            values, bad = evaluate(*_draw(truth, [seeds.stream(*key) for key in keys]), truth)
+            if block is None:
+                block = np.empty_like(values)
+            block[pending[~bad] - start] = values[~bad]
+            degenerate += int(bad.sum())
+            pending = pending[bad]
+            if not len(pending):
                 break
-            except DegenerateVarianceError:
-                degenerate += 1
         else:
             raise DegenerateVarianceError(
-                f"replication {r}: degenerate variance persisted across {_MAX_REDRAWS} redraws"
+                f"replication {pending[0]}: degenerate variance persisted across {_MAX_REDRAWS} redraws"
             )
+        blocks.append(block)
     if degenerate > DEGENERATE_BUDGET * reps:
         raise DegenerateVarianceError(
             f"{degenerate} degenerate replications out of {reps} exceed the "
             f"{DEGENERATE_BUDGET:.1%} budget"
         )
-    return np.array(values), degenerate
+    return np.concatenate(blocks), degenerate
 
 
-def _loss(est: Estimate, truth: TruthSpec, kind: str) -> float:
-    if kind == "kullback":
-        return kl_divergence(truth, est.mean, est.variance)
-    if kind == "quadratic_mean":
-        return float(np.sum((truth.s - est.mean) ** 2))
-    if kind == "quadratic_variance":
-        return float(np.sum((truth.sigma - est.variance) ** 2))
-    raise ValueError(f"unknown risk kind {kind!r}")
+def _scorer(targets: Sequence[Target], kind: str | None):
+    """The block evaluator of the targets: evaluate(y1, y2, truth) -> (losses, picks, bad).
 
+    For R rows, losses[r, i] is the loss of target i (0 when kind is None),
+    picks[r, i] the index of its chosen model in its collection (0 for a
+    Model), and bad[r] whether the row is degenerate for any model of any
+    target.  Each distinct model is fitted once per block and only per-row
+    columns are kept.  A SelectionTarget picks the argmin of likelihood plus
+    penalty, the first model on ties as `select` does; the penalties are
+    computed once, here.
+    """
+    members = [t.collection if isinstance(t, SelectionTarget) else [t] for t in targets]
+    models = list(dict.fromkeys(m for ms in members for m in ms))
+    column = {m: j for j, m in enumerate(models)}
+    ranked = {m for t in targets if isinstance(t, SelectionTarget) for m in t.collection}
+    needs_lik = [m in ranked for m in models]
+    cols = [np.array([column[m] for m in ms]) for ms in members]
+    pens = [
+        np.array([penalty(m, t.spec) for m in t.collection]) if isinstance(t, SelectionTarget) else None
+        for t in targets
+    ]
 
-def _estimate(target: Target, obs: Observations) -> Estimate:
-    if isinstance(target, SelectionTarget):
-        return select(target.collection, obs, target.spec).estimate
-    return fit(target, obs)
+    def evaluate(y1, y2, truth):
+        size = len(y1)
+        bad = np.zeros(size, dtype=bool)
+        lik = np.zeros((size, len(models)))
+        loss = np.zeros((size, len(models)))
+        for j, m in enumerate(models):
+            mean, block_var, degenerate = _fit_rows(m, y1, y2)
+            bad |= degenerate
+            if bad.any():  # those rows are redrawn; keep their arithmetic finite
+                block_var = np.where(bad[:, None], 1.0, block_var)
+            variance = m.coarse.expand(block_var)
+            if needs_lik[j]:
+                lik[:, j] = _neg_log_likelihood(y1, mean, variance)
+            if kind is not None:
+                loss[:, j] = _loss(kind, truth, mean, variance)
+        picks = np.zeros((size, len(targets)), dtype=np.intp)
+        losses = np.empty((size, len(targets)))
+        for i, (c, p) in enumerate(zip(cols, pens)):
+            if p is not None:
+                picks[:, i] = np.argmin(lik[:, c] + p, axis=1)
+            losses[:, i] = loss[np.arange(size), c[picks[:, i]]]
+        return losses, picks, bad
+
+    return evaluate
 
 
 def _aggregate(losses: np.ndarray, kind: str, degenerate: int) -> RiskReport:
@@ -245,8 +297,11 @@ def _risks(scenario, n, targets, reps, seeds, kind) -> list[RiskReport]:
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
 
-    def evaluate(obs, truth):
-        return [_loss(_estimate(t, obs), truth, kind) for t in targets]
+    score = _scorer(targets, kind)
+
+    def evaluate(y1, y2, truth):
+        losses, _, bad = score(y1, y2, truth)
+        return losses, bad
 
     losses, degenerate = _run(scenario, n, seeds, reps, evaluate)
     return [_aggregate(losses[:, j], kind, degenerate) for j in range(len(targets))]
@@ -363,8 +418,12 @@ def selection_frequency(
     collection = build_collection(CollectionConfig(n, g, theta, epsilon, delta))
     spec = PenaltySpec(gamma=g, theta=theta, epsilon=epsilon)
 
-    def evaluate(obs, truth):
-        return 1.0 if predicate(select(collection, obs, spec).chosen) else 0.0
+    hit = np.array([1.0 if predicate(m) else 0.0 for m in collection])
+    score = _scorer([SelectionTarget(collection, spec)], None)
+
+    def evaluate(y1, y2, truth):
+        _, picks, bad = score(y1, y2, truth)
+        return hit[picks[:, 0]], bad
 
     hits, _ = _run(scenario, n, seeds, reps, evaluate)
     return float(hits.mean())

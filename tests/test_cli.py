@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from heteroselect import cli
 from heteroselect.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from heteroselect.estimation import log_likelihood
 from heteroselect.model_space import Model
@@ -119,6 +120,28 @@ def test_table_json_format(tmp_path):
 
 def test_table_unknown_scenario():
     assert main(["table", "--scenario", "M99", "--reps", "5"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--n", "1000"], ["--reps", "1"], ["--reps", "0", "--n", "64"], ["--theta", "1"]],
+)
+def test_table_bad_flags_are_input_errors(flags):
+    assert main(["table", "--scenario", "M1", "--gamma-grid", "1"] + flags) == EXIT_INPUT
+
+
+def test_fit_bad_gamma_is_an_input_error(m1_csv, tmp_path):
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--input", str(m1_csv), "--gamma", "0.5", "--output", str(out)]) == EXIT_INPUT
+    assert not out.exists()
+
+
+def test_verify_bad_n_fails_before_any_check(monkeypatch):
+    def no_battery(*args, **kwargs):
+        raise AssertionError("verify ran a check before validating its flags")
+
+    monkeypatch.setattr(cli, "lemma11_check", no_battery)
+    assert main(["verify", "--n", "1000"]) == EXIT_INPUT
 
 
 def test_convergence_csv(tmp_path):

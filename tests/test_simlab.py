@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heteroselect import simlab
-from heteroselect.estimation import DegenerateVarianceError, fit, kl_divergence
-from heteroselect.model_space import CollectionConfig, build_collection
-from heteroselect.selector import PenaltySpec
+from heteroselect.estimation import (
+    DegenerateVarianceError,
+    Observations,
+    _fit_rows,
+    fit,
+    kl_divergence,
+)
+from heteroselect.model_space import CollectionConfig, Model, build_collection
+from heteroselect.selector import PenaltySpec, select
 from heteroselect.simlab import (
     Scenario,
     SeedPolicy,
@@ -224,17 +232,18 @@ def _tiny_variance_scenario():
 
 
 def _recording_fit(monkeypatch, bad_draws=()):
-    """Patch the lab's fit to record each draw and to reject the given y1 draws as degenerate."""
+    """Patch the lab's per-block fit to record each block of y1 draws and to flag
+    the rows holding the given y1 draws as degenerate."""
     seen = []
     bad = {y1.tobytes() for y1 in bad_draws}
 
-    def fake_fit(m, obs):
-        seen.append(obs)
-        if obs.y1.tobytes() in bad:
-            raise DegenerateVarianceError("forced")
-        return fit(m, obs)
+    def fake_fit_rows(m, y1, y2):
+        seen.append(y1.copy())
+        mean, block_var, degenerate = _fit_rows(m, y1, y2)
+        forced = np.array([row.tobytes() in bad for row in y1])
+        return mean, block_var, degenerate | forced
 
-    monkeypatch.setattr(simlab, "fit", fake_fit)
+    monkeypatch.setattr(simlab, "_fit_rows", fake_fit_rows)
     return seen
 
 
@@ -247,8 +256,8 @@ def test_persistent_degenerate_draws_raise_after_max_redraws(monkeypatch):
         mc_risk(sc, 16, coll[0], 10, seeds)
     keys = [(0,)] + [(0, k) for k in range(1, simlab._MAX_REDRAWS)]
     assert len(seen) == len(keys)
-    for obs, key in zip(seen, keys):
-        np.testing.assert_array_equal(obs.y1, sample(sc, 16, seeds.stream(*key)).y1)
+    for y1, key in zip(seen, keys):
+        np.testing.assert_array_equal(y1[0], sample(sc, 16, seeds.stream(*key)).y1)
     with pytest.raises(DegenerateVarianceError, match="persisted"):
         risk_profile(sc, 16, coll, 10, seeds)
     with pytest.raises(DegenerateVarianceError, match="persisted"):
@@ -279,3 +288,111 @@ def test_second_degenerate_draw_exceeds_budget(monkeypatch, bad_keys):
     _recording_fit(monkeypatch, [sample(sc, 16, seeds.stream(*key)).y1 for key in bad_keys])
     with pytest.raises(DegenerateVarianceError, match="budget"):
         mc_risk(sc, 16, model, 1000, seeds)
+
+
+GRID = [1.0, 1.5, 2.0, 2.5, 3.0]
+
+
+def _targets(sc, n, grid):
+    """The oracle collection's models and one SelectionTarget per gamma, as `ratio_table` scores them."""
+    oracle = build_collection(CollectionConfig(n, sc.true_gamma, 2.0, 0.01, 3.0))
+    return oracle + [
+        SelectionTarget(build_collection(CollectionConfig(n, g, 2.0, 0.01, 3.0)), PenaltySpec(g, 2.0, 0.01))
+        for g in grid
+    ]
+
+
+def _scalar_estimate(target, obs):
+    if isinstance(target, SelectionTarget):
+        return select(target.collection, obs, target.spec).estimate
+    return fit(target, obs)
+
+
+def _scalar_loss(kind, truth, est):
+    if kind == "kullback":
+        return kl_divergence(truth, est.mean, est.variance)
+    if kind == "quadratic_mean":
+        return float(np.sum((truth.s - est.mean) ** 2))
+    return float(np.sum((truth.sigma - est.variance) ** 2))
+
+
+@settings(deadline=None, max_examples=8)
+@given(master=st.integers(0, 2**63 - 1))
+def test_batched_scoring_equals_scalar_path(master):
+    n, rows = 128, 4
+    for k, sc in enumerate(builtin_scenarios()):
+        truth = sc.truth(n)
+        seeds = SeedPolicy(master).namespaced(k)
+        y1, y2 = simlab._draw(truth, [seeds.stream(r) for r in range(rows)])
+        targets = _targets(sc, n, GRID)
+        scored = {kind: simlab._scorer(targets, kind)(y1, y2, truth) for kind in simlab.RISK_KINDS}
+        for r in range(rows):
+            obs = Observations(y1[r], y2[r])
+            for i, t in enumerate(targets):
+                if isinstance(t, SelectionTarget):
+                    result = select(t.collection, obs, t.spec)
+                    for _, picks, _ in scored.values():
+                        assert t.collection[picks[r, i]] is result.chosen
+                    est = result.estimate
+                else:
+                    est = fit(t, obs)
+                for kind, (losses, _, bad) in scored.items():
+                    assert not bad[r]
+                    assert losses[r, i] == _scalar_loss(kind, truth, est)
+
+
+def test_results_do_not_depend_on_block_size(monkeypatch):
+    def results(n, reps, seeds):
+        scenarios = [get_scenario("M1"), get_scenario("M3")]
+        tables = [ratio_table(scenarios, [1.0, 2.0], n, reps, seeds, kind=k) for k in simlab.RISK_KINDS]
+        coll = build_collection(CollectionConfig(n, 2.0, 2.0, 0.01, 3.0))
+        profile = risk_profile(get_scenario("M4"), n, coll, reps, seeds.namespaced(7))
+        freq = selection_frequency(
+            get_scenario("M1"), n, lambda m: m.num_coarse == 2, 1000, seeds.namespaced(8)
+        )
+        return tables, profile, freq
+
+    n, seeds = 32, SeedPolicy(3)
+    # Draw 4 sits in the middle of a 3-row block and is degenerate in the 1000-rep
+    # run (the 20-rep run has other seeds); both counts leave an uneven tail.
+    _recording_fit(monkeypatch, [
+        sample(get_scenario("M1"), n, seeds.namespaced(0).stream(4)).y1,
+        sample(get_scenario("M4"), n, seeds.namespaced(7).stream(4)).y1,
+        sample(get_scenario("M1"), n, seeds.namespaced(8).stream(4)).y1,
+    ])
+    runs = {}
+    for rows in (1, 3, 5000):
+        monkeypatch.setattr(simlab, "_BLOCK_POINTS", rows * n)
+        runs[rows] = (results(n, 20, SeedPolicy(2)), results(n, 1000, seeds))
+    assert runs[1] == runs[3] == runs[5000]
+    degenerate = [rep.degenerate for rep in runs[1][1][1]]
+    assert degenerate == [1] * len(degenerate)
+
+
+def test_draw_degenerate_for_one_target_is_redrawn_for_all(monkeypatch):
+    sc, n, reps, seeds = get_scenario("M1"), 128, 1000, SeedPolicy(47)
+    targets = _targets(sc, n, [1.0, 2.0])
+    only_g1 = Model.create(n, 2, 4)
+    in_collection = [t.collection for t in targets if isinstance(t, SelectionTarget)]
+    assert only_g1 in in_collection[0] and only_g1 not in in_collection[1] and only_g1 not in targets
+    truth = sc.truth(n)
+    keys = [(3, 1) if r == 3 else (r,) for r in range(reps)]
+    y1, y2 = simlab._draw(truth, [seeds.stream(*key) for key in keys])
+    expected, _, _ = simlab._scorer(targets, "kullback")(y1, y2, truth)
+    redrawn = sample(sc, n, seeds.stream(3, 1))
+    assert list(expected[3]) == [
+        _scalar_loss("kullback", truth, _scalar_estimate(t, redrawn)) for t in targets
+    ]
+
+    bad_y1 = sample(sc, n, seeds.stream(3)).y1.tobytes()
+
+    def fit_rows(m, y1, y2):
+        mean, block_var, degenerate = _fit_rows(m, y1, y2)
+        if m == only_g1:
+            degenerate = degenerate | np.array([row.tobytes() == bad_y1 for row in y1])
+        return mean, block_var, degenerate
+
+    monkeypatch.setattr(simlab, "_fit_rows", fit_rows)
+    reports = simlab._risks(sc, n, targets, reps, seeds, "kullback")
+    assert [rep.degenerate for rep in reports] == [1] * len(targets)
+    assert [rep.estimate for rep in reports] == [expected[:, j].mean() for j in range(len(targets))]
