@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -61,12 +62,31 @@ def _resolve_seed(args) -> int:
 
 
 def _read_pairs(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns of a `y1,y2` CSV file, as contiguous float arrays.
+
+    `np.loadtxt` parses the data rows when it can: it accepts a strict subset
+    of the row loop's dialect, with bit-equal values.  Anything it rejects, or
+    reads as other than at least one row of two finite columns, goes through
+    the row loop, which defines the dialect and reports the offending line.
+    """
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip().lower() for h in header] != ["y1", "y2"]:
                 raise InputError(f"{path}: expected CSV header 'y1,y2', got {header}")
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, dtype=float)
+            except ValueError:
+                data = None
+            if data is not None and data.shape[0] > 0 and data.shape[1] == 2 and np.isfinite(data).all():
+                y1, y2 = data.T.copy()
+                return y1, y2
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
             y1, y2 = [], []
             for lineno, row in enumerate(reader, start=2):
                 if not row or (len(row) == 1 and not row[0].strip()):
@@ -119,18 +139,32 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _json_runs(values: np.ndarray, run: int) -> str:
+    """`values` as `json.dumps(indent=2)` lays out a list inside the payload dict,
+    for a vector made of runs of `run` equal values: each run is formatted once."""
+    sep = ",\n    "
+    items = "".join((json.dumps(float(v)) + sep) * run for v in values[::run])
+    return "[\n    " + items[: -len(sep)] + "\n  ]"
+
+
 def cmd_fit(args) -> int:
     y1, y2 = _read_pairs(args.input)
     y1, y2 = _power_of_two_length(y1, y2, args.truncate)
     obs = Observations(y1=y1, y2=y2)
     collection = build_collection(_collection_config(obs.n, args.gamma, args))
     spec = PenaltySpec(gamma=args.gamma, theta=args.theta, epsilon=args.epsilon)
-    result = select(collection, obs, spec)
-    chosen_audit = next(a for a in result.per_model if a.model is result.chosen)
+    try:
+        result = select(collection, obs, spec)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    chosen, est = result.chosen, result.estimate
+    chosen_audit = next(a for a in result.per_model if a.model is chosen)
+    # The vectors are spliced into the text in place of these placeholders:
+    # the same bytes as dumping them whole, without formatting n floats.
     payload = {
-        "model": result.chosen.describe(),
-        "mean": result.estimate.mean.tolist(),
-        "variance": result.estimate.variance.tolist(),
+        "model": chosen.describe(),
+        "mean": "@mean",
+        "variance": "@variance",
         "criterion": result.criterion_value,
         "penalty": chosen_audit.penalty,
         "likelihood": chosen_audit.likelihood,
@@ -140,7 +174,10 @@ def cmd_fit(args) -> int:
             {**a.model.describe(), "likelihood": a.likelihood, "penalty": a.penalty, "criterion": a.criterion}
             for a in result.per_model
         ]
-    _write_text(args.output, json.dumps(payload, indent=2) + "\n")
+    mean = _json_runs(est.mean, chosen.fine.block_size)
+    variance = _json_runs(est.variance, chosen.coarse.block_size)
+    text = json.dumps(payload, indent=2).replace('"@mean"', mean, 1).replace('"@variance"', variance, 1)
+    _write_text(args.output, text + "\n")
     return EXIT_OK
 
 
@@ -308,11 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="heteroselect",
         description="Mean/variance estimation by penalized model selection, with a simulation lab.",
     )
+    # No prefix matching: `table --gamma` would silently mean `--gamma-grid`.
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, needs_seed=True):
-        p.add_argument("--n", type=int, default=1024, help="sample size (power of two)")
-        p.add_argument("--gamma", type=float, default=2.0, help="variance-ratio bound")
+    def add_common(p, *, needs_seed=True, needs_n=True):
+        if needs_n:
+            p.add_argument("--n", type=int, default=1024, help="sample size (power of two)")
         p.add_argument("--theta", type=float, default=2.0)
         p.add_argument("--epsilon", type=float, default=0.01)
         p.add_argument("--delta", type=float, default=3.0)
@@ -320,14 +358,17 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_seed:
             p.add_argument("--seed", type=int, default=0, help="master seed (HETEROSELECT_SEED overrides)")
 
-    p_fit = sub.add_parser("fit", help="select a model for a y1,y2 CSV file")
+    p_fit = sub.add_parser("fit", help="select a model for a y1,y2 CSV file", allow_abbrev=False)
     add_common(p_fit, needs_seed=False)
+    p_fit.add_argument("--gamma", type=float, default=2.0, help="variance-ratio bound")
     p_fit.add_argument("--input", required=True, help="CSV with header y1,y2")
     p_fit.add_argument("--truncate", action="store_true", help="truncate to the largest power of two")
     p_fit.add_argument("--quiet", action="store_true", help="omit the per-model audit table")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_table = sub.add_parser("table", help="risk-ratio table over scenarios and gamma values")
+    p_table = sub.add_parser(
+        "table", help="risk-ratio table over scenarios and gamma values", allow_abbrev=False
+    )
     add_common(p_table)
     p_table.add_argument("--scenario", default="all", help="comma-separated scenario names or 'all'")
     p_table.add_argument("--gamma-grid", default="1,1.5,2,2.5,3")
@@ -336,14 +377,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.set_defaults(func=cmd_table)
 
-    p_conv = sub.add_parser("convergence", help="normalized-risk decay along a grid of sample sizes")
-    add_common(p_conv)
+    p_conv = sub.add_parser(
+        "convergence", help="normalized-risk decay along a grid of sample sizes", allow_abbrev=False
+    )
+    add_common(p_conv, needs_n=False)
     p_conv.add_argument("--n-grid", default="256,512,1024,2048,4096,8192,16384")
     p_conv.add_argument("--reps", type=int, default=100)
     p_conv.add_argument("--format", choices=("csv", "json"), default="csv")
     p_conv.set_defaults(func=cmd_convergence)
 
-    p_verify = sub.add_parser("verify", help="run the verification oracle batteries")
+    p_verify = sub.add_parser("verify", help="run the verification oracle batteries", allow_abbrev=False)
     add_common(p_verify)
     p_verify.add_argument("--reps", type=int, default=100_000)
     p_verify.add_argument("--kappa", type=float, default=1.0 + 2.0 * math.exp(-1.0))

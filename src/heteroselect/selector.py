@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .estimation import Estimate, Observations, fit, log_likelihood
 from .model_space import Model, log_power
 
@@ -66,6 +68,8 @@ def select(collection: Sequence[Model], obs: Observations, spec: PenaltySpec) ->
 
     The collection is scanned in its canonical order (ascending dimension) and
     ties are broken in favor of the earliest, i.e. most parsimonious, model.
+    Raises ValueError when no model has a finite criterion, as when sums of
+    values near the float limit overflow.
     """
     if not collection:
         raise ValueError("empty model collection")
@@ -73,16 +77,20 @@ def select(collection: Sequence[Model], obs: Observations, spec: PenaltySpec) ->
     best_idx = -1
     best_crit = float("inf")
     best_est: Estimate | None = None
-    for idx, m in enumerate(collection):
-        est = fit(m, obs)
-        lik = log_likelihood(obs.y1, est.mean, est.variance)
-        pen = penalty(m, spec)
-        crit = lik + pen
-        audits.append(ModelAudit(model=m, likelihood=lik, penalty=pen, criterion=crit))
-        if crit < best_crit:
-            best_idx = idx
-            best_crit = crit
-            best_est = est
+    # Overflow yields inf/nan criteria, which never win; the check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, m in enumerate(collection):
+            est = fit(m, obs)
+            lik = log_likelihood(obs.y1, est.mean, est.variance)
+            pen = penalty(m, spec)
+            crit = lik + pen
+            audits.append(ModelAudit(model=m, likelihood=lik, penalty=pen, criterion=crit))
+            if crit < best_crit:
+                best_idx = idx
+                best_crit = crit
+                best_est = est
+    if best_est is None:
+        raise ValueError("no model has a finite criterion: the data overflow floating-point arithmetic")
     return SelectionResult(
         chosen=collection[best_idx],
         estimate=best_est,

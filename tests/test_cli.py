@@ -5,9 +5,9 @@ import pytest
 
 from heteroselect import cli
 from heteroselect.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
-from heteroselect.estimation import log_likelihood
-from heteroselect.model_space import Model
-from heteroselect.selector import PenaltySpec, penalty
+from heteroselect.estimation import Observations, log_likelihood
+from heteroselect.model_space import CollectionConfig, Model, build_collection
+from heteroselect.selector import PenaltySpec, penalty, select
 from heteroselect.simlab import SeedPolicy, get_scenario, sample
 
 
@@ -74,12 +74,144 @@ def test_fit_degenerate_input(tmp_path):
     assert main(["fit", "--input", str(path)]) == EXIT_INPUT
 
 
+def test_fit_overflowing_input_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    rng = np.random.default_rng(104)
+    write_csv(path, rng.uniform(0.85e308, 1.7e308, size=64), rng.uniform(0.85e308, 1.7e308, size=64))
+    assert main(["fit", "--input", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: no model has a finite criterion") and err.count("\n") == 1
+
+
 def test_fit_malformed_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
     assert main(["fit", "--input", str(bad)]) == EXIT_INPUT
     bad.write_text("y1,y2\n1,notanumber\n")
     assert main(["fit", "--input", str(bad)]) == EXIT_INPUT
+
+
+def _fit_data(name):
+    """1024 rows: a scenario draw, or 'blocks', a mean with 128 well-separated levels."""
+    if name == "blocks":
+        rng = np.random.default_rng(105)
+        s = np.repeat(np.tile([0.0, 10.0], 64), 8)
+        return s + rng.normal(size=1024), s + rng.normal(size=1024)
+    obs = sample(get_scenario(name), 1024, SeedPolicy(106).stream(0))
+    return obs.y1, obs.y2
+
+
+def _reference_fit_text(y1, y2, gamma, quiet):
+    """`fit`'s output, encoded by dumping the whole payload with the full mean/variance vectors."""
+    coll = build_collection(CollectionConfig(len(y1), gamma, 2.0, 0.01, 3.0))
+    result = select(coll, Observations(y1=y1, y2=y2), PenaltySpec(gamma, 2.0, 0.01))
+    chosen_audit = next(a for a in result.per_model if a.model is result.chosen)
+    payload = {
+        "model": result.chosen.describe(),
+        "mean": result.estimate.mean.tolist(),
+        "variance": result.estimate.variance.tolist(),
+        "criterion": result.criterion_value,
+        "penalty": chosen_audit.penalty,
+        "likelihood": chosen_audit.likelihood,
+    }
+    if not quiet:
+        payload["audit"] = [
+            {**a.model.describe(), "likelihood": a.likelihood, "penalty": a.penalty, "criterion": a.criterion}
+            for a in result.per_model
+        ]
+    return json.dumps(payload, indent=2) + "\n", result.chosen
+
+
+@pytest.mark.parametrize(
+    "data, flags",
+    [
+        ("M1", []),
+        ("M2", []),
+        ("M3", []),
+        ("M4", []),
+        ("blocks", ["--gamma", "1"]),
+        ("M1", ["--quiet"]),
+        ("M2", ["--truncate"]),
+        ("M3", ["--output", "-"]),
+    ],
+)
+def test_fit_output_is_byte_identical_to_reference_encoding(data, flags, tmp_path, capsys):
+    y1, y2 = _fit_data(data)
+    if "--truncate" in flags:
+        y1, y2 = y1[:1000], y2[:1000]
+    path = tmp_path / "in.csv"
+    write_csv(path, y1, y2)
+    gamma = float(flags[flags.index("--gamma") + 1]) if "--gamma" in flags else 2.0
+    n = 512 if "--truncate" in flags else 1024
+    expected, chosen = _reference_fit_text(y1[:n], y2[:n], gamma, "--quiet" in flags)
+    if data == "blocks":
+        assert chosen.fine.num_blocks == 128
+    argv = ["fit", "--input", str(path)] + flags
+    if "--output" not in flags:
+        argv += ["--output", str(tmp_path / "fit.json")]
+    assert main(argv) == EXIT_OK
+    if "--output" in flags:
+        got = capsys.readouterr().out.encode()
+    else:
+        got = (tmp_path / "fit.json").read_bytes()
+    assert got == expected.encode()
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("y1,y2\n1,2\n\n3,4\n", ([1.0, 3.0], [2.0, 4.0])),
+        ("y1,y2\n1,2\n   \n3,4\n", ([1.0, 3.0], [2.0, 4.0])),
+        ("y1,y2\r\n1.5,2\r\n3,4\r\n", ([1.5, 3.0], [2.0, 4.0])),
+        ("y1,y2\n 1.5 , 2 \n3,\t-4e-3\n", ([1.5, 3.0], [2.0, -4e-3])),
+        ("y1,y2\n-0.0,1e-320\n0.1,+2E2\n", ([-0.0, 0.1], [1e-320, 200.0])),
+        ("y1,y2\n7,8\n", ([7.0], [8.0])),
+        ('y1,y2\n"1.5","2"\n3,4\n', ([1.5, 3.0], [2.0, 4.0])),
+        ("y1,y2\n1_0,2\n3,4\n", ([10.0, 3.0], [2.0, 4.0])),
+        (" Y1 , Y2 \n1,2\n", ([1.0], [2.0])),
+        ("y1,y2\n1,2\n3,4\n5,6\nnan,7\n", "{path}:5: non-finite value"),
+        ("y1,y2\n1,2\n3,4\n5,6\n7,inf\n", "{path}:5: non-finite value"),
+        ("y1,y2\n1,2\n1e400,4\n", "{path}:3: non-finite value"),
+        ("y1,y2\n1,2\n3,4,5\n6,7\n", "{path}:3: expected two columns, got 3"),
+        ("y1,y2\n1,2,3\n4,5,6\n", "{path}:2: expected two columns, got 3"),
+        ("y1,y2\n1,2,\n", "{path}:2: expected two columns, got 3"),
+        ("y1,y2\n1\n2\n", "{path}:2: expected two columns, got 1"),
+        ("y1,y2\n# note\n1,2\n", "{path}:2: expected two columns, got 1"),
+        ("y1,y2\n1,2\n,3\n", "{path}:3: malformed number"),
+        ("y1,y2\n1,2\n1d5,3\n", "{path}:3: malformed number"),
+        ("y1,y2\n", "{path}: no data rows"),
+        ("y1,y2\n\n\n", "{path}: no data rows"),
+        ("a,b\n1,2\n", "{path}: expected CSV header 'y1,y2', got ['a', 'b']"),
+    ],
+)
+@pytest.mark.filterwarnings("error")  # parsing prints nothing but the error it raises
+def test_read_pairs_dialect(text, expected, tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    if isinstance(expected, str):
+        with pytest.raises(cli.InputError) as info:
+            cli._read_pairs(str(path))
+        assert str(info.value) == expected.format(path=path)
+        return
+    for got, want in zip(cli._read_pairs(str(path)), expected):
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convergence", "--n", "1000", "--n-grid", "64,128", "--reps", "2"],
+        ["convergence", "--gamma", "0.1", "--n-grid", "64,128", "--reps", "2"],
+        ["table", "--gamma", "0.1", "--scenario", "M1", "--gamma-grid", "1", "--n", "64", "--reps", "2"],
+        ["verify", "--gamma", "0.1", "--n", "256"],
+    ],
+)
+def test_unused_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_INPUT
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_table_csv_output_and_determinism(tmp_path):

@@ -115,3 +115,13 @@ def test_select_empty_collection():
     obs = Observations(y1=rng.normal(size=16), y2=rng.normal(size=16))
     with pytest.raises(ValueError):
         select([], obs, PenaltySpec(1.0, 2.0, 0.01))
+
+
+def test_select_raises_when_no_criterion_is_finite():
+    # Block sums of values near the float limit overflow, so every criterion is inf or nan.
+    rng = np.random.default_rng(7)
+    y = rng.uniform(0.85e308, 1.7e308, size=(2, 64))
+    obs = Observations(y1=y[0], y2=y[1])
+    coll = build_collection(CollectionConfig(64, 2.0, 2.0, 0.01, 3.0))
+    with pytest.raises(ValueError, match="no model has a finite criterion"):
+        select(coll, obs, PenaltySpec(2.0, 2.0, 0.01))
