@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .estimation import DegenerateVarianceError, Observations, log_likelihood
+from .estimation import DegenerateVarianceError, Observations
 from .model_space import CollectionConfig, EmptyCollectionError, build_collection
 from .oracle_checks import (
     InverseMomentCase,
@@ -88,17 +88,17 @@ def _read_pairs(path: str) -> tuple[np.ndarray, np.ndarray]:
             reader = csv.reader(fh)
             next(reader)
             y1, y2 = [], []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if len(row) != 2:
-                    raise InputError(f"{path}:{lineno}: expected two columns, got {len(row)}")
+                    raise InputError(f"{path}:{reader.line_num}: expected two columns, got {len(row)}")
                 try:
                     a, b = float(row[0]), float(row[1])
                 except ValueError as exc:
-                    raise InputError(f"{path}:{lineno}: malformed number") from exc
+                    raise InputError(f"{path}:{reader.line_num}: malformed number") from exc
                 if not (math.isfinite(a) and math.isfinite(b)):
-                    raise InputError(f"{path}:{lineno}: non-finite value")
+                    raise InputError(f"{path}:{reader.line_num}: non-finite value")
                 y1.append(a)
                 y2.append(b)
     except OSError as exc:
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0, help="master seed (HETEROSELECT_SEED overrides)")
 
     p_fit = sub.add_parser("fit", help="select a model for a y1,y2 CSV file", allow_abbrev=False)
-    add_common(p_fit, needs_seed=False)
+    add_common(p_fit, needs_seed=False, needs_n=False)
     p_fit.add_argument("--gamma", type=float, default=2.0, help="variance-ratio bound")
     p_fit.add_argument("--input", required=True, help="CSV with header y1,y2")
     p_fit.add_argument("--truncate", action="store_true", help="truncate to the largest power of two")

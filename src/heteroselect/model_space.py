@@ -149,7 +149,7 @@ def build_collection(cfg: CollectionConfig) -> list[Model]:
       n >= theta/(theta-1) * (gamma+2) * D   and
       D <= 5*delta*gamma*n / (log n)^(1+epsilon),
     with D = 2**k * (d+1).  Canonical order: ascending D, then ascending
-    number of coarse blocks; this fixes argmin tie-breaking downstream.
+    number of coarse blocks; the first minimum in this order wins downstream.
     """
     n = cfg.n
     k_n = n.bit_length() - 1

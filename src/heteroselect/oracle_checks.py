@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import KAPPA, TruthSpec, best_approx, prop1_bounds
+from .estimation import KAPPA, TruthSpec, _fit_rows, best_approx, prop1_bounds
 from .model_space import CollectionConfig, Model, build_collection, projection_diagonal
 from .simlab import Scenario, SeedPolicy, risk_profile
 
@@ -108,7 +108,6 @@ def variance_mean_check(
     m: Model,
     reps: int,
     seeds: SeedPolicy,
-    chunk: int = 20_000,
 ) -> VarianceMeanResult:
     """Monte Carlo check of E[sigma_hat_I] = sigma_{m,I} * (1 - rho_I) on every coarse block.
 
@@ -126,15 +125,11 @@ def variance_mean_check(
     sd = np.sqrt(truth.sigma)
     total = np.zeros(m.num_coarse)
     total_sq = np.zeros(m.num_coarse)
-    done = 0
-    while done < reps:
-        r = min(chunk, reps - done)
-        y2 = truth.s + sd * rng.standard_normal((r, m.n))
-        proj = m.fine.expand(m.fine.block_means(y2))
-        sighat = m.coarse.block_means((y2 - proj) ** 2)
+    for done in range(0, reps, 20_000):
+        y2 = truth.s + sd * rng.standard_normal((min(20_000, reps - done), m.n))
+        _, sighat, _ = _fit_rows(m, y2, y2)
         total += sighat.sum(axis=0)
         total_sq += (sighat**2).sum(axis=0)
-        done += r
     empirical = total / reps
     var = (total_sq - reps * empirical**2) / (reps - 1)
     se = np.sqrt(var / reps)

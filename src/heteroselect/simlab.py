@@ -7,10 +7,11 @@ Every experiment goes through one replication engine, `_run`:
   results are reproducible bit-for-bit, independent of execution order and
   of the block size.  A degenerate draw (a variance estimate collapses) is
   redrawn; its k-th redraw comes from the substream (r, k).
-- A block is scored by fitting each distinct model once over all its rows,
-  with the kernels `fit`, `log_likelihood` and `kl_divergence` share, so each
-  row's chosen model and loss equal those of the scalar `fit`/`select` path
-  bit for bit.
+- A block is scored by `selector`'s block kernel, which fits each distinct
+  model once over all its rows.  `select` is the one-row case of the same
+  kernel and the first-minimum rule (ties to the earliest model, NaN never
+  wins) lives in `selector` too, so each row's chosen model and loss equal
+  those of the scalar `select`/`fit`/`kl_divergence` path bit for bit.
 - All compared runs of one scenario (the models of a collection; the oracle
   and every gamma of a table row) share one set of draws, common random
   numbers that reduce ratio variance.  A draw degenerate for any of them is
@@ -22,20 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .estimation import (
-    DegenerateVarianceError,
-    Observations,
-    TruthSpec,
-    _fit_rows,
-    _loss,
-    _neg_log_likelihood,
-)
+from .estimation import DegenerateVarianceError, Observations, TruthSpec, _loss
 from .model_space import CollectionConfig, Model, build_collection, is_power_of_two
-from .selector import PenaltySpec, penalty
+from .selector import PenaltySpec, _first_min, _fit_block, penalty
 
 RISK_KINDS = ("kullback", "quadratic_mean", "quadratic_variance")
 
@@ -191,28 +186,29 @@ def sample(scenario: Scenario, n: int, rng: np.random.Generator) -> Observations
     return Observations(y1=y1[0], y2=y2[0])
 
 
-def _run(scenario, n, seeds, reps, evaluate):
-    """The replication engine: evaluate(y1, y2, truth) on blocks of the reps draws.
+def _run(scenario, n, seeds, reps, score):
+    """The replication engine: score(y1, y2, truth) on blocks of the reps draws.
 
     A block stacks max(1, _BLOCK_POINTS // n) replications as rows of (R, n)
-    arrays; evaluate returns per-row values and a per-row degenerate mask.
-    Returns (the values of all replications, number of redraws).  Replication
-    r draws from the stream (r,) and, while its row is degenerate, redraws
-    from (r, 1), (r, 2), ..., up to _MAX_REDRAWS attempts in all.
+    arrays; score is a `_scorer` and returns per-row losses, picks and a
+    degenerate mask.  Returns (the losses and the picks of all replications,
+    number of redraws).  Replication r draws from the stream (r,) and, while
+    its row is degenerate, redraws from (r, 1), (r, 2), ..., up to
+    _MAX_REDRAWS attempts in all.
     """
     truth = scenario.truth(n)
     rows = max(1, _BLOCK_POINTS // n)
-    blocks = []
+    results = None
     degenerate = 0
     for start in range(0, reps, rows):
         pending = np.arange(start, min(start + rows, reps))
-        block = None
         for attempt in range(_MAX_REDRAWS):
             keys = [(r,) if attempt == 0 else (r, attempt) for r in pending.tolist()]
-            values, bad = evaluate(*_draw(truth, [seeds.stream(*key) for key in keys]), truth)
-            if block is None:
-                block = np.empty_like(values)
-            block[pending[~bad] - start] = values[~bad]
+            *values, bad = score(*_draw(truth, [seeds.stream(*key) for key in keys]), truth)
+            if results is None:
+                results = [np.empty((reps,) + v.shape[1:], v.dtype) for v in values]
+            for out, v in zip(results, values):
+                out[pending[~bad]] = v[~bad]
             degenerate += int(bad.sum())
             pending = pending[bad]
             if not len(pending):
@@ -221,24 +217,24 @@ def _run(scenario, n, seeds, reps, evaluate):
             raise DegenerateVarianceError(
                 f"replication {pending[0]}: degenerate variance persisted across {_MAX_REDRAWS} redraws"
             )
-        blocks.append(block)
     if degenerate > DEGENERATE_BUDGET * reps:
         raise DegenerateVarianceError(
             f"{degenerate} degenerate replications out of {reps} exceed the "
             f"{DEGENERATE_BUDGET:.1%} budget"
         )
-    return np.concatenate(blocks), degenerate
+    return (*results, degenerate)
 
 
 def _scorer(targets: Sequence[Target], kind: str | None):
-    """The block evaluator of the targets: evaluate(y1, y2, truth) -> (losses, picks, bad).
+    """The block scorer of the targets: score(y1, y2, truth) -> (losses, picks, bad).
 
     For R rows, losses[r, i] is the loss of target i (0 when kind is None),
     picks[r, i] the index of its chosen model in its collection (0 for a
     Model), and bad[r] whether the row is degenerate for any model of any
-    target.  Each distinct model is fitted once per block and only per-row
-    columns are kept.  A SelectionTarget picks the argmin of likelihood plus
-    penalty, the first model on ties as `select` does; the penalties are
+    target.  Each distinct model is fitted once per block by `selector`'s
+    block kernel, of which `select` is the one-row case, and a
+    SelectionTarget picks by `selector`'s rule: the first minimum of
+    likelihood plus penalty, where NaN never wins.  The penalties are
     computed once, here.
     """
     members = [t.collection if isinstance(t, SelectionTarget) else [t] for t in targets]
@@ -252,30 +248,19 @@ def _scorer(targets: Sequence[Target], kind: str | None):
         for t in targets
     ]
 
-    def evaluate(y1, y2, truth):
+    def score(y1, y2, truth):
+        loss_of = None if kind is None else partial(_loss, kind, truth)
+        lik, loss, bad = _fit_block(models, y1, y2, needs_lik, loss_of)
         size = len(y1)
-        bad = np.zeros(size, dtype=bool)
-        lik = np.zeros((size, len(models)))
-        loss = np.zeros((size, len(models)))
-        for j, m in enumerate(models):
-            mean, block_var, degenerate = _fit_rows(m, y1, y2)
-            bad |= degenerate
-            if bad.any():  # those rows are redrawn; keep their arithmetic finite
-                block_var = np.where(bad[:, None], 1.0, block_var)
-            variance = m.coarse.expand(block_var)
-            if needs_lik[j]:
-                lik[:, j] = _neg_log_likelihood(y1, mean, variance)
-            if kind is not None:
-                loss[:, j] = _loss(kind, truth, mean, variance)
         picks = np.zeros((size, len(targets)), dtype=np.intp)
         losses = np.empty((size, len(targets)))
         for i, (c, p) in enumerate(zip(cols, pens)):
             if p is not None:
-                picks[:, i] = np.argmin(lik[:, c] + p, axis=1)
+                picks[:, i] = _first_min(lik[:, c] + p)
             losses[:, i] = loss[np.arange(size), c[picks[:, i]]]
         return losses, picks, bad
 
-    return evaluate
+    return score
 
 
 def _aggregate(losses: np.ndarray, kind: str, degenerate: int) -> RiskReport:
@@ -297,13 +282,7 @@ def _risks(scenario, n, targets, reps, seeds, kind) -> list[RiskReport]:
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
 
-    score = _scorer(targets, kind)
-
-    def evaluate(y1, y2, truth):
-        losses, _, bad = score(y1, y2, truth)
-        return losses, bad
-
-    losses, degenerate = _run(scenario, n, seeds, reps, evaluate)
+    losses, _, degenerate = _run(scenario, n, seeds, reps, _scorer(targets, kind))
     return [_aggregate(losses[:, j], kind, degenerate) for j in range(len(targets))]
 
 
@@ -419,14 +398,8 @@ def selection_frequency(
     spec = PenaltySpec(gamma=g, theta=theta, epsilon=epsilon)
 
     hit = np.array([1.0 if predicate(m) else 0.0 for m in collection])
-    score = _scorer([SelectionTarget(collection, spec)], None)
-
-    def evaluate(y1, y2, truth):
-        _, picks, bad = score(y1, y2, truth)
-        return hit[picks[:, 0]], bad
-
-    hits, _ = _run(scenario, n, seeds, reps, evaluate)
-    return float(hits.mean())
+    _, picks, _ = _run(scenario, n, seeds, reps, _scorer([SelectionTarget(collection, spec)], None))
+    return float(hit[picks[:, 0]].mean())
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,8 @@ def test_fit_output_is_byte_identical_to_reference_encoding(data, flags, tmp_pat
         ("y1,y2\n", "{path}: no data rows"),
         ("y1,y2\n\n\n", "{path}: no data rows"),
         ("a,b\n1,2\n", "{path}: expected CSV header 'y1,y2', got ['a', 'b']"),
+        ('y1,y2\n"1\n",2\nnan,3\n', "{path}:4: non-finite value"),
+        ('y1,y2\n"1\n",2\n3,4,5\n', "{path}:4: expected two columns, got 3"),
     ],
 )
 @pytest.mark.filterwarnings("error")  # parsing prints nothing but the error it raises
@@ -205,6 +207,7 @@ def test_read_pairs_dialect(text, expected, tmp_path):
         ["convergence", "--gamma", "0.1", "--n-grid", "64,128", "--reps", "2"],
         ["table", "--gamma", "0.1", "--scenario", "M1", "--gamma-grid", "1", "--n", "64", "--reps", "2"],
         ["verify", "--gamma", "0.1", "--n", "256"],
+        ["fit", "--input", "unused.csv", "--n", "7"],
     ],
 )
 def test_unused_flags_are_rejected(argv, capsys):

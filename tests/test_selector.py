@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heteroselect.estimation import Observations, fit, log_likelihood
+from heteroselect.estimation import DegenerateVarianceError, Observations, fit, log_likelihood
 from heteroselect.model_space import CollectionConfig, Model, build_collection
 from heteroselect.selector import PenaltySpec, default_extra_weight, penalty, select
 
@@ -74,7 +74,9 @@ def test_select_audit_consistency(m1_setup):
     assert len(res.per_model) == len(coll)
     for a in res.per_model:
         assert a.criterion == a.likelihood + a.penalty
+        assert all(type(v) is float for v in (a.likelihood, a.penalty, a.criterion))
     assert res.criterion_value == min(a.criterion for a in res.per_model)
+    assert type(res.criterion_value) is float
 
 
 def test_select_deterministic(m1_setup):
@@ -115,6 +117,19 @@ def test_select_empty_collection():
     obs = Observations(y1=rng.normal(size=16), y2=rng.normal(size=16))
     with pytest.raises(ValueError):
         select([], obs, PenaltySpec(1.0, 2.0, 0.01))
+
+
+def test_select_raises_when_any_model_is_degenerate():
+    # y2 is constant on the first half, so every model with a coarse block inside
+    # it has zero residual variance there, whether or not it would be chosen.
+    rng = np.random.default_rng(3)
+    y2 = rng.normal(size=64)
+    y2[:32] = 0.5
+    obs = Observations(y1=rng.normal(size=64), y2=y2)
+    coll = build_collection(CollectionConfig(64, 1.0, 2.0, 0.01, 3.0))
+    assert len(coll) == 8 and sum(m.num_coarse > 1 for m in coll) == 4
+    with pytest.raises(DegenerateVarianceError, match="zero residual variance"):
+        select(coll, obs, PenaltySpec(1.0, 2.0, 0.01))
 
 
 def test_select_raises_when_no_criterion_is_finite():

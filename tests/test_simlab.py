@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heteroselect import simlab
+from heteroselect import selector, simlab
 from heteroselect.estimation import (
     DegenerateVarianceError,
     Observations,
@@ -243,7 +243,7 @@ def _recording_fit(monkeypatch, bad_draws=()):
         forced = np.array([row.tobytes() in bad for row in y1])
         return mean, block_var, degenerate | forced
 
-    monkeypatch.setattr(simlab, "_fit_rows", fake_fit_rows)
+    monkeypatch.setattr(selector, "_fit_rows", fake_fit_rows)
     return seen
 
 
@@ -392,7 +392,7 @@ def test_draw_degenerate_for_one_target_is_redrawn_for_all(monkeypatch):
             degenerate = degenerate | np.array([row.tobytes() == bad_y1 for row in y1])
         return mean, block_var, degenerate
 
-    monkeypatch.setattr(simlab, "_fit_rows", fit_rows)
+    monkeypatch.setattr(selector, "_fit_rows", fit_rows)
     reports = simlab._risks(sc, n, targets, reps, seeds, "kullback")
     assert [rep.degenerate for rep in reports] == [1] * len(targets)
     assert [rep.estimate for rep in reports] == [expected[:, j].mean() for j in range(len(targets))]
