@@ -18,12 +18,10 @@ from .estimation import (
 )
 from .model_space import (
     CollectionConfig,
-    DyadicPartition,
     EmptyCollectionError,
     Model,
     build_collection,
     project,
-    projection_diagonal,
 )
 from .selector import PenaltySpec, SelectionResult, penalty, select
 from .simlab import (
@@ -44,7 +42,6 @@ from .simlab import (
 __all__ = [
     "CollectionConfig",
     "DegenerateVarianceError",
-    "DyadicPartition",
     "EmptyCollectionError",
     "Estimate",
     "Model",
@@ -69,7 +66,6 @@ __all__ = [
     "penalty",
     "phi",
     "project",
-    "projection_diagonal",
     "prop1_bounds",
     "ratio_table",
     "sample",

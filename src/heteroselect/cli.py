@@ -53,12 +53,16 @@ class VerificationFailure(Exception):
 
 def _resolve_seed(args) -> int:
     env = os.environ.get("HETEROSELECT_SEED")
-    if env is not None:
+    if env is None:
+        seed, source = args.seed, "--seed"
+    else:
         try:
-            return int(env)
+            seed, source = int(env), "HETEROSELECT_SEED"
         except ValueError as exc:
             raise InputError(f"HETEROSELECT_SEED must be an integer, got {env!r}") from exc
-    return args.seed
+    if seed < 0:
+        raise InputError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def _read_pairs(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -135,15 +139,20 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _json_runs(values: np.ndarray, run: int) -> str:
-    """`values` as `json.dumps(indent=2)` lays out a list inside the payload dict,
-    for a vector made of runs of `run` equal values: each run is formatted once."""
+def _json_runs(blocks: np.ndarray, n: int) -> str:
+    """The length-n vector that repeats each of `blocks` n // len(blocks) times, as
+    `json.dumps(indent=2)` lays out a list inside the payload dict: each block is
+    formatted once."""
     sep = ",\n    "
-    items = "".join((json.dumps(float(v)) + sep) * run for v in values[::run])
+    run = n // len(blocks)
+    items = "".join((json.dumps(float(v)) + sep) * run for v in blocks)
     return "[\n    " + items[: -len(sep)] + "\n  ]"
 
 
@@ -174,16 +183,17 @@ def cmd_fit(args) -> int:
             {**a.model.describe(), "likelihood": a.likelihood, "penalty": a.penalty, "criterion": a.criterion}
             for a in result.per_model
         ]
-    mean = _json_runs(est.mean, chosen.fine.block_size)
-    variance = _json_runs(est.variance, chosen.coarse.block_size)
+    mean = _json_runs(est.block_mean, chosen.n)
+    variance = _json_runs(est.block_variance, chosen.n)
     text = json.dumps(payload, indent=2).replace('"@mean"', mean, 1).replace('"@variance"', variance, 1)
     _write_text(args.output, text + "\n")
     return EXIT_OK
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, kind=float) -> list:
+    """The comma-separated entries of `text`, each parsed by `kind`."""
     try:
-        return [float(t) for t in text.split(",") if t.strip()]
+        return [kind(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise InputError(f"malformed numeric list {text!r}") from exc
 
@@ -197,7 +207,7 @@ def cmd_table(args) -> int:
             scenarios = [get_scenario(name) for name in args.scenario.split(",")]
         except KeyError as exc:
             raise InputError(str(exc)) from exc
-    grid = _parse_floats(args.gamma_grid)
+    grid = _parse_list(args.gamma_grid)
     if not grid:
         raise InputError("empty gamma grid")
     for g in grid:
@@ -234,7 +244,7 @@ def cmd_table(args) -> int:
 def cmd_convergence(args) -> int:
     seed = _resolve_seed(args)
     scenario = lipschitz_scenario()
-    n_grid = [int(v) for v in _parse_floats(args.n_grid)]
+    n_grid = _parse_list(args.n_grid, int)
     try:
         result = convergence_experiment(
             scenario,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_space import Model, _dimension_bound_holds, _project, is_power_of_two, project
+from .model_space import Model, _dimension_bound_holds, _project, block_means, expand, is_power_of_two
 
 KAPPA = 1.0 + 2.0 * math.exp(-1.0)
 
@@ -51,11 +51,20 @@ class Observations:
 
 @dataclass(frozen=True)
 class Estimate:
-    """A fitted pair: mean constant on fine blocks, variance constant on coarse blocks."""
+    """A fitted pair: the mean per fine block and the variance per coarse block of the
+    model; `mean` and `variance` expand them to length-n vectors."""
 
-    mean: np.ndarray
-    variance: np.ndarray
     model: Model
+    block_mean: np.ndarray
+    block_variance: np.ndarray
+
+    @property
+    def mean(self) -> np.ndarray:
+        return expand(self.block_mean, self.model.n)
+
+    @property
+    def variance(self) -> np.ndarray:
+        return expand(self.block_variance, self.model.n)
 
 
 @dataclass(frozen=True)
@@ -119,12 +128,12 @@ def fit(m: Model, obs: Observations) -> Estimate:
     variance of the second replicate for the variance."""
     if obs.n != m.n:
         raise ValueError(f"observations have length {obs.n}, model expects {m.n}")
-    mean, block_var, degenerate = _fit_rows(m, obs.y1, obs.y2)
+    block_mean, block_var, degenerate = _fit_rows(m, obs.y1, obs.y2)
     if degenerate:
         raise DegenerateVarianceError(
             "zero residual variance on a coarse block: second replicate lies in the mean space"
         )
-    return Estimate(mean=mean, variance=m.coarse.expand(block_var), model=m)
+    return Estimate(m, block_mean, block_var)
 
 
 # Unchecked kernels along the last axis.  The public functions above call them on
@@ -133,10 +142,14 @@ def fit(m: Model, obs: Observations) -> Estimate:
 
 
 def _fit_rows(m: Model, y1: np.ndarray, y2: np.ndarray):
-    """`fit`: the mean, the variance per coarse block, and whether any block fell below VARIANCE_FLOOR."""
-    mean = _project(m, y1)
-    block_var = m.coarse.block_means((y2 - _project(m, y2)) ** 2)
-    return mean, block_var, np.any(block_var < VARIANCE_FLOOR, axis=-1)
+    """`fit`: mean per fine block, variance per coarse block, and whether any fell below VARIANCE_FLOOR."""
+    block_var = _block_variance(m, y2)
+    return block_means(y1, m.num_fine), block_var, np.any(block_var < VARIANCE_FLOOR, axis=-1)
+
+
+def _block_variance(m: Model, y2: np.ndarray):
+    """`fit`'s variance per coarse block: the mean squared projection residual of y2."""
+    return block_means((y2 - _project(m, y2)) ** 2, m.num_coarse)
 
 
 def _neg_log_likelihood(y1, mean, variance):
@@ -164,11 +177,10 @@ def best_approx(m: Model, truth: TruthSpec) -> tuple[Estimate, float]:
     """
     if truth.n != m.n:
         raise ValueError(f"truth has length {truth.n}, model expects {m.n}")
-    s_m = project(m, truth.s)
-    block_var = m.coarse.block_means((truth.s - s_m) ** 2 + truth.sigma)
-    sigma_m = m.coarse.expand(block_var)
-    bias = 0.5 * float(np.sum(np.log(sigma_m / truth.sigma)))
-    return Estimate(mean=s_m, variance=sigma_m, model=m), bias
+    block_mean = block_means(truth.s, m.num_fine)
+    block_var = block_means((truth.s - expand(block_mean, m.n)) ** 2 + truth.sigma, m.num_coarse)
+    bias = 0.5 * float(np.sum(np.log(expand(block_var, m.n) / truth.sigma)))
+    return Estimate(m, block_mean, block_var), bias
 
 
 def prop1_bounds(m: Model, truth: TruthSpec, gamma: float, theta: float) -> tuple[float, float]:

@@ -9,7 +9,7 @@ sample size; everything downstream enumerates this family exhaustively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,77 +32,50 @@ def log_power(x: float, epsilon: float) -> float:
     return math.exp((1.0 + epsilon) * math.log(math.log(x)))
 
 
-@dataclass(frozen=True)
-class DyadicPartition:
-    """Regular partition of {1, ..., n} into 2**level consecutive blocks."""
+def block_means(y: np.ndarray, blocks: int) -> np.ndarray:
+    """Means of `blocks` equal consecutive blocks along the last axis, which shrinks to length `blocks`."""
+    return y.reshape(y.shape[:-1] + (blocks, y.shape[-1] // blocks)).mean(axis=-1)
 
-    level: int
-    n: int
 
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"level must be nonnegative, got {self.level}")
-        if not is_power_of_two(self.n):
-            raise ValueError(f"n must be a power of two, got {self.n}")
-        if 2**self.level > self.n:
-            raise ValueError(f"2**{self.level} blocks exceed n={self.n}")
-
-    @property
-    def num_blocks(self) -> int:
-        return 2**self.level
-
-    @property
-    def block_size(self) -> int:
-        return self.n // self.num_blocks
-
-    def block_means(self, y: np.ndarray) -> np.ndarray:
-        """Per-block means along the last axis, which shrinks from n to num_blocks."""
-        return y.reshape(y.shape[:-1] + (self.num_blocks, self.block_size)).mean(axis=-1)
-
-    def expand(self, block_values: np.ndarray) -> np.ndarray:
-        """Blow per-block values along the last axis back up to length n."""
-        return np.repeat(np.asarray(block_values, dtype=float), self.block_size, axis=-1)
+def expand(values: np.ndarray, n: int) -> np.ndarray:
+    """Blow per-block values along the last axis up to length n, each block being n // blocks long."""
+    values = np.asarray(values, dtype=float)
+    return np.repeat(values, n // values.shape[-1], axis=-1)
 
 
 @dataclass(frozen=True)
 class Model:
-    """A coarse partition for the variance and a dyadic refinement for the mean.
+    """The 2**level coarse blocks of {1, ..., n} for the variance, each split into
+    per_block_dim fine blocks for the mean.
 
-    per_block_dim is the number of fine blocks inside each coarse block; it is
-    restricted to powers of two so the fine partition is itself dyadic.  The
-    fine partition is derived from the other two fields.
+    per_block_dim is restricted to powers of two so the fine partition is itself
+    dyadic: it has 2**level * per_block_dim blocks.
     """
 
-    coarse: DyadicPartition
+    n: int
+    level: int
     per_block_dim: int
-    fine: DyadicPartition = field(init=False)
 
     def __post_init__(self):
+        if not is_power_of_two(self.n):
+            raise ValueError(f"n must be a power of two, got {self.n}")
+        if self.level < 0:
+            raise ValueError(f"level must be nonnegative, got {self.level}")
+        if 2**self.level > self.n:
+            raise ValueError(f"2**{self.level} blocks exceed n={self.n}")
         d = self.per_block_dim
         if not is_power_of_two(d):
             raise ValueError(f"per_block_dim must be a power of two, got {d}")
-        if d > self.coarse.block_size:
-            raise ValueError(
-                f"per_block_dim {d} exceeds coarse block size {self.coarse.block_size}"
-            )
-        fine = DyadicPartition(self.coarse.level + int(math.log2(d)), self.coarse.n)
-        object.__setattr__(self, "fine", fine)
-
-    @classmethod
-    def create(cls, n: int, level: int, per_block_dim: int) -> "Model":
-        return cls(DyadicPartition(level, n), per_block_dim)
-
-    @property
-    def n(self) -> int:
-        return self.coarse.n
-
-    @property
-    def level(self) -> int:
-        return self.coarse.level
+        if d * 2**self.level > self.n:
+            raise ValueError(f"per_block_dim {d} exceeds coarse block size {self.n >> self.level}")
 
     @property
     def num_coarse(self) -> int:
-        return self.coarse.num_blocks
+        return 2**self.level
+
+    @property
+    def num_fine(self) -> int:
+        return self.num_coarse * self.per_block_dim
 
     @property
     def dim(self) -> int:
@@ -160,7 +133,7 @@ def build_collection(cfg: CollectionConfig) -> list[Model]:
         while d <= 2 ** (k_n - k):
             dim = 2**k * (d + 1)
             if _dimension_bound_holds(n, dim, cfg.gamma, cfg.theta) and dim <= dim_cap_log:
-                models.append(Model.create(n, k, d))
+                models.append(Model(n, k, d))
             d *= 2
     if not models:
         raise EmptyCollectionError(
@@ -181,9 +154,4 @@ def project(m: Model, y: np.ndarray) -> np.ndarray:
 
 def _project(m: Model, y: np.ndarray) -> np.ndarray:
     """`project` along the last axis of y, unchecked: the batched and scalar fits share it."""
-    return m.fine.expand(m.fine.block_means(y))
-
-
-def projection_diagonal(m: Model) -> np.ndarray:
-    """Diagonal of the projection matrix: 1/|J| on each fine block J."""
-    return np.full(m.n, 1.0 / m.fine.block_size)
+    return expand(block_means(y, m.num_fine), m.n)

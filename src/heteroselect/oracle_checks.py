@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import KAPPA, TruthSpec, _fit_rows, best_approx, prop1_bounds
-from .model_space import CollectionConfig, Model, build_collection, projection_diagonal
+from .estimation import KAPPA, TruthSpec, _block_variance, best_approx, prop1_bounds
+from .model_space import CollectionConfig, Model, block_means, build_collection
 from .simlab import Scenario, SeedPolicy, risk_profile
 
 
@@ -88,7 +88,7 @@ def lemma10_check(sigma_diag: np.ndarray, m: Model) -> CompressedSpectrumResult:
         raise ValueError(f"sigma_diag must have length {m.n}")
     if np.any(sigma_diag <= 0):
         raise ValueError("sigma_diag must be strictly positive")
-    tau = m.fine.block_means(sigma_diag)
+    tau = block_means(sigma_diag, m.num_fine)
     lo, hi = float(sigma_diag.min()), float(sigma_diag.max())
     slack = 1e-12 * max(1.0, hi)
     holds = bool(tau.min() >= lo - slack and tau.max() <= hi + slack)
@@ -111,14 +111,15 @@ def variance_mean_check(
 ) -> VarianceMeanResult:
     """Monte Carlo check of E[sigma_hat_I] = sigma_{m,I} * (1 - rho_I) on every coarse block.
 
-    rho_I averages the projection diagonal weighted by the true variances over
-    the block, normalized by the best in-model variance.  Passes when every
-    block's empirical mean is within 4 standard errors of the prediction.
+    rho_I averages the projection diagonal (1/|J| on each fine block J)
+    weighted by the true variances over the block, normalized by the best
+    in-model variance.  Passes when every block's empirical mean is within 4
+    standard errors of the prediction.
     """
     approx, _ = best_approx(m, truth)
-    sigma_m_blocks = m.coarse.block_means(approx.variance)
-    diag_sigma = projection_diagonal(m) * truth.sigma
-    rho = m.coarse.block_means(diag_sigma) / sigma_m_blocks
+    sigma_m_blocks = approx.block_variance
+    diag_sigma = truth.sigma * (m.num_fine / m.n)
+    rho = block_means(diag_sigma, m.num_coarse) / sigma_m_blocks
     expected = sigma_m_blocks * (1.0 - rho)
 
     rng = seeds.stream()
@@ -127,7 +128,7 @@ def variance_mean_check(
     total_sq = np.zeros(m.num_coarse)
     for done in range(0, reps, 20_000):
         y2 = truth.s + sd * rng.standard_normal((min(20_000, reps - done), m.n))
-        _, sighat, _ = _fit_rows(m, y2, y2)
+        sighat = _block_variance(m, y2)
         total += sighat.sum(axis=0)
         total_sq += (sighat**2).sum(axis=0)
     empirical = total / reps
@@ -180,7 +181,7 @@ def lemma10_battery(num_cases: int, n: int, seeds: SeedPolicy) -> list[Compresse
     for _ in range(num_cases):
         k, d = shapes[int(rng.integers(len(shapes)))]
         sigma_diag = np.exp(rng.normal(0.0, 1.0, size=n))
-        results.append(lemma10_check(sigma_diag, Model.create(n, k, d)))
+        results.append(lemma10_check(sigma_diag, Model(n, k, d)))
     return results
 
 

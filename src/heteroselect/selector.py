@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .estimation import DegenerateVarianceError, Estimate, Observations, _fit_rows, _neg_log_likelihood, fit
-from .model_space import Model, log_power
+from .model_space import Model, expand, log_power
 
 
 def default_extra_weight(m: Model, epsilon: float) -> float:
@@ -118,11 +118,11 @@ def _fit_block(models: Sequence[Model], y1: np.ndarray, y2: np.ndarray, ranked, 
     lik = np.zeros((size, len(models)))
     losses = np.zeros((size, len(models)))
     for j, m in enumerate(models):
-        mean, block_var, degenerate = _fit_rows(m, y1, y2)
+        block_mean, block_var, degenerate = _fit_rows(m, y1, y2)
         bad |= degenerate
         if bad.any():  # callers discard or redraw those rows; keep their arithmetic finite
             block_var = np.where(bad[:, None], 1.0, block_var)
-        variance = m.coarse.expand(block_var)
+        mean, variance = expand(block_mean, m.n), expand(block_var, m.n)
         if ranked[j]:
             lik[:, j] = _neg_log_likelihood(y1, mean, variance)
         if loss is not None:

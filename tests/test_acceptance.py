@@ -146,7 +146,7 @@ def test_criterion_6_exact_analytic_suite():
         tau = truth.sigma * np.exp(rng.normal(size=64) * 0.3)
         ok &= kl_divergence(truth, t, tau) >= 0.0
 
-    for m in [Model.create(64, 1, 2), Model.create(64, 2, 1), Model.create(64, 0, 4)]:
+    for m in [Model(64, 1, 2), Model(64, 2, 1), Model(64, 0, 4)]:
         approx, bias = best_approx(m, truth)
         ok &= abs(bias - kl_divergence(truth, approx.mean, approx.variance)) <= 1e-10 * max(
             1.0, abs(bias)
@@ -166,7 +166,7 @@ def test_criterion_6_exact_analytic_suite():
     ]
     ok &= res.criterion_value == min(crits)
 
-    pen = penalty(Model.create(16, 0, 1), PenaltySpec(1.0, 2.0, 0.01))
+    pen = penalty(Model(16, 0, 1), PenaltySpec(1.0, 2.0, 0.01))
     ok &= abs(pen - 5.3812) <= 1e-3
 
     report("criterion 6 (exact/analytic suite)", bool(ok), f"penalty(D=2)={pen:.4f}")
@@ -185,7 +185,7 @@ def test_criterion_7_oracle_batteries():
     battery11 = lemma11_battery(50, reps=10_000, seeds=seeds.namespaced(52))
     battery10 = lemma10_battery(100, n=64, seeds=seeds.namespaced(53))
     rng = np.random.default_rng(SEED + 1)
-    m = Model.create(16, 1, 2)
+    m = Model(16, 1, 2)
     truth = TruthSpec(s=rng.normal(size=16), sigma=np.exp(rng.normal(size=16) * 0.4))
     mean_check = variance_mean_check(truth, m, reps=100_000, seeds=seeds.namespaced(54))
     ok = (

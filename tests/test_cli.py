@@ -34,7 +34,7 @@ def test_fit_selects_good_model_and_round_trips(m1_csv, tmp_path):
     assert len(payload["variance"]) == 1024
     # round trip: criterion = likelihood + penalty recomputed from the payload
     y1 = np.loadtxt(m1_csv, delimiter=",", skiprows=1)[:, 0]
-    m = Model.create(1024, payload["model"]["k_m"], payload["model"]["d_m"])
+    m = Model(1024, payload["model"]["k_m"], payload["model"]["d_m"])
     lik = log_likelihood(y1, np.array(payload["mean"]), np.array(payload["variance"]))
     pen = penalty(m, PenaltySpec(2.0, 2.0, 0.01))
     assert payload["criterion"] == pytest.approx(lik + pen, rel=1e-10)
@@ -145,7 +145,7 @@ def test_fit_output_is_byte_identical_to_reference_encoding(data, flags, tmp_pat
     n = 512 if "--truncate" in flags else 1024
     expected, chosen = _reference_fit_text(y1[:n], y2[:n], gamma, "--quiet" in flags)
     if data == "blocks":
-        assert chosen.fine.num_blocks == 128
+        assert chosen.num_fine == 128
     argv = ["fit", "--input", str(path)] + flags
     if "--output" not in flags:
         argv += ["--output", str(tmp_path / "fit.json")]
@@ -242,6 +242,41 @@ def test_table_env_seed_override(tmp_path, monkeypatch):
     assert explicit.read_bytes() == via_env.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--scenario", "M1", "--gamma-grid", "1", "--n", "64", "--reps", "2"],
+        ["verify", "--n", "256"],
+        ["convergence", "--n-grid", "64,128", "--reps", "2"],
+    ],
+    ids=["table", "verify", "convergence"],
+)
+@pytest.mark.parametrize("source", ["--seed", "HETEROSELECT_SEED"])
+def test_negative_seed_is_an_input_error(argv, source, monkeypatch, capsys):
+    if source == "--seed":
+        argv = argv + ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("HETEROSELECT_SEED", "-1")
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {source} must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--input", "{csv}"],
+        ["table", "--scenario", "M1", "--gamma-grid", "1", "--n", "64", "--reps", "2"],
+    ],
+    ids=["fit", "table"],
+)
+def test_unwritable_output_is_an_input_error(argv, m1_csv, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.txt"
+    argv = [a.format(csv=m1_csv) for a in argv] + ["--output", str(out)]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
 def test_table_json_format(tmp_path):
     out = tmp_path / "t.json"
     assert main([
@@ -290,8 +325,9 @@ def test_convergence_csv(tmp_path):
     assert lines[-1].startswith("# slope,")
 
 
-def test_convergence_single_point_grid_is_an_error():
-    assert main(["convergence", "--n-grid", "256", "--reps", "10"]) == EXIT_INPUT
+@pytest.mark.parametrize("grid", ["256", "256.9,512"])
+def test_convergence_single_point_grid_is_an_error(grid):
+    assert main(["convergence", "--n-grid", grid, "--reps", "10"]) == EXIT_INPUT
 
 
 def test_verify_passes_and_reports(tmp_path):

@@ -15,7 +15,7 @@ from heteroselect.estimation import (
     phi,
     prop1_bounds,
 )
-from heteroselect.model_space import Model
+from heteroselect.model_space import Model, expand
 
 
 def test_phi_values():
@@ -68,14 +68,14 @@ def test_log_likelihood_values():
 
 
 def test_fit_hand_example():
-    m = Model.create(4, 0, 2)  # coarse: 1 block of 4, fine: 2 blocks of 2
+    m = Model(4, 0, 2)  # coarse: 1 block of 4, fine: 2 blocks of 2
     obs = Observations(y1=np.zeros(4), y2=np.array([1.0, 3.0, 5.0, 7.0]))
     est = fit(m, obs)
     np.testing.assert_allclose(est.variance, np.ones(4))
 
 
 def test_fit_mean_is_projection_fixed_point():
-    m = Model.create(8, 1, 2)
+    m = Model(8, 1, 2)
     y1 = np.repeat([2.0, -1.0, 0.5, 4.0], 2)
     obs = Observations(y1=y1, y2=np.random.default_rng(3).normal(size=8))
     est = fit(m, obs)
@@ -83,14 +83,14 @@ def test_fit_mean_is_projection_fixed_point():
 
 
 def test_fit_degenerate_variance_error():
-    m = Model.create(4, 0, 2)
+    m = Model(4, 0, 2)
     y2 = np.array([1.0, 1.0, 5.0, 5.0])  # already constant on fine blocks
     with pytest.raises(DegenerateVarianceError):
         fit(m, Observations(y1=np.zeros(4), y2=y2))
 
 
 def test_fit_independence_structure():
-    m = Model.create(16, 1, 2)
+    m = Model(16, 1, 2)
     rng = np.random.default_rng(4)
     y1 = rng.normal(size=16)
     est_a = fit(m, Observations(y1=y1, y2=rng.normal(size=16)))
@@ -100,18 +100,21 @@ def test_fit_independence_structure():
 
 
 def test_fit_estimate_membership_exact():
-    m = Model.create(32, 2, 2)
+    m = Model(32, 2, 2)
     rng = np.random.default_rng(5)
     est = fit(m, Observations(y1=rng.normal(size=32), y2=rng.normal(size=32)))
-    fine = est.mean.reshape(m.fine.num_blocks, m.fine.block_size)
+    assert len(est.block_mean) == m.num_fine and len(est.block_variance) == m.num_coarse
+    np.testing.assert_array_equal(expand(est.block_mean, m.n), est.mean)
+    np.testing.assert_array_equal(expand(est.block_variance, m.n), est.variance)
+    fine = est.mean.reshape(m.num_fine, m.n // m.num_fine)
     assert np.all(fine == fine[:, :1])
-    coarse = est.variance.reshape(m.coarse.num_blocks, m.coarse.block_size)
+    coarse = est.variance.reshape(m.num_coarse, m.n // m.num_coarse)
     assert np.all(coarse == coarse[:, :1])
     assert np.all(est.variance > 0)
 
 
 def test_best_approx_exact_representability():
-    m = Model.create(8, 1, 2)
+    m = Model(8, 1, 2)
     s = np.repeat([1.0, 2.0, 3.0, 4.0], 2)
     truth = TruthSpec(s=s, sigma=np.full(8, 1.7))
     approx, bias = best_approx(m, truth)
@@ -120,7 +123,7 @@ def test_best_approx_exact_representability():
 
 
 def test_best_approx_hand_example():
-    m = Model.create(2, 0, 1)  # one fine block of 2
+    m = Model(2, 0, 1)  # one fine block of 2
     truth = TruthSpec(s=[0.0, 2.0], sigma=[1.0, 1.0])
     approx, bias = best_approx(m, truth)
     np.testing.assert_allclose(approx.mean, [1.0, 1.0])
@@ -131,7 +134,7 @@ def test_best_approx_hand_example():
 def test_best_approx_bias_dual_path_agreement():
     rng = np.random.default_rng(6)
     for _ in range(25):
-        m = Model.create(64, int(rng.integers(0, 4)), 2 ** int(rng.integers(0, 3)))
+        m = Model(64, int(rng.integers(0, 4)), 2 ** int(rng.integers(0, 3)))
         truth = TruthSpec(s=rng.normal(size=64), sigma=np.exp(rng.normal(size=64) * 0.4))
         approx, bias = best_approx(m, truth)
         via_kl = kl_divergence(truth, approx.mean, approx.variance)
@@ -140,19 +143,19 @@ def test_best_approx_bias_dual_path_agreement():
 
 def test_best_approx_is_local_minimum():
     rng = np.random.default_rng(7)
-    m = Model.create(32, 1, 4)
+    m = Model(32, 1, 4)
     truth = TruthSpec(s=rng.normal(size=32), sigma=np.exp(rng.normal(size=32) * 0.3))
     approx, _ = best_approx(m, truth)
     base = kl_divergence(truth, approx.mean, approx.variance)
     for _ in range(200):
-        mean_pert = m.fine.expand(rng.normal(scale=0.2, size=m.fine.num_blocks))
-        var_pert = m.coarse.expand(np.exp(rng.normal(scale=0.2, size=m.coarse.num_blocks)))
+        mean_pert = expand(rng.normal(scale=0.2, size=m.num_fine), m.n)
+        var_pert = expand(np.exp(rng.normal(scale=0.2, size=m.num_coarse)), m.n)
         val = kl_divergence(truth, approx.mean + mean_pert, approx.variance * var_pert)
         assert val >= base - 1e-12
 
 
 def test_prop1_bounds_examples():
-    m = Model.create(1024, 2, 2)  # D = 12
+    m = Model(1024, 2, 2)  # D = 12
     s = np.repeat(np.arange(8.0), 128)  # in S_m
     truth = TruthSpec(s=s, sigma=np.ones(1024))
     lower, upper = prop1_bounds(m, truth, gamma=2.0, theta=2.0)
@@ -162,7 +165,7 @@ def test_prop1_bounds_examples():
 
 
 def test_prop1_lower_bound_bias_dominates():
-    m = Model.create(16, 0, 1)  # D = 2
+    m = Model(16, 0, 1)  # D = 2
     rng = np.random.default_rng(8)
     truth = TruthSpec(s=rng.normal(scale=5.0, size=16), sigma=np.ones(16))
     _, bias = best_approx(m, truth)
@@ -172,7 +175,7 @@ def test_prop1_lower_bound_bias_dominates():
 
 
 def test_prop1_rejects_oversized_model():
-    m = Model.create(16, 2, 4)  # D = 20 >> 16/6
+    m = Model(16, 2, 4)  # D = 20 >> 16/6
     truth = TruthSpec(s=np.zeros(16), sigma=np.ones(16))
     with pytest.raises(ValueError):
         prop1_bounds(m, truth, gamma=1.0, theta=2.0)

@@ -5,19 +5,17 @@ import pytest
 
 from heteroselect.model_space import (
     CollectionConfig,
-    DyadicPartition,
     EmptyCollectionError,
     Model,
     build_collection,
+    expand,
     log_power,
     project,
-    projection_diagonal,
 )
 
 
 def test_partition_blocks_cover_and_are_equal_sized():
-    p = DyadicPartition(level=2, n=16)
-    labels = p.expand(np.arange(p.num_blocks))
+    labels = expand(np.arange(4), 16)
     # every index belongs to exactly one block, blocks are consecutive and equal-sized
     assert len(labels) == 16
     np.testing.assert_array_equal(labels, np.arange(16) // 4)
@@ -26,28 +24,30 @@ def test_partition_blocks_cover_and_are_equal_sized():
 
 def test_partition_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        DyadicPartition(level=-1, n=8)
+        Model(8, -1, 1)
     with pytest.raises(ValueError):
-        DyadicPartition(level=0, n=12)
+        Model(12, 0, 1)
     with pytest.raises(ValueError):
-        DyadicPartition(level=4, n=8)
+        Model(8, 4, 1)
+    with pytest.raises(ValueError):
+        Model(8, 1, 8)  # 2 coarse blocks of 4 cannot hold 8 fine blocks each
 
 
 def test_model_dimension_formula():
-    m = Model.create(1024, 2, 2)
+    m = Model(1024, 2, 2)
     assert m.dim == 4 * 3 == 12
 
 
 def test_model_rejects_non_power_of_two_dim():
     with pytest.raises(ValueError):
-        Model.create(16, 1, 3)
+        Model(16, 1, 3)
 
 
 def test_fine_blocks_nest_in_coarse_blocks():
-    m = Model.create(32, 2, 4)
-    coarse = m.coarse.expand(np.arange(m.coarse.num_blocks))
-    fine = m.fine.expand(np.arange(m.fine.num_blocks))
-    assert m.fine.num_blocks == 4 * m.coarse.num_blocks
+    m = Model(32, 2, 4)
+    coarse = expand(np.arange(m.num_coarse), m.n)
+    fine = expand(np.arange(m.num_fine), m.n)
+    assert m.num_fine == 4 * m.num_coarse
     # fine blocks 4i, ..., 4i+3 exactly cover coarse block i
     np.testing.assert_array_equal(fine // 4, coarse)
 
@@ -99,30 +99,30 @@ def test_build_collection_empty_is_an_error():
 
 
 def test_project_blockwise_means():
-    m = Model.create(4, 0, 2)  # fine: 2 blocks of 2
+    m = Model(4, 0, 2)  # fine: 2 blocks of 2
     np.testing.assert_allclose(project(m, [1, 3, 5, 7]), [2, 2, 6, 6])
 
 
 def test_project_global_mean():
-    m = Model.create(4, 0, 1)  # fine: 1 block of 4
+    m = Model(4, 0, 1)  # fine: 1 block of 4
     np.testing.assert_allclose(project(m, [1, 2, 3, 4]), [2.5] * 4)
 
 
 def test_project_fixed_point():
-    m = Model.create(8, 1, 2)
+    m = Model(8, 1, 2)
     y = np.repeat([1.0, -2.0, 3.0, 0.5], 2)
     np.testing.assert_array_equal(project(m, y), y)
 
 
 def test_project_length_mismatch():
     with pytest.raises(ValueError):
-        project(Model.create(8, 0, 1), np.zeros(4))
+        project(Model(8, 0, 1), np.zeros(4))
 
 
 def test_project_idempotent_and_orthogonal():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        m = Model.create(64, int(rng.integers(0, 4)), 2 ** int(rng.integers(0, 3)))
+        m = Model(64, int(rng.integers(0, 4)), 2 ** int(rng.integers(0, 3)))
         y = rng.normal(size=64)
         py = project(m, y)
         np.testing.assert_allclose(project(m, py), py, rtol=1e-12, atol=1e-12)
@@ -133,26 +133,17 @@ def test_project_idempotent_and_orthogonal():
 
 def test_nested_refinement():
     rng = np.random.default_rng(1)
-    m_coarse = Model.create(64, 1, 2)  # fine level 2
-    m_fine = Model.create(64, 2, 4)  # fine level 4, refines level 2
-    assert m_fine.fine.n == m_coarse.fine.n and m_fine.fine.level >= m_coarse.fine.level
-    shift = 2 ** (m_fine.fine.level - m_coarse.fine.level)
-    fine_labels = m_fine.fine.expand(np.arange(m_fine.fine.num_blocks))
-    coarse_labels = m_coarse.fine.expand(np.arange(m_coarse.fine.num_blocks))
+    m_coarse = Model(64, 1, 2)  # 4 fine blocks
+    m_fine = Model(64, 2, 4)  # 16 fine blocks, refines the 4
+    assert m_fine.n == m_coarse.n and m_fine.num_fine >= m_coarse.num_fine
+    shift = m_fine.num_fine // m_coarse.num_fine
+    fine_labels = expand(np.arange(m_fine.num_fine), m_fine.n)
+    coarse_labels = expand(np.arange(m_coarse.num_fine), m_coarse.n)
     np.testing.assert_array_equal(fine_labels // shift, coarse_labels)
     y = rng.normal(size=64)
     np.testing.assert_allclose(
         project(m_coarse, project(m_fine, y)), project(m_coarse, y), rtol=1e-12
     )
-
-
-def test_projection_diagonal_values_and_trace():
-    m = Model.create(4, 0, 2)
-    np.testing.assert_allclose(projection_diagonal(m), [0.5] * 4)
-    m2 = Model.create(4, 0, 1)
-    np.testing.assert_allclose(projection_diagonal(m2), [0.25] * 4)
-    for m in [Model.create(64, 2, 4), Model.create(64, 0, 8), Model.create(64, 3, 1)]:
-        assert projection_diagonal(m).sum() == pytest.approx(m.num_coarse * m.per_block_dim)
 
 
 def test_log_power():

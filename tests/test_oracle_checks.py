@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heteroselect.estimation import KAPPA, TruthSpec
-from heteroselect.model_space import Model, projection_diagonal
+from heteroselect.model_space import Model, block_means
 from heteroselect.oracle_checks import (
     InverseMomentCase,
     lemma10_battery,
@@ -67,21 +67,21 @@ def test_inverse_moment_case_validation():
 
 
 def test_compressed_spectrum_identity_projection():
-    m = Model.create(2, 0, 2)  # fine blocks of size 1: projection is the identity
+    m = Model(2, 0, 2)  # fine blocks of size 1: projection is the identity
     res = lemma10_check(np.array([1.0, 2.0]), m)
     assert (res.tau_min, res.tau_max) == (1.0, 2.0)
     assert res.holds
 
 
 def test_compressed_spectrum_single_block():
-    m = Model.create(2, 0, 1)  # one fine block of 2
+    m = Model(2, 0, 1)  # one fine block of 2
     res = lemma10_check(np.array([1.0, 2.0]), m)
     assert res.tau_min == res.tau_max == pytest.approx(1.5)
     assert res.holds
 
 
 def test_compressed_spectrum_constant_sigma():
-    m = Model.create(16, 1, 2)
+    m = Model(16, 1, 2)
     res = lemma10_check(np.full(16, 2.5), m)
     assert res.tau_min == res.tau_max == pytest.approx(2.5)
     assert res.holds
@@ -96,16 +96,17 @@ def test_compressed_spectrum_battery():
 def test_compressed_spectrum_trace_identity():
     rng = np.random.default_rng(58)
     for _ in range(20):
-        m = Model.create(64, int(rng.integers(0, 4)), 2 ** int(rng.integers(0, 3)))
+        m = Model(64, int(rng.integers(0, 4)), 2 ** int(rng.integers(0, 3)))
         sigma = np.exp(rng.normal(size=64))
-        tau = m.fine.block_means(sigma)
-        direct = float(np.sum(projection_diagonal(m) * sigma))
+        tau = block_means(sigma, m.num_fine)
+        diagonal = np.full(m.n, m.num_fine / m.n)  # the projection's diagonal: 1/|J| on each fine block J
+        direct = float(np.sum(diagonal * sigma))
         assert tau.sum() == pytest.approx(direct, rel=1e-12)
 
 
 def test_variance_estimator_mean_identity():
     rng = np.random.default_rng(59)
-    m = Model.create(16, 1, 2)
+    m = Model(16, 1, 2)
     truth = TruthSpec(s=rng.normal(size=16), sigma=np.exp(rng.normal(size=16) * 0.4))
     res = variance_mean_check(truth, m, reps=100_000, seeds=SeedPolicy(60))
     assert res.holds

@@ -9,7 +9,7 @@ from heteroselect.selector import PenaltySpec, default_extra_weight, penalty, se
 
 
 def test_penalty_hand_values():
-    m = Model.create(16, 0, 1)  # D = 2
+    m = Model(16, 0, 1)  # D = 2
     assert penalty(m, PenaltySpec(1.0, 2.0, 0.01)) == pytest.approx(5.3812, abs=1e-3)
     assert penalty(m, PenaltySpec(2.0, 2.0, 0.01)) == pytest.approx(9.3812, abs=1e-3)
 
@@ -24,7 +24,7 @@ def test_default_weight_reproduces_admissibility_with_equality():
 
 
 def test_custom_extra_weight_path():
-    m = Model.create(16, 0, 1)
+    m = Model(16, 0, 1)
     spec = PenaltySpec(1.0, 2.0, 0.01, extra_weight=lambda mm: 7.0)
     assert penalty(m, spec) == pytest.approx(1.0 * 2.0 * 2 + 7.0)
 

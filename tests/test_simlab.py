@@ -372,7 +372,7 @@ def test_results_do_not_depend_on_block_size(monkeypatch):
 def test_draw_degenerate_for_one_target_is_redrawn_for_all(monkeypatch):
     sc, n, reps, seeds = get_scenario("M1"), 128, 1000, SeedPolicy(47)
     targets = _targets(sc, n, [1.0, 2.0])
-    only_g1 = Model.create(n, 2, 4)
+    only_g1 = Model(n, 2, 4)
     in_collection = [t.collection for t in targets if isinstance(t, SelectionTarget)]
     assert only_g1 in in_collection[0] and only_g1 not in in_collection[1] and only_g1 not in targets
     truth = sc.truth(n)
