@@ -42,6 +42,9 @@ EXIT_ERROR = 1
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
 
+#: The fewest draws `verify --reps` accepts: its checks' tolerances assume at least this many.
+VERIFY_MIN_REPS = 100_000
+
 
 class InputError(Exception):
     """User-facing problem with input data or flags."""
@@ -284,11 +287,15 @@ def cmd_verify(args) -> int:
     kappa = args.kappa
     sandwich_scenario = get_scenario("M1")
     _collection_config(args.n, sandwich_scenario.true_gamma, args)
+    if args.reps < VERIFY_MIN_REPS:
+        raise InputError(f"--reps must be >= {VERIFY_MIN_REPS}, got {args.reps}")
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise InputError(f"--kappa must be finite and > 0, got {kappa}")
     checks = []
 
     exact = lemma11_check(
         InverseMomentCase(a=np.zeros(4), b=np.ones(4)),
-        reps=max(args.reps, 100_000),
+        reps=args.reps,
         seeds=seeds.namespaced(0),
         kappa=kappa,
     )
@@ -303,7 +310,7 @@ def cmd_verify(args) -> int:
         }
     )
 
-    battery = lemma11_battery(50, reps=max(args.reps // 10, 10_000), seeds=seeds.namespaced(1), kappa=kappa)
+    battery = lemma11_battery(50, reps=args.reps // 10, seeds=seeds.namespaced(1), kappa=kappa)
     checks.append(
         {
             "name": "inverse_moment_random_battery",
@@ -326,7 +333,7 @@ def cmd_verify(args) -> int:
     entries = prop1_sandwich_check(
         sandwich_scenario,
         n=args.n,
-        reps=max(args.reps // 50, 2000),
+        reps=args.reps // 50,
         seeds=seeds.namespaced(3),
         theta=args.theta,
         epsilon=args.epsilon,
@@ -398,7 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the verification oracle batteries", allow_abbrev=False)
     add_common(p_verify)
-    p_verify.add_argument("--reps", type=int, default=100_000)
+    p_verify.add_argument(
+        "--reps",
+        type=int,
+        default=VERIFY_MIN_REPS,
+        help=f"draws of the exact inverse-moment check, at least {VERIFY_MIN_REPS:,}; "
+        "the random battery uses reps/10 per case and the risk sandwich reps/50",
+    )
     p_verify.add_argument("--kappa", type=float, default=1.0 + 2.0 * math.exp(-1.0))
     p_verify.set_defaults(func=cmd_verify)
 

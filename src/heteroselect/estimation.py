@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_space import Model, _dimension_bound_holds, _project, block_means, expand, is_power_of_two
+from .model_space import Model, _blocks, _dimension_bound_holds, block_means, expand, is_power_of_two
 
 KAPPA = 1.0 + 2.0 * math.exp(-1.0)
 
@@ -92,12 +92,14 @@ def phi(u):
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise ValueError("phi requires strictly positive arguments")
-    out = _phi(u)
+    out = _phi(np.array(u, ndmin=1)).reshape(u.shape)
     return float(out) if out.ndim == 0 else out
 
 
-def _phi(u):
-    return np.log(u) + 1.0 / u - 1.0
+def _phi(u, out=None):
+    """`phi`, unchecked, written into out when given.  Overwrites u with log(u)."""
+    out = np.divide(1.0, u, out=out)
+    return np.subtract(np.add(np.log(u, out=u), out, out=out), 1.0, out=out)
 
 
 def kl_divergence(truth: TruthSpec, mean: np.ndarray, variance: np.ndarray) -> float:
@@ -108,7 +110,7 @@ def kl_divergence(truth: TruthSpec, mean: np.ndarray, variance: np.ndarray) -> f
         raise ValueError("mean/variance length mismatch with truth")
     if np.any(variance <= 0):
         raise ValueError("variance must be strictly positive")
-    return float(_loss("kullback", truth, mean, variance))
+    return float(_loss("kullback", truth, (truth.s - mean) ** 2, variance))
 
 
 def log_likelihood(y1: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float:
@@ -141,30 +143,79 @@ def fit(m: Model, obs: Observations) -> Estimate:
 # quantity has one formula and a batched row equals the scalar value bit for bit.
 
 
-def _fit_rows(m: Model, y1: np.ndarray, y2: np.ndarray):
-    """`fit`: mean per fine block, variance per coarse block, and whether any fell below VARIANCE_FLOOR."""
-    block_var = _block_variance(m, y2)
-    return block_means(y1, m.num_fine), block_var, np.any(block_var < VARIANCE_FLOOR, axis=-1)
+def _fit_rows(m: Model, y1: np.ndarray, y2: np.ndarray, fine=None):
+    """`fit`: mean per fine block, variance per coarse block, and whether any fell below VARIANCE_FLOOR.
+
+    `fine` is `_fine_fit(m.num_fine, y1, y2)` when the caller already has it: every
+    model on one fine partition shares it.
+    """
+    block_mean, r2 = _fine_fit(m.num_fine, y1, y2) if fine is None else fine
+    block_var = block_means(r2, m.num_coarse)
+    return block_mean, block_var, np.any(block_var < VARIANCE_FLOOR, axis=-1)
+
+
+def _fine_fit(num_fine: int, y1: np.ndarray, y2: np.ndarray, out=None):
+    """The part of `fit` that depends only on the fine partition: the block means of y1
+    and the squared projection residuals of y2, written into out when given."""
+    return block_means(y1, num_fine), _squared_residuals(y2, block_means(y2, num_fine), out)
 
 
 def _block_variance(m: Model, y2: np.ndarray):
     """`fit`'s variance per coarse block: the mean squared projection residual of y2."""
-    return block_means((y2 - _project(m, y2)) ** 2, m.num_coarse)
+    return block_means(_squared_residuals(y2, block_means(y2, m.num_fine)), m.num_coarse)
+
+
+def _squared_residuals(y: np.ndarray, block_values: np.ndarray, out=None):
+    """(y - expand(block_values, n)) ** 2 along the last axis, written into out when given.
+
+    The block values are broadcast over their blocks, not expanded; y may be one
+    vector and block_values rows.
+    """
+    blocks = block_values.shape[-1]
+    if out is None:
+        out = np.empty(block_values.shape[:-1] + y.shape[-1:])
+    view = _blocks(out, blocks)
+    np.subtract(_blocks(y, blocks), block_values[..., None], out=view)
+    np.square(view, out=view)
+    return out
 
 
 def _neg_log_likelihood(y1, mean, variance):
     """`log_likelihood`."""
-    return 0.5 * np.sum((y1 - mean) ** 2 / variance + np.log(variance), axis=-1)
+    return _block_log_likelihood((y1 - mean) ** 2, variance)
 
 
-def _loss(kind: str, truth: TruthSpec, mean, variance):
-    """The loss of a fitted pair: 'kullback' (`kl_divergence`), 'quadratic_mean' or 'quadratic_variance'."""
+def _block_log_likelihood(sq_err, block_var, out=None):
+    """`log_likelihood` from the squared errors (y1 - mean) ** 2 and the variance on equal
+    blocks along the last axis (blocks of one point for `log_likelihood`).
+
+    The log is taken of the block values, then broadcast; the summed terms are
+    written into out when given.
+    """
+    blocks = block_var.shape[-1]
+    if out is None:
+        out = np.empty(sq_err.shape)
+    terms = _blocks(out, blocks)
+    np.divide(_blocks(sq_err, blocks), block_var[..., None], out=terms)
+    np.add(terms, np.log(block_var)[..., None], out=terms)
+    return 0.5 * np.sum(out, axis=-1)
+
+
+def _loss(kind: str, truth: TruthSpec, sq_err, variance, out=(None, None)):
+    """The loss of a fitted pair from its squared mean errors (truth.s - mean) ** 2 and its variance:
+    'kullback' (`kl_divergence`), 'quadratic_mean' or 'quadratic_variance'.
+
+    out, when given, is two arrays shaped like variance that take the terms.
+    """
+    terms, ratio = out
     if kind == "kullback":
-        return 0.5 * np.sum((truth.s - mean) ** 2 / variance + _phi(variance / truth.sigma), axis=-1)
+        phi_terms = _phi(np.divide(variance, truth.sigma, out=ratio), out=terms)
+        return 0.5 * np.sum(np.add(np.divide(sq_err, variance, out=ratio), phi_terms, out=terms), axis=-1)
     if kind == "quadratic_mean":
-        return np.sum((truth.s - mean) ** 2, axis=-1)
+        return np.sum(sq_err, axis=-1)
     if kind == "quadratic_variance":
-        return np.sum((truth.sigma - variance) ** 2, axis=-1)
+        terms = np.subtract(truth.sigma, variance, out=terms)
+        return np.sum(np.square(terms, out=terms), axis=-1)
     raise ValueError(f"unknown risk kind {kind!r}")
 
 

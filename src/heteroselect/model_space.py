@@ -34,7 +34,12 @@ def log_power(x: float, epsilon: float) -> float:
 
 def block_means(y: np.ndarray, blocks: int) -> np.ndarray:
     """Means of `blocks` equal consecutive blocks along the last axis, which shrinks to length `blocks`."""
-    return y.reshape(y.shape[:-1] + (blocks, y.shape[-1] // blocks)).mean(axis=-1)
+    return _blocks(y, blocks).mean(axis=-1)
+
+
+def _blocks(y: np.ndarray, blocks: int) -> np.ndarray:
+    """y with its last axis split into `blocks` equal consecutive blocks: a view if y is contiguous."""
+    return y.reshape(y.shape[:-1] + (blocks, y.shape[-1] // blocks))
 
 
 def expand(values: np.ndarray, n: int) -> np.ndarray:
@@ -99,14 +104,26 @@ class CollectionConfig:
     def __post_init__(self):
         if not is_power_of_two(self.n):
             raise ValueError(f"n must be a power of two, got {self.n}")
-        if self.gamma < 1.0:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
-        if self.theta <= 1.0:
-            raise ValueError(f"theta must be > 1, got {self.theta}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        _check_constants(gamma=self.gamma, theta=self.theta, epsilon=self.epsilon, delta=self.delta)
+
+
+#: The range of each constant of the collection and the penalty: (bound, whether a value is in it).
+_CONSTANT_RANGES = {
+    "gamma": (">= 1", lambda v: v >= 1.0),
+    "theta": ("> 1", lambda v: v > 1.0),
+    "epsilon": ("> 0", lambda v: v > 0.0),
+    "delta": ("> 0", lambda v: v > 0.0),
+}
+
+
+def _check_constants(**values: float) -> None:
+    """Raise ValueError naming the first constant that is not finite or not in its range."""
+    for name, value in values.items():
+        bound, holds = _CONSTANT_RANGES[name]
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if not holds(value):
+            raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def _dimension_bound_holds(n: int, dim: int, gamma: float, theta: float) -> bool:
@@ -149,9 +166,4 @@ def project(m: Model, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (m.n,):
         raise ValueError(f"expected a length-{m.n} vector, got shape {y.shape}")
-    return _project(m, y)
-
-
-def _project(m: Model, y: np.ndarray) -> np.ndarray:
-    """`project` along the last axis of y, unchecked: the batched and scalar fits share it."""
     return expand(block_means(y, m.num_fine), m.n)

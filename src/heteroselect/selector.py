@@ -1,6 +1,10 @@
 """Penalty, penalized criterion and the one selection path: the block kernel `_fit_block`
 and the first-minimum rule `_first_min`, which `select` runs on one row and the
-simulation lab on blocks of replications."""
+simulation lab on blocks of replications.
+
+The kernel computes what the models on one fine partition share (the y1 block
+means and the squared residuals) once per partition, and writes every (R, n)
+temporary into buffers allocated once per call, with `fit`'s arithmetic."""
 
 from __future__ import annotations
 
@@ -9,8 +13,18 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .estimation import DegenerateVarianceError, Estimate, Observations, _fit_rows, _neg_log_likelihood, fit
-from .model_space import Model, expand, log_power
+from .estimation import (
+    DegenerateVarianceError,
+    Estimate,
+    Observations,
+    _block_log_likelihood,
+    _fine_fit,
+    _fit_rows,
+    _loss,
+    _squared_residuals,
+    fit,
+)
+from .model_space import Model, _blocks, _check_constants, log_power
 
 
 def default_extra_weight(m: Model, epsilon: float) -> float:
@@ -33,12 +47,7 @@ class PenaltySpec:
     extra_weight: Optional[Callable[[Model], float]] = None
 
     def __post_init__(self):
-        if self.gamma < 1.0:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
-        if self.theta <= 1.0:
-            raise ValueError(f"theta must be > 1, got {self.theta}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        _check_constants(gamma=self.gamma, theta=self.theta, epsilon=self.epsilon)
 
 
 def penalty(m: Model, spec: PenaltySpec) -> float:
@@ -106,25 +115,42 @@ def _first_min(criteria: np.ndarray) -> np.ndarray:
     return np.argmin(np.where(np.isnan(criteria), np.inf, criteria), axis=-1)
 
 
-def _fit_block(models: Sequence[Model], y1: np.ndarray, y2: np.ndarray, ranked, loss=None):
+def _fit_block(models: Sequence[Model], y1: np.ndarray, y2: np.ndarray, ranked, truth=None, kind=None):
     """Fit every model to each row of an (R, n) block with `fit`'s arithmetic: (lik, losses, bad).
 
     lik[r, j] is `log_likelihood` of model j on row r if ranked[j], losses[r, j]
-    is loss(mean, variance) if a loss is given (both 0 otherwise), and bad[r]
-    whether row r is degenerate for any model.
+    is the loss `kind` against truth if a kind is given (both 0 otherwise), and
+    bad[r] whether row r is degenerate for any model.
+
+    The y1 block means and the squared residuals of a fine partition are computed
+    once for each run of consecutive models on it; in canonical order each fine
+    partition is one run.  Every (R, n) temporary is written into buffers
+    allocated once per call.
     """
-    size = len(y1)
+    size, n = y1.shape
     bad = np.zeros(size, dtype=bool)
     lik = np.zeros((size, len(models)))
     losses = np.zeros((size, len(models)))
+    # Squared errors of y1 and of the true mean from the y1 block means, y2's squared
+    # projection residuals, the expanded variance and the scratch of the sums.
+    y1_err, s_err, r2, variance, terms, ratio = np.empty((6, size, n))
+    any_ranked = any(ranked)
+    num_fine = None
     for j, m in enumerate(models):
-        block_mean, block_var, degenerate = _fit_rows(m, y1, y2)
+        if m.num_fine != num_fine:
+            num_fine = m.num_fine
+            fine = _fine_fit(num_fine, y1, y2, out=r2)
+            if any_ranked:
+                _squared_residuals(y1, fine[0], out=y1_err)
+            if kind is not None:
+                _squared_residuals(truth.s, fine[0], out=s_err)
+        _, block_var, degenerate = _fit_rows(m, y1, y2, fine)
         bad |= degenerate
         if bad.any():  # callers discard or redraw those rows; keep their arithmetic finite
             block_var = np.where(bad[:, None], 1.0, block_var)
-        mean, variance = expand(block_mean, m.n), expand(block_var, m.n)
         if ranked[j]:
-            lik[:, j] = _neg_log_likelihood(y1, mean, variance)
-        if loss is not None:
-            losses[:, j] = loss(mean, variance)
+            lik[:, j] = _block_log_likelihood(y1_err, block_var, out=terms)
+        if kind is not None:
+            np.copyto(_blocks(variance, m.num_coarse), block_var[..., None])
+            losses[:, j] = _loss(kind, truth, s_err, variance, out=(terms, ratio))
     return lik, losses, bad

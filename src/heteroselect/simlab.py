@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .estimation import DegenerateVarianceError, Observations, TruthSpec, _loss
+from .estimation import DegenerateVarianceError, Observations, TruthSpec
 from .model_space import CollectionConfig, Model, build_collection, is_power_of_two
 from .selector import PenaltySpec, _first_min, _fit_block, penalty
 
@@ -249,8 +248,7 @@ def _scorer(targets: Sequence[Target], kind: str | None):
     ]
 
     def score(y1, y2, truth):
-        loss_of = None if kind is None else partial(_loss, kind, truth)
-        lik, loss, bad = _fit_block(models, y1, y2, needs_lik, loss_of)
+        lik, loss, bad = _fit_block(models, y1, y2, needs_lik, truth, kind)
         size = len(y1)
         picks = np.zeros((size, len(targets)), dtype=np.intp)
         losses = np.empty((size, len(targets)))

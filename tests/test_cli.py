@@ -300,6 +300,22 @@ def test_table_bad_flags_are_input_errors(flags):
     assert main(["table", "--scenario", "M1", "--gamma-grid", "1"] + flags) == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--gamma-grid", "1,nan"], "gamma"),
+        (["--gamma-grid", "inf"], "gamma"),
+        (["--delta", "inf"], "delta"),
+        (["--theta", "nan"], "theta"),
+        (["--epsilon", "inf"], "epsilon"),
+    ],
+)
+def test_table_non_finite_constants_are_input_errors(flags, field, capsys):
+    argv = ["table", "--scenario", "M1", "--n", "64", "--reps", "2"] + flags
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {field} must be finite, got ")
+
+
 def test_fit_bad_gamma_is_an_input_error(m1_csv, tmp_path):
     out = tmp_path / "fit.json"
     assert main(["fit", "--input", str(m1_csv), "--gamma", "0.5", "--output", str(out)]) == EXIT_INPUT
@@ -312,6 +328,32 @@ def test_verify_bad_n_fails_before_any_check(monkeypatch):
 
     monkeypatch.setattr(cli, "lemma11_check", no_battery)
     assert main(["verify", "--n", "1000"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--reps", "-5"], "--reps must be >= 100000, got -5"),
+        (["--reps", "99999"], "--reps must be >= 100000, got 99999"),
+        (["--kappa", "0"], "--kappa must be finite and > 0, got 0.0"),
+        (["--kappa=-1"], "--kappa must be finite and > 0, got -1.0"),
+        (["--kappa", "nan"], "--kappa must be finite and > 0, got nan"),
+        (["--kappa", "inf"], "--kappa must be finite and > 0, got inf"),
+    ],
+)
+def test_verify_bad_reps_or_kappa_fails_before_any_check(flags, message, monkeypatch, capsys):
+    def no_battery(*args, **kwargs):
+        raise AssertionError("verify ran a check before validating its flags")
+
+    monkeypatch.setattr(cli, "lemma11_check", no_battery)
+    assert main(["verify", "--n", "256"] + flags) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_help_states_the_reps_floor(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "at least 100,000" in " ".join(capsys.readouterr().out.split())
 
 
 def test_convergence_csv(tmp_path):

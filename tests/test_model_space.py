@@ -12,6 +12,7 @@ from heteroselect.model_space import (
     log_power,
     project,
 )
+from heteroselect.selector import PenaltySpec
 
 
 def test_partition_blocks_cover_and_are_equal_sized():
@@ -36,6 +37,18 @@ def test_partition_rejects_bad_inputs():
 def test_model_dimension_formula():
     m = Model(1024, 2, 2)
     assert m.dim == 4 * 3 == 12
+
+
+@pytest.mark.parametrize("field", ["gamma", "theta", "epsilon", "delta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_constants(field, value):
+    constants = {"gamma": 2.0, "theta": 2.0, "epsilon": 0.01, "delta": 3.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+        CollectionConfig(1024, **constants)
+    if field != "delta":
+        del constants["delta"]
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            PenaltySpec(**constants)
 
 
 def test_model_rejects_non_power_of_two_dim():

@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from heteroselect.estimation import DegenerateVarianceError, Observations, fit, log_likelihood
-from heteroselect.model_space import CollectionConfig, Model, build_collection
-from heteroselect.selector import PenaltySpec, default_extra_weight, penalty, select
+from heteroselect.estimation import (
+    DegenerateVarianceError,
+    Observations,
+    _fit_rows,
+    _loss,
+    _neg_log_likelihood,
+    fit,
+    log_likelihood,
+)
+from heteroselect.model_space import CollectionConfig, Model, build_collection, expand
+from heteroselect.selector import PenaltySpec, _fit_block, default_extra_weight, penalty, select
+from heteroselect.simlab import RISK_KINDS, get_scenario
 
 
 def test_penalty_hand_values():
@@ -140,3 +149,42 @@ def test_select_raises_when_no_criterion_is_finite():
     coll = build_collection(CollectionConfig(64, 2.0, 2.0, 0.01, 3.0))
     with pytest.raises(ValueError, match="no model has a finite criterion"):
         select(coll, obs, PenaltySpec(2.0, 2.0, 0.01))
+
+
+@pytest.mark.parametrize("n, rows", [(16, 5), (1024, 5), (65536, 1)])
+def test_shared_kernel_equals_per_model_formulas(n, rows):
+    # The block kernel shares each fine partition's residuals between its models and
+    # broadcasts block values into buffers; per model, on expanded vectors, the formulas
+    # must give the same bits.  The order is shuffled, so fine partitions recur
+    # non-consecutively, and in a multi-row block the middle row has y2 constant on its
+    # first half: it turns degenerate partway through the collection.
+    rng = np.random.default_rng(n)
+    levels = n.bit_length() - 1
+    # Every model whose fine blocks hold at least two points; the others fit y2 exactly.
+    models = [Model(n, k, 2**e) for k in range(levels) for e in range(levels - k)]
+    if n == 65536:
+        models = build_collection(CollectionConfig(n, 2.0, 2.0, 0.01, 3.0))
+    models = [models[i] for i in rng.permutation(len(models))]
+    ranked = [j % 3 != 1 for j in range(len(models))]
+    truth = get_scenario("M3").truth(n)
+    y1, y2 = truth.s + np.sqrt(truth.sigma) * rng.standard_normal((2, rows, n))
+    if rows > 1:
+        y2[rows // 2, : n // 2] = 0.5
+    bad = np.zeros(rows, dtype=bool)
+    expected = {kind: np.zeros((rows, len(models))) for kind in (None,) + RISK_KINDS}
+    for j, m in enumerate(models):
+        block_mean, block_var, degenerate = _fit_rows(m, y1, y2)
+        bad |= degenerate
+        mean, variance = expand(block_mean, n), expand(np.where(bad[:, None], 1.0, block_var), n)
+        if ranked[j]:
+            expected[None][:, j] = _neg_log_likelihood(y1, mean, variance)
+        for kind in RISK_KINDS:
+            expected[kind][:, j] = _loss(kind, truth, (truth.s - mean) ** 2, variance)
+    assert bad.tolist() == [rows > 1 and r == rows // 2 for r in range(rows)]
+    for kind in RISK_KINDS:
+        lik, losses, got_bad = _fit_block(models, y1, y2, ranked, truth, kind)
+        assert got_bad.tolist() == bad.tolist()
+        assert (lik[~bad] == expected[None][~bad]).all()
+        assert (losses[~bad] == expected[kind][~bad]).all()
+    lik, losses, _ = _fit_block(models, y1, y2, ranked)
+    assert (lik[~bad] == expected[None][~bad]).all() and not losses.any()

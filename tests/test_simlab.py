@@ -237,9 +237,9 @@ def _recording_fit(monkeypatch, bad_draws=()):
     seen = []
     bad = {y1.tobytes() for y1 in bad_draws}
 
-    def fake_fit_rows(m, y1, y2):
+    def fake_fit_rows(m, y1, y2, fine=None):
         seen.append(y1.copy())
-        mean, block_var, degenerate = _fit_rows(m, y1, y2)
+        mean, block_var, degenerate = _fit_rows(m, y1, y2, fine)
         forced = np.array([row.tobytes() in bad for row in y1])
         return mean, block_var, degenerate | forced
 
@@ -386,8 +386,8 @@ def test_draw_degenerate_for_one_target_is_redrawn_for_all(monkeypatch):
 
     bad_y1 = sample(sc, n, seeds.stream(3)).y1.tobytes()
 
-    def fit_rows(m, y1, y2):
-        mean, block_var, degenerate = _fit_rows(m, y1, y2)
+    def fit_rows(m, y1, y2, fine=None):
+        mean, block_var, degenerate = _fit_rows(m, y1, y2, fine)
         if m == only_g1:
             degenerate = degenerate | np.array([row.tobytes() == bad_y1 for row in y1])
         return mean, block_var, degenerate
