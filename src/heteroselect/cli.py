@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .estimation import DegenerateVarianceError, Observations
+from .estimation import KAPPA, DegenerateVarianceError, Observations
 from .model_space import CollectionConfig, EmptyCollectionError, build_collection
 from .oracle_checks import (
     InverseMomentCase,
@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"draws of the exact inverse-moment check, at least {VERIFY_MIN_REPS:,}; "
         "the random battery uses reps/10 per case and the risk sandwich reps/50",
     )
-    p_verify.add_argument("--kappa", type=float, default=1.0 + 2.0 * math.exp(-1.0))
+    p_verify.add_argument("--kappa", type=float, default=KAPPA)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

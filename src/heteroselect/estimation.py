@@ -3,12 +3,16 @@
 The mean is estimated from the first replicate by projection, the variance from
 the second replicate by averaging squared projection residuals over each coarse
 block.  Splitting the data keeps the two estimators independent.
+
+All fit arithmetic lives here, including the block kernel `_fit_block` that
+scores a model collection on an (R, n) block for `select` and the simulation lab.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +29,11 @@ class DegenerateVarianceError(RuntimeError):
     The second replicate lies exactly in the mean space on some coarse block,
     which has probability zero for continuous data and signals malformed input.
     """
+
+    def __init__(
+        self, message="zero residual variance on a coarse block: second replicate lies in the mean space"
+    ):
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -132,15 +141,13 @@ def fit(m: Model, obs: Observations) -> Estimate:
         raise ValueError(f"observations have length {obs.n}, model expects {m.n}")
     block_mean, block_var, degenerate = _fit_rows(m, obs.y1, obs.y2)
     if degenerate:
-        raise DegenerateVarianceError(
-            "zero residual variance on a coarse block: second replicate lies in the mean space"
-        )
+        raise DegenerateVarianceError
     return Estimate(m, block_mean, block_var)
 
 
 # Unchecked kernels along the last axis.  The public functions above call them on
-# one vector and the simulation lab on an (R, n) block of replications, so each
-# quantity has one formula and a batched row equals the scalar value bit for bit.
+# one vector and the block kernel `_fit_block` on an (R, n) block of replications, so
+# each quantity has one formula and a batched row equals the scalar value bit for bit.
 
 
 def _fit_rows(m: Model, y1: np.ndarray, y2: np.ndarray, fine=None):
@@ -158,11 +165,6 @@ def _fine_fit(num_fine: int, y1: np.ndarray, y2: np.ndarray, out=None):
     """The part of `fit` that depends only on the fine partition: the block means of y1
     and the squared projection residuals of y2, written into out when given."""
     return block_means(y1, num_fine), _squared_residuals(y2, block_means(y2, num_fine), out)
-
-
-def _block_variance(m: Model, y2: np.ndarray):
-    """`fit`'s variance per coarse block: the mean squared projection residual of y2."""
-    return block_means(_squared_residuals(y2, block_means(y2, m.num_fine)), m.num_coarse)
 
 
 def _squared_residuals(y: np.ndarray, block_values: np.ndarray, out=None):
@@ -217,6 +219,47 @@ def _loss(kind: str, truth: TruthSpec, sq_err, variance, out=(None, None)):
         terms = np.subtract(truth.sigma, variance, out=terms)
         return np.sum(np.square(terms, out=terms), axis=-1)
     raise ValueError(f"unknown risk kind {kind!r}")
+
+
+def _fit_block(models: Sequence[Model], y1: np.ndarray, y2: np.ndarray, ranked, truth=None, kind=None):
+    """Fit every model to each row of an (R, n) block with `fit`'s arithmetic: (lik, losses, bad).
+
+    lik[r, j] is `log_likelihood` of model j on row r if ranked[j], losses[r, j]
+    is the loss `kind` against truth if a kind is given (both 0 otherwise), and
+    bad[r] whether row r is degenerate for any model.
+
+    The y1 block means and the squared residuals of a fine partition are computed
+    once for each run of consecutive models on it; in canonical order each fine
+    partition is one run.  Every (R, n) temporary is written into buffers
+    allocated once per call.
+    """
+    size, n = y1.shape
+    bad = np.zeros(size, dtype=bool)
+    lik = np.zeros((size, len(models)))
+    losses = np.zeros((size, len(models)))
+    # Squared errors of y1 and of the true mean from the y1 block means, y2's squared
+    # projection residuals, the expanded variance and the scratch of the sums.
+    y1_err, s_err, r2, variance, terms, ratio = np.empty((6, size, n))
+    any_ranked = any(ranked)
+    num_fine = None
+    for j, m in enumerate(models):
+        if m.num_fine != num_fine:
+            num_fine = m.num_fine
+            fine = _fine_fit(num_fine, y1, y2, out=r2)
+            if any_ranked:
+                _squared_residuals(y1, fine[0], out=y1_err)
+            if kind is not None:
+                _squared_residuals(truth.s, fine[0], out=s_err)
+        _, block_var, degenerate = _fit_rows(m, y1, y2, fine)
+        bad |= degenerate
+        if bad.any():  # callers discard or redraw those rows; keep their arithmetic finite
+            block_var = np.where(bad[:, None], 1.0, block_var)
+        if ranked[j]:
+            lik[:, j] = _block_log_likelihood(y1_err, block_var, out=terms)
+        if kind is not None:
+            np.copyto(_blocks(variance, m.num_coarse), block_var[..., None])
+            losses[:, j] = _loss(kind, truth, s_err, variance, out=(terms, ratio))
+    return lik, losses, bad
 
 
 def best_approx(m: Model, truth: TruthSpec) -> tuple[Estimate, float]:

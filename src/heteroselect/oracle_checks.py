@@ -13,9 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import KAPPA, TruthSpec, _block_variance, best_approx, prop1_bounds
+from .estimation import KAPPA, TruthSpec, _fit_rows, best_approx, prop1_bounds
 from .model_space import CollectionConfig, Model, block_means, build_collection
 from .simlab import Scenario, SeedPolicy, risk_profile
+
+# Rows of standard normals the Monte Carlo checks draw at a time, bounding their memory.
+_CHUNK_ROWS = 20_000
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,10 @@ def lemma11_check(
     if reps < 10_000:
         raise ValueError(f"reps must be >= 10000, got {reps}")
     rng = seeds.stream()
-    z = rng.standard_normal((reps, case.n))
-    inv = 1.0 / (((case.a + np.sqrt(case.b) * z) ** 2).sum(axis=1))
+    inv = np.empty(reps)
+    for done in range(0, reps, _CHUNK_ROWS):
+        z = rng.standard_normal((min(_CHUNK_ROWS, reps - done), case.n))
+        inv[done : done + len(z)] = 1.0 / (((case.a + np.sqrt(case.b) * z) ** 2).sum(axis=1))
     estimate = float(inv.mean())
     se = float(inv.std(ddof=1) / math.sqrt(reps))
     mean_z = float(np.sum(case.a**2 + case.b))
@@ -126,9 +131,9 @@ def variance_mean_check(
     sd = np.sqrt(truth.sigma)
     total = np.zeros(m.num_coarse)
     total_sq = np.zeros(m.num_coarse)
-    for done in range(0, reps, 20_000):
-        y2 = truth.s + sd * rng.standard_normal((min(20_000, reps - done), m.n))
-        sighat = _block_variance(m, y2)
+    for done in range(0, reps, _CHUNK_ROWS):
+        y2 = truth.s + sd * rng.standard_normal((min(_CHUNK_ROWS, reps - done), m.n))
+        _, sighat, _ = _fit_rows(m, y2, y2)
         total += sighat.sum(axis=0)
         total_sq += (sighat**2).sum(axis=0)
     empirical = total / reps

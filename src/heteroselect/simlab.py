@@ -27,9 +27,9 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .estimation import DegenerateVarianceError, Observations, TruthSpec
+from .estimation import DegenerateVarianceError, Observations, TruthSpec, _fit_block
 from .model_space import CollectionConfig, Model, build_collection, is_power_of_two
-from .selector import PenaltySpec, _first_min, _fit_block, penalty
+from .selector import PenaltySpec, _first_min, penalty
 
 RISK_KINDS = ("kullback", "quadratic_mean", "quadratic_variance")
 

@@ -288,6 +288,31 @@ def test_table_json_format(tmp_path):
     assert set(rows[0]) == {"scenario", "gamma", "ratio", "std_error"}
 
 
+def test_table_all_scenarios_by_default(tmp_path):
+    out = tmp_path / "t.csv"
+    assert main(["table", "--gamma-grid", "1", "--n", "64", "--reps", "2", "--output", str(out)]) == EXIT_OK
+    rows = out.read_text().strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["M1", "M2", "M3", "M4"]
+
+
+def test_table_empty_gamma_grid(capsys):
+    assert main(["table", "--scenario", "M1", "--gamma-grid", ",", "--n", "64", "--reps", "2"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: empty gamma grid\n"
+
+
+def test_non_integer_env_seed_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("HETEROSELECT_SEED", "4.2")
+    assert main(["table", "--scenario", "M1", "--gamma-grid", "1", "--n", "64", "--reps", "2"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: HETEROSELECT_SEED must be an integer, got '4.2'\n"
+
+
+def test_fit_unreadable_input(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["fit", "--input", str(missing)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {missing}: ") and err.count("\n") == 1
+
+
 def test_table_unknown_scenario():
     assert main(["table", "--scenario", "M99", "--reps", "5"]) == EXIT_INPUT
 
@@ -365,6 +390,17 @@ def test_convergence_csv(tmp_path):
     assert lines[0] == "n,normalized_risk,std_error"
     assert len(lines) == 5  # header + 3 rows + slope comment
     assert lines[-1].startswith("# slope,")
+
+
+def test_convergence_json(tmp_path):
+    out = tmp_path / "conv.json"
+    assert main([
+        "convergence", "--n-grid", "64,128", "--reps", "10", "--format", "json", "--output", str(out),
+    ]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert [p["n"] for p in report["points"]] == [64, 128]
+    assert set(report["points"][0]) == {"n", "normalized_risk", "std_error"}
+    assert isinstance(report["slope"], float)
 
 
 @pytest.mark.parametrize("grid", ["256", "256.9,512"])

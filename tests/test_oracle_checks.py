@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from heteroselect import oracle_checks
 from heteroselect.estimation import KAPPA, TruthSpec
 from heteroselect.model_space import Model, block_means
 from heteroselect.oracle_checks import (
@@ -55,6 +57,28 @@ def test_inverse_moment_adversarial_kappa_fails():
     case = InverseMomentCase(a=np.zeros(4), b=np.ones(4))
     res = lemma11_check(case, reps=100_000, seeds=SeedPolicy(56), kappa=0.05)
     assert not res.holds
+
+
+def test_inverse_moment_chunks_equal_one_draw(monkeypatch):
+    rng = np.random.default_rng(62)
+    case = InverseMomentCase(a=rng.normal(size=8), b=np.exp(rng.normal(size=8)))
+    reps = 10_007
+    assert reps <= oracle_checks._CHUNK_ROWS
+    whole = lemma11_check(case, reps, SeedPolicy(63))
+    monkeypatch.setattr(oracle_checks, "_CHUNK_ROWS", 3)  # 3,336 chunks with a one-row tail
+    assert lemma11_check(case, reps, SeedPolicy(63)) == whole
+
+
+def test_inverse_moment_memory_is_bounded_by_the_chunk():
+    n, reps = 64, 200_000
+    tracemalloc.start()
+    try:
+        lemma11_check(InverseMomentCase(a=np.zeros(n), b=np.ones(n)), reps, SeedPolicy(64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Drawing all reps x n normals at once takes 8 * reps * n bytes (102 MB) for the draw alone.
+    assert peak < 8 * reps * n / 2
 
 
 def test_inverse_moment_case_validation():

@@ -6,14 +6,15 @@ import pytest
 from heteroselect.estimation import (
     DegenerateVarianceError,
     Observations,
+    _fit_block,
     _fit_rows,
     _loss,
     _neg_log_likelihood,
     fit,
     log_likelihood,
 )
-from heteroselect.model_space import CollectionConfig, Model, build_collection, expand
-from heteroselect.selector import PenaltySpec, _fit_block, default_extra_weight, penalty, select
+from heteroselect.model_space import CollectionConfig, Model, build_collection, expand, log_power
+from heteroselect.selector import PenaltySpec, _first_min, penalty, select
 from heteroselect.simlab import RISK_KINDS, get_scenario
 
 
@@ -27,15 +28,9 @@ def test_default_weight_reproduces_admissibility_with_equality():
     spec = PenaltySpec(2.0, 2.0, 0.01)
     for m in build_collection(CollectionConfig(1024, 2.0, 2.0, 0.01, 3.0)):
         pen = penalty(m, spec)
-        x_m = default_extra_weight(m, spec.epsilon)
+        x_m = m.dim * log_power(m.dim, spec.epsilon)
         assert pen - spec.gamma * spec.theta * m.dim == pytest.approx(x_m, rel=1e-12)
         assert pen >= spec.gamma * spec.theta * m.dim + x_m - 1e-9
-
-
-def test_custom_extra_weight_path():
-    m = Model(16, 0, 1)
-    spec = PenaltySpec(1.0, 2.0, 0.01, extra_weight=lambda mm: 7.0)
-    assert penalty(m, spec) == pytest.approx(1.0 * 2.0 * 2 + 7.0)
 
 
 def test_penalty_strictly_increasing_in_dimension():
@@ -100,25 +95,35 @@ def test_select_deterministic(m1_setup):
 
 def test_select_invariant_under_constant_penalty_shift(m1_setup):
     coll, obs, spec = m1_setup
-    shifted = PenaltySpec(
-        spec.gamma,
-        spec.theta,
-        spec.epsilon,
-        extra_weight=lambda m: default_extra_weight(m, spec.epsilon) + 100.0,
-    )
-    assert select(coll, obs, spec).chosen is select(coll, obs, shifted).chosen
+    res = select(coll, obs, spec)
+    shifted = np.array([a.likelihood + (a.penalty + 100.0) for a in res.per_model])
+    assert coll[int(_first_min(shifted))] is res.chosen
 
 
 def test_select_tie_break_prefers_smallest_dimension():
     coll = build_collection(CollectionConfig(64, 1.0, 2.0, 0.01, 3.0))
     rng = np.random.default_rng(10)
     obs = Observations(y1=rng.normal(size=64), y2=rng.normal(size=64))
+    res = select(coll, obs, PenaltySpec(1.0, 2.0, 0.01))
     # a penalty constant across models makes many criteria close; equal criteria
     # must resolve to the earliest (smallest-D) model of the canonical order
-    spec = PenaltySpec(1.0, 2.0, 0.01, extra_weight=lambda m: -1.0 * m.dim * 2.0 + 50.0)
-    res = select(coll, obs, spec)
-    first_min = min(range(len(coll)), key=lambda j: (res.per_model[j].criterion, j))
-    assert res.chosen is coll[first_min]
+    for crits in ([a.criterion for a in res.per_model], [a.likelihood + 50.0 for a in res.per_model]):
+        assert _first_min(np.array(crits)) == min(range(len(coll)), key=lambda j: (crits[j], j))
+    assert res.chosen is coll[int(_first_min(np.array([a.criterion for a in res.per_model])))]
+
+
+@pytest.mark.parametrize(
+    "criteria, expected",
+    [
+        ([3.0, 1.0, 2.0, 1.0], 1),  # an exact tie goes to the first index
+        ([math.nan, 2.0, 1.0, 1.0], 2),  # NaN never wins
+        ([math.inf, math.nan, 5.0], 2),
+        ([math.nan, math.nan, math.nan], 0),
+    ],
+)
+def test_first_min(criteria, expected):
+    assert _first_min(np.array(criteria)) == expected
+    assert _first_min(np.array([criteria, criteria])).tolist() == [expected, expected]
 
 
 def test_select_empty_collection():

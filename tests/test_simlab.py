@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heteroselect import selector, simlab
+from heteroselect import estimation, simlab
 from heteroselect.estimation import (
     DegenerateVarianceError,
     Observations,
@@ -232,7 +232,7 @@ def _tiny_variance_scenario():
 
 
 def _recording_fit(monkeypatch, bad_draws=()):
-    """Patch the lab's per-block fit to record each block of y1 draws and to flag
+    """Patch the shared per-model fit to record each block of y1 draws and to flag
     the rows holding the given y1 draws as degenerate."""
     seen = []
     bad = {y1.tobytes() for y1 in bad_draws}
@@ -240,10 +240,10 @@ def _recording_fit(monkeypatch, bad_draws=()):
     def fake_fit_rows(m, y1, y2, fine=None):
         seen.append(y1.copy())
         mean, block_var, degenerate = _fit_rows(m, y1, y2, fine)
-        forced = np.array([row.tobytes() in bad for row in y1])
-        return mean, block_var, degenerate | forced
+        forced = np.array([row.tobytes() in bad for row in np.atleast_2d(y1)])
+        return mean, block_var, degenerate | forced.reshape(np.shape(degenerate))
 
-    monkeypatch.setattr(selector, "_fit_rows", fake_fit_rows)
+    monkeypatch.setattr(estimation, "_fit_rows", fake_fit_rows)
     return seen
 
 
@@ -389,10 +389,11 @@ def test_draw_degenerate_for_one_target_is_redrawn_for_all(monkeypatch):
     def fit_rows(m, y1, y2, fine=None):
         mean, block_var, degenerate = _fit_rows(m, y1, y2, fine)
         if m == only_g1:
-            degenerate = degenerate | np.array([row.tobytes() == bad_y1 for row in y1])
+            forced = np.array([row.tobytes() == bad_y1 for row in np.atleast_2d(y1)])
+            degenerate = degenerate | forced.reshape(np.shape(degenerate))
         return mean, block_var, degenerate
 
-    monkeypatch.setattr(selector, "_fit_rows", fit_rows)
+    monkeypatch.setattr(estimation, "_fit_rows", fit_rows)
     reports = simlab._risks(sc, n, targets, reps, seeds, "kullback")
     assert [rep.degenerate for rep in reports] == [1] * len(targets)
     assert [rep.estimate for rep in reports] == [expected[:, j].mean() for j in range(len(targets))]
