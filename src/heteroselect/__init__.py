@@ -23,7 +23,7 @@ from .model_space import (
     build_collection,
     project,
 )
-from .selector import PenaltySpec, SelectionResult, penalty, select
+from .selector import SelectionResult, penalty, select
 from .simlab import (
     RiskReport,
     Scenario,
@@ -46,7 +46,6 @@ __all__ = [
     "Estimate",
     "Model",
     "Observations",
-    "PenaltySpec",
     "RiskReport",
     "Scenario",
     "SeedPolicy",

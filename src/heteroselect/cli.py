@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from .estimation import KAPPA, DegenerateVarianceError, Observations
-from .model_space import CollectionConfig, EmptyCollectionError, build_collection
+from .model_space import DELTA, EPSILON, THETA, CollectionConfig, EmptyCollectionError, build_collection
 from .oracle_checks import (
     InverseMomentCase,
     lemma10_battery,
@@ -26,7 +26,7 @@ from .oracle_checks import (
     lemma11_check,
     prop1_sandwich_check,
 )
-from .selector import PenaltySpec, select
+from .selector import select
 from .simlab import (
     RISK_KINDS,
     SeedPolicy,
@@ -77,7 +77,7 @@ def _read_pairs(path: str) -> tuple[np.ndarray, np.ndarray]:
     the row loop, which defines the dialect and reports the offending line.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip().lower() for h in header] != ["y1", "y2"]:
@@ -110,6 +110,8 @@ def _read_pairs(path: str) -> tuple[np.ndarray, np.ndarray]:
                 y2.append(b)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not y1:
         raise InputError(f"{path}: no data rows")
     return np.array(y1), np.array(y2)
@@ -163,10 +165,10 @@ def cmd_fit(args) -> int:
     y1, y2 = _read_pairs(args.input)
     y1, y2 = _power_of_two_length(y1, y2, args.truncate)
     obs = Observations(y1=y1, y2=y2)
-    collection = build_collection(_collection_config(obs.n, args.gamma, args))
-    spec = PenaltySpec(gamma=args.gamma, theta=args.theta, epsilon=args.epsilon)
+    cfg = _collection_config(obs.n, args.gamma, args)
+    collection = build_collection(cfg)
     try:
-        result = select(collection, obs, spec)
+        result = select(collection, obs, cfg)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     chosen, est = result.chosen, result.estimate
@@ -368,9 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, *, needs_seed=True, needs_n=True):
         if needs_n:
             p.add_argument("--n", type=int, default=1024, help="sample size (power of two)")
-        p.add_argument("--theta", type=float, default=2.0)
-        p.add_argument("--epsilon", type=float, default=0.01)
-        p.add_argument("--delta", type=float, default=3.0)
+        p.add_argument("--theta", type=float, default=THETA)
+        p.add_argument("--epsilon", type=float, default=EPSILON)
+        p.add_argument("--delta", type=float, default=DELTA)
         p.add_argument("--output", default=None, help="output path (default stdout)")
         if needs_seed:
             p.add_argument("--seed", type=int, default=0, help="master seed (HETEROSELECT_SEED overrides)")

@@ -91,9 +91,28 @@ class Model:
         return {"k_m": self.level, "d_m": self.per_block_dim, "D_m": self.dim}
 
 
+#: The default theta, epsilon and delta of the lab, the oracle checks and the CLI.
+THETA = 2.0
+EPSILON = 0.01
+DELTA = 3.0
+
+#: The range of each constant: (bound, whether a value is in it).
+_CONSTANT_RANGES = {
+    "gamma": (">= 1", lambda v: v >= 1.0),
+    "theta": ("> 1", lambda v: v > 1.0),
+    "epsilon": ("> 0", lambda v: v > 0.0),
+    "delta": ("> 0", lambda v: v > 0.0),
+}
+
+
 @dataclass(frozen=True)
 class CollectionConfig:
-    """Parameters bounding the admissible model family for a given sample size."""
+    """The constants of one selection procedure at a given sample size.
+
+    gamma, theta and epsilon enter both the admissible family (see
+    `build_collection`) and the penalty (gamma*theta + (log D)^(1+epsilon)) * D
+    of `selector.penalty`; delta enters only the family.
+    """
 
     n: int
     gamma: float
@@ -104,26 +123,12 @@ class CollectionConfig:
     def __post_init__(self):
         if not is_power_of_two(self.n):
             raise ValueError(f"n must be a power of two, got {self.n}")
-        _check_constants(gamma=self.gamma, theta=self.theta, epsilon=self.epsilon, delta=self.delta)
-
-
-#: The range of each constant of the collection and the penalty: (bound, whether a value is in it).
-_CONSTANT_RANGES = {
-    "gamma": (">= 1", lambda v: v >= 1.0),
-    "theta": ("> 1", lambda v: v > 1.0),
-    "epsilon": ("> 0", lambda v: v > 0.0),
-    "delta": ("> 0", lambda v: v > 0.0),
-}
-
-
-def _check_constants(**values: float) -> None:
-    """Raise ValueError naming the first constant that is not finite or not in its range."""
-    for name, value in values.items():
-        bound, holds = _CONSTANT_RANGES[name]
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-        if not holds(value):
-            raise ValueError(f"{name} must be {bound}, got {value}")
+        for name, (bound, holds) in _CONSTANT_RANGES.items():
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if not holds(value):
+                raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def _dimension_bound_holds(n: int, dim: int, gamma: float, theta: float) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import KAPPA, TruthSpec, _fit_rows, best_approx, prop1_bounds
-from .model_space import CollectionConfig, Model, block_means, build_collection
+from .model_space import DELTA, EPSILON, THETA, CollectionConfig, Model, block_means, build_collection
 from .simlab import Scenario, SeedPolicy, risk_profile
 
 # Rows of standard normals the Monte Carlo checks draw at a time, bounding their memory.
@@ -143,18 +143,14 @@ def variance_mean_check(
     return VarianceMeanResult(empirical=empirical, expected=expected, std_error=se, holds=holds)
 
 
-def random_inverse_moment_cases(
-    num_cases: int,
-    seeds: SeedPolicy,
-    max_scale_ratio: float = 5.0,
-) -> list[InverseMomentCase]:
-    """Random offset/scale pairs with bounded scale ratio and n in {4, ..., 64}."""
+def random_inverse_moment_cases(num_cases: int, seeds: SeedPolicy) -> list[InverseMomentCase]:
+    """Random offset/scale pairs with scale ratio below 5 and n in {4, ..., 64}."""
     rng = seeds.stream()
     cases = []
     for _ in range(num_cases):
         n = int(rng.integers(4, 65))
         a = rng.normal(0.0, 2.0, size=n)
-        b = np.exp(rng.uniform(0.0, math.log(max_scale_ratio), size=n))
+        b = np.exp(rng.uniform(0.0, math.log(5.0), size=n))
         b *= rng.uniform(0.2, 5.0)
         cases.append(InverseMomentCase(a=a, b=b))
     return cases
@@ -205,23 +201,22 @@ def prop1_sandwich_check(
     n: int,
     reps: int,
     seeds: SeedPolicy,
-    gamma: float | None = None,
-    theta: float = 2.0,
-    epsilon: float = 0.01,
-    delta: float = 3.0,
+    theta: float = THETA,
+    epsilon: float = EPSILON,
+    delta: float = DELTA,
 ) -> list[SandwichEntry]:
-    """Check the risk sandwich for every model of the scenario's collection.
+    """Check the risk sandwich for every model of the scenario's collection at its true gamma.
 
     The Monte Carlo Kullback risk of each fixed model must lie within
     [lower - 3se, upper + 3se] of its analytic bounds.
     """
-    g = scenario.true_gamma if gamma is None else gamma
-    collection = build_collection(CollectionConfig(n, g, theta, epsilon, delta))
+    cfg = CollectionConfig(n, scenario.true_gamma, theta, epsilon, delta)
+    collection = build_collection(cfg)
     truth = scenario.truth(n)
     reports = risk_profile(scenario, n, collection, reps, seeds, "kullback")
     entries = []
     for m, rep in zip(collection, reports):
-        lower, upper = prop1_bounds(m, truth, g, theta)
+        lower, upper = prop1_bounds(m, truth, cfg.gamma, cfg.theta)
         holds = lower - 3.0 * rep.std_error <= rep.estimate <= upper + 3.0 * rep.std_error
         entries.append(
             SandwichEntry(

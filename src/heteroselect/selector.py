@@ -12,24 +12,13 @@ from typing import Sequence
 import numpy as np
 
 from .estimation import DegenerateVarianceError, Estimate, Observations, _fit_block, fit
-from .model_space import Model, _check_constants, log_power
+from .model_space import CollectionConfig, Model, log_power
 
 
-@dataclass(frozen=True)
-class PenaltySpec:
-    """Penalty configuration: the penalty is (gamma*theta + (log D)^(1+epsilon)) * D,
-    which equals gamma*theta*D + x(m) for the model weight x(m) = D*(log D)^(1+epsilon)."""
-
-    gamma: float
-    theta: float
-    epsilon: float
-
-    def __post_init__(self):
-        _check_constants(gamma=self.gamma, theta=self.theta, epsilon=self.epsilon)
-
-
-def penalty(m: Model, spec: PenaltySpec) -> float:
-    return (spec.gamma * spec.theta + log_power(m.dim, spec.epsilon)) * m.dim
+def penalty(m: Model, cfg: CollectionConfig) -> float:
+    """(gamma*theta + (log D)^(1+epsilon)) * D, which equals gamma*theta*D + x(m) for the
+    model weight x(m) = D*(log D)^(1+epsilon), with the constants of the configuration."""
+    return (cfg.gamma * cfg.theta + log_power(m.dim, cfg.epsilon)) * m.dim
 
 
 @dataclass(frozen=True)
@@ -50,8 +39,8 @@ class SelectionResult:
     per_model: tuple[ModelAudit, ...]
 
 
-def select(collection: Sequence[Model], obs: Observations, spec: PenaltySpec) -> SelectionResult:
-    """Minimize likelihood + penalty over the collection.
+def select(collection: Sequence[Model], obs: Observations, cfg: CollectionConfig) -> SelectionResult:
+    """Minimize likelihood + penalty over the collection, with the penalty constants of cfg.
 
     The collection is scanned in its canonical order (ascending dimension) and
     ties are broken in favor of the earliest, i.e. most parsimonious, model.
@@ -64,7 +53,7 @@ def select(collection: Sequence[Model], obs: Observations, spec: PenaltySpec) ->
     wrong = next((m.n for m in collection if m.n != obs.n), None)
     if wrong is not None:
         raise ValueError(f"observations have length {obs.n}, model expects {wrong}")
-    pens = [penalty(m, spec) for m in collection]
+    pens = [penalty(m, cfg) for m in collection]
     # Overflow yields inf/nan criteria, which never win; the check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         lik, _, bad = _fit_block(collection, obs.y1[None], obs.y2[None], [True] * len(collection))

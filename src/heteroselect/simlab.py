@@ -7,11 +7,12 @@ Every experiment goes through one replication engine, `_run`:
   results are reproducible bit-for-bit, independent of execution order and
   of the block size.  A degenerate draw (a variance estimate collapses) is
   redrawn; its k-th redraw comes from the substream (r, k).
-- A block is scored by `selector`'s block kernel, which fits each distinct
-  model once over all its rows.  `select` is the one-row case of the same
-  kernel and the first-minimum rule (ties to the earliest model, NaN never
-  wins) lives in `selector` too, so each row's chosen model and loss equal
-  those of the scalar `select`/`fit`/`kl_divergence` path bit for bit.
+- A block is scored by the block kernel `estimation._fit_block`, which fits
+  each distinct model once over all its rows.  `select` is the one-row case
+  of the same kernel, and both pick by `selector`'s penalty and its
+  first-minimum rule (ties to the earliest model, NaN never wins), so each
+  row's chosen model and loss equal those of the scalar
+  `select`/`fit`/`kl_divergence` path bit for bit.
 - All compared runs of one scenario (the models of a collection; the oracle
   and every gamma of a table row) share one set of draws, common random
   numbers that reduce ratio variance.  A draw degenerate for any of them is
@@ -23,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .estimation import DegenerateVarianceError, Observations, TruthSpec, _fit_block
-from .model_space import CollectionConfig, Model, build_collection, is_power_of_two
-from .selector import PenaltySpec, _first_min, penalty
+from .model_space import DELTA, EPSILON, THETA, CollectionConfig, Model, build_collection, is_power_of_two
+from .selector import _first_min, penalty
 
 RISK_KINDS = ("kullback", "quadratic_mean", "quadratic_variance")
 
@@ -108,10 +110,14 @@ class SeedPolicy:
 
 @dataclass(frozen=True)
 class SelectionTarget:
-    """Run the full selection pipeline each replication instead of a fixed model."""
+    """Run the full selection pipeline each replication instead of a fixed model: select
+    from the configuration's collection with the configuration's penalty."""
 
-    collection: Sequence[Model]
-    spec: PenaltySpec
+    config: CollectionConfig
+
+    @cached_property
+    def collection(self) -> list[Model]:
+        return build_collection(self.config)
 
 
 Target = Union[Model, SelectionTarget]
@@ -230,9 +236,9 @@ def _scorer(targets: Sequence[Target], kind: str | None):
     For R rows, losses[r, i] is the loss of target i (0 when kind is None),
     picks[r, i] the index of its chosen model in its collection (0 for a
     Model), and bad[r] whether the row is degenerate for any model of any
-    target.  Each distinct model is fitted once per block by `selector`'s
-    block kernel, of which `select` is the one-row case, and a
-    SelectionTarget picks by `selector`'s rule: the first minimum of
+    target.  Each distinct model is fitted once per block by the block
+    kernel `estimation._fit_block`, of which `select` is the one-row case,
+    and a SelectionTarget picks by `selector`'s rule: the first minimum of
     likelihood plus penalty, where NaN never wins.  The penalties are
     computed once, here.
     """
@@ -243,7 +249,7 @@ def _scorer(targets: Sequence[Target], kind: str | None):
     needs_lik = [m in ranked for m in models]
     cols = [np.array([column[m] for m in ms]) for ms in members]
     pens = [
-        np.array([penalty(m, t.spec) for m in t.collection]) if isinstance(t, SelectionTarget) else None
+        np.array([penalty(m, t.config) for m in t.collection]) if isinstance(t, SelectionTarget) else None
         for t in targets
     ]
 
@@ -343,9 +349,9 @@ def ratio_table(
     reps: int,
     seeds: SeedPolicy,
     kind: str = "kullback",
-    theta: float = 2.0,
-    epsilon: float = 0.01,
-    delta: float = 3.0,
+    theta: float = THETA,
+    epsilon: float = EPSILON,
+    delta: float = DELTA,
 ) -> list[RatioCell]:
     """Selection-risk / oracle-risk ratios per scenario and penalty gamma.
 
@@ -359,13 +365,7 @@ def ratio_table(
     cells = []
     for i, sc in enumerate(scenarios):
         oracle_coll = build_collection(CollectionConfig(n, sc.true_gamma, theta, epsilon, delta))
-        selections = [
-            SelectionTarget(
-                build_collection(CollectionConfig(n, g, theta, epsilon, delta)),
-                PenaltySpec(gamma=g, theta=theta, epsilon=epsilon),
-            )
-            for g in gamma_grid
-        ]
+        selections = [SelectionTarget(CollectionConfig(n, g, theta, epsilon, delta)) for g in gamma_grid]
         reports = _risks(sc, n, oracle_coll + selections, reps, seeds.namespaced(i), kind)
         oracle = min(reports[: len(oracle_coll)], key=lambda rep: rep.estimate)
         for g, rep in zip(gamma_grid, reports[len(oracle_coll) :]):
@@ -383,20 +383,14 @@ def selection_frequency(
     predicate: Callable[[Model], bool],
     reps: int,
     seeds: SeedPolicy,
-    gamma: float | None = None,
-    theta: float = 2.0,
-    epsilon: float = 0.01,
-    delta: float = 3.0,
 ) -> float:
-    """Fraction of replications whose selected model satisfies the predicate."""
+    """Fraction of replications whose selected model satisfies the predicate, selecting
+    with the scenario's true gamma and the default theta, epsilon and delta."""
     if reps < 1000:
         raise ValueError(f"reps must be >= 1000 for a meaningful frequency, got {reps}")
-    g = scenario.true_gamma if gamma is None else gamma
-    collection = build_collection(CollectionConfig(n, g, theta, epsilon, delta))
-    spec = PenaltySpec(gamma=g, theta=theta, epsilon=epsilon)
-
-    hit = np.array([1.0 if predicate(m) else 0.0 for m in collection])
-    _, picks, _ = _run(scenario, n, seeds, reps, _scorer([SelectionTarget(collection, spec)], None))
+    target = SelectionTarget(CollectionConfig(n, scenario.true_gamma, THETA, EPSILON, DELTA))
+    hit = np.array([1.0 if predicate(m) else 0.0 for m in target.collection])
+    _, picks, _ = _run(scenario, n, seeds, reps, _scorer([target], None))
     return float(hit[picks[:, 0]].mean())
 
 
@@ -428,12 +422,12 @@ def convergence_experiment(
     n_grid: Sequence[int],
     reps: int,
     seeds: SeedPolicy,
-    gamma: float | None = None,
-    theta: float = 2.0,
-    epsilon: float = 0.01,
-    delta: float = 3.0,
+    theta: float = THETA,
+    epsilon: float = EPSILON,
+    delta: float = DELTA,
 ) -> ConvergenceResult:
-    """Normalized Kullback risk of the selected estimator along a grid of sample sizes.
+    """Normalized Kullback risk of the selected estimator, with the scenario's true gamma,
+    along a grid of sample sizes.
 
     Fits the least-squares slope of log risk against log(n / (log n)^(1+epsilon));
     for smoothness alpha = min(alpha_mean, alpha_var) the rate theory predicts a
@@ -449,12 +443,10 @@ def convergence_experiment(
     threshold = rate_threshold(scenario, n_grid[0], epsilon)
     if n_grid[0] < threshold:
         raise ValueError(f"n_grid starts below the admissible threshold {threshold:.1f}")
-    g = scenario.true_gamma if gamma is None else gamma
     points = []
     for j, n in enumerate(n_grid):
-        coll = build_collection(CollectionConfig(n, g, theta, epsilon, delta))
-        spec = PenaltySpec(gamma=g, theta=theta, epsilon=epsilon)
-        rep = mc_risk(scenario, n, SelectionTarget(coll, spec), reps, seeds.namespaced(j), "kullback")
+        target = SelectionTarget(CollectionConfig(n, scenario.true_gamma, theta, epsilon, delta))
+        rep = mc_risk(scenario, n, target, reps, seeds.namespaced(j), "kullback")
         points.append(
             ConvergencePoint(n=n, normalized_risk=rep.estimate / n, std_error=rep.std_error / n)
         )

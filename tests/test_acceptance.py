@@ -28,7 +28,7 @@ from heteroselect.oracle_checks import (
     prop1_sandwich_check,
     variance_mean_check,
 )
-from heteroselect.selector import PenaltySpec, penalty, select
+from heteroselect.selector import penalty, select
 from heteroselect.simlab import (
     SeedPolicy,
     convergence_experiment,
@@ -156,17 +156,17 @@ def test_criterion_6_exact_analytic_suite():
         ok &= np.allclose(project(m, py), py, rtol=1e-10, atol=1e-12)
         ok &= abs(np.dot(y - py, py)) <= 1e-10 * max(1.0, float(np.dot(y, y)))
 
-    coll = build_collection(CollectionConfig(N, 2.0, 2.0, 0.01, 3.0))
-    spec = PenaltySpec(2.0, 2.0, 0.01)
+    cfg = CollectionConfig(N, 2.0, 2.0, 0.01, 3.0)
+    coll = build_collection(cfg)
     obs = sample(get_scenario("M1"), N, SeedPolicy(SEED).stream(0))
-    res = select(coll, obs, spec)
+    res = select(coll, obs, cfg)
     crits = [
-        log_likelihood(obs.y1, fit(m, obs).mean, fit(m, obs).variance) + penalty(m, spec)
+        log_likelihood(obs.y1, fit(m, obs).mean, fit(m, obs).variance) + penalty(m, cfg)
         for m in coll
     ]
     ok &= res.criterion_value == min(crits)
 
-    pen = penalty(Model(16, 0, 1), PenaltySpec(1.0, 2.0, 0.01))
+    pen = penalty(Model(16, 0, 1), CollectionConfig(16, 1.0, 2.0, 0.01, 3.0))
     ok &= abs(pen - 5.3812) <= 1e-3
 
     report("criterion 6 (exact/analytic suite)", bool(ok), f"penalty(D=2)={pen:.4f}")

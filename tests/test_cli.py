@@ -7,7 +7,7 @@ from heteroselect import cli
 from heteroselect.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from heteroselect.estimation import Observations, log_likelihood
 from heteroselect.model_space import CollectionConfig, Model, build_collection
-from heteroselect.selector import PenaltySpec, penalty, select
+from heteroselect.selector import penalty, select
 from heteroselect.simlab import SeedPolicy, get_scenario, sample
 
 
@@ -36,7 +36,7 @@ def test_fit_selects_good_model_and_round_trips(m1_csv, tmp_path):
     y1 = np.loadtxt(m1_csv, delimiter=",", skiprows=1)[:, 0]
     m = Model(1024, payload["model"]["k_m"], payload["model"]["d_m"])
     lik = log_likelihood(y1, np.array(payload["mean"]), np.array(payload["variance"]))
-    pen = penalty(m, PenaltySpec(2.0, 2.0, 0.01))
+    pen = penalty(m, CollectionConfig(1024, 2.0, 2.0, 0.01, 3.0))
     assert payload["criterion"] == pytest.approx(lik + pen, rel=1e-10)
     assert "audit" in payload
     assert len(payload["audit"]) >= 1
@@ -103,8 +103,8 @@ def _fit_data(name):
 
 def _reference_fit_text(y1, y2, gamma, quiet):
     """`fit`'s output, encoded by dumping the whole payload with the full mean/variance vectors."""
-    coll = build_collection(CollectionConfig(len(y1), gamma, 2.0, 0.01, 3.0))
-    result = select(coll, Observations(y1=y1, y2=y2), PenaltySpec(gamma, 2.0, 0.01))
+    cfg = CollectionConfig(len(y1), gamma, 2.0, 0.01, 3.0)
+    result = select(build_collection(cfg), Observations(y1=y1, y2=y2), cfg)
     chosen_audit = next(a for a in result.per_model if a.model is result.chosen)
     payload = {
         "model": result.chosen.describe(),
@@ -311,6 +311,14 @@ def test_fit_unreadable_input(tmp_path, capsys):
     assert main(["fit", "--input", str(missing)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {missing}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data", [b"y1,y2\n1.0,2.0\n\xff\xfe,3\n", b"\xff\xfe1,y2\n1.0,2.0\n"])
+def test_fit_non_utf8_input_is_an_input_error(tmp_path, capsys, data):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(data)
+    assert main(["fit", "--input", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
 
 
 def test_table_unknown_scenario():

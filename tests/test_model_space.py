@@ -12,7 +12,6 @@ from heteroselect.model_space import (
     log_power,
     project,
 )
-from heteroselect.selector import PenaltySpec
 
 
 def test_partition_blocks_cover_and_are_equal_sized():
@@ -45,10 +44,6 @@ def test_config_rejects_non_finite_constants(field, value):
     constants = {"gamma": 2.0, "theta": 2.0, "epsilon": 0.01, "delta": 3.0, field: value}
     with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
         CollectionConfig(1024, **constants)
-    if field != "delta":
-        del constants["delta"]
-        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
-            PenaltySpec(**constants)
 
 
 def test_model_rejects_non_power_of_two_dim():

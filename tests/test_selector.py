@@ -14,30 +14,30 @@ from heteroselect.estimation import (
     log_likelihood,
 )
 from heteroselect.model_space import CollectionConfig, Model, build_collection, expand, log_power
-from heteroselect.selector import PenaltySpec, _first_min, penalty, select
+from heteroselect.selector import _first_min, penalty, select
 from heteroselect.simlab import RISK_KINDS, get_scenario
 
 
 def test_penalty_hand_values():
     m = Model(16, 0, 1)  # D = 2
-    assert penalty(m, PenaltySpec(1.0, 2.0, 0.01)) == pytest.approx(5.3812, abs=1e-3)
-    assert penalty(m, PenaltySpec(2.0, 2.0, 0.01)) == pytest.approx(9.3812, abs=1e-3)
+    assert penalty(m, CollectionConfig(16, 1.0, 2.0, 0.01, 3.0)) == pytest.approx(5.3812, abs=1e-3)
+    assert penalty(m, CollectionConfig(16, 2.0, 2.0, 0.01, 3.0)) == pytest.approx(9.3812, abs=1e-3)
 
 
 def test_default_weight_reproduces_admissibility_with_equality():
-    spec = PenaltySpec(2.0, 2.0, 0.01)
-    for m in build_collection(CollectionConfig(1024, 2.0, 2.0, 0.01, 3.0)):
-        pen = penalty(m, spec)
-        x_m = m.dim * log_power(m.dim, spec.epsilon)
-        assert pen - spec.gamma * spec.theta * m.dim == pytest.approx(x_m, rel=1e-12)
-        assert pen >= spec.gamma * spec.theta * m.dim + x_m - 1e-9
+    cfg = CollectionConfig(1024, 2.0, 2.0, 0.01, 3.0)
+    for m in build_collection(cfg):
+        pen = penalty(m, cfg)
+        x_m = m.dim * log_power(m.dim, cfg.epsilon)
+        assert pen - cfg.gamma * cfg.theta * m.dim == pytest.approx(x_m, rel=1e-12)
+        assert pen >= cfg.gamma * cfg.theta * m.dim + x_m - 1e-9
 
 
 def test_penalty_strictly_increasing_in_dimension():
-    spec = PenaltySpec(1.0, 2.0, 0.01)
-    coll = build_collection(CollectionConfig(1024, 1.0, 2.0, 0.01, 3.0))
+    cfg = CollectionConfig(1024, 1.0, 2.0, 0.01, 3.0)
+    coll = build_collection(cfg)
     dims = sorted({m.dim for m in coll})
-    pens = [penalty(next(m for m in coll if m.dim == d), spec) for d in dims]
+    pens = [penalty(next(m for m in coll if m.dim == d), cfg) for d in dims]
     assert all(b > a for a, b in zip(pens, pens[1:]))
 
 
@@ -45,36 +45,36 @@ def test_penalty_strictly_increasing_in_dimension():
 def m1_setup():
     from heteroselect.simlab import SeedPolicy, get_scenario, sample
 
-    coll = build_collection(CollectionConfig(1024, 2.0, 2.0, 0.01, 3.0))
+    cfg = CollectionConfig(1024, 2.0, 2.0, 0.01, 3.0)
     obs = sample(get_scenario("M1"), 1024, SeedPolicy(11).stream(0))
-    spec = PenaltySpec(2.0, 2.0, 0.01)
-    return coll, obs, spec
+    return build_collection(cfg), obs, cfg
 
 
 def test_select_singleton():
-    coll = build_collection(CollectionConfig(16, 1.0, 2.0, 0.01, 3.0))
+    cfg = CollectionConfig(16, 1.0, 2.0, 0.01, 3.0)
+    coll = build_collection(cfg)
     assert len(coll) == 1
     rng = np.random.default_rng(9)
     obs = Observations(y1=rng.normal(size=16), y2=rng.normal(size=16))
-    res = select(coll, obs, PenaltySpec(1.0, 2.0, 0.01))
+    res = select(coll, obs, cfg)
     assert res.chosen is coll[0]
 
 
 def test_select_matches_exhaustive_recomputation(m1_setup):
-    coll, obs, spec = m1_setup
-    res = select(coll, obs, spec)
+    coll, obs, cfg = m1_setup
+    res = select(coll, obs, cfg)
     crits = []
     for m in coll:
         est = fit(m, obs)
-        crits.append(log_likelihood(obs.y1, est.mean, est.variance) + penalty(m, spec))
+        crits.append(log_likelihood(obs.y1, est.mean, est.variance) + penalty(m, cfg))
     assert res.criterion_value == min(crits)
     assert res.chosen is coll[int(np.argmin(crits))]
     assert [a.criterion for a in res.per_model] == crits
 
 
 def test_select_audit_consistency(m1_setup):
-    coll, obs, spec = m1_setup
-    res = select(coll, obs, spec)
+    coll, obs, cfg = m1_setup
+    res = select(coll, obs, cfg)
     assert len(res.per_model) == len(coll)
     for a in res.per_model:
         assert a.criterion == a.likelihood + a.penalty
@@ -84,9 +84,9 @@ def test_select_audit_consistency(m1_setup):
 
 
 def test_select_deterministic(m1_setup):
-    coll, obs, spec = m1_setup
-    r1 = select(coll, obs, spec)
-    r2 = select(coll, obs, spec)
+    coll, obs, cfg = m1_setup
+    r1 = select(coll, obs, cfg)
+    r2 = select(coll, obs, cfg)
     assert r1.chosen is r2.chosen
     assert r1.criterion_value == r2.criterion_value
     np.testing.assert_array_equal(r1.estimate.mean, r2.estimate.mean)
@@ -94,17 +94,18 @@ def test_select_deterministic(m1_setup):
 
 
 def test_select_invariant_under_constant_penalty_shift(m1_setup):
-    coll, obs, spec = m1_setup
-    res = select(coll, obs, spec)
+    coll, obs, cfg = m1_setup
+    res = select(coll, obs, cfg)
     shifted = np.array([a.likelihood + (a.penalty + 100.0) for a in res.per_model])
     assert coll[int(_first_min(shifted))] is res.chosen
 
 
 def test_select_tie_break_prefers_smallest_dimension():
-    coll = build_collection(CollectionConfig(64, 1.0, 2.0, 0.01, 3.0))
+    cfg = CollectionConfig(64, 1.0, 2.0, 0.01, 3.0)
+    coll = build_collection(cfg)
     rng = np.random.default_rng(10)
     obs = Observations(y1=rng.normal(size=64), y2=rng.normal(size=64))
-    res = select(coll, obs, PenaltySpec(1.0, 2.0, 0.01))
+    res = select(coll, obs, cfg)
     # a penalty constant across models makes many criteria close; equal criteria
     # must resolve to the earliest (smallest-D) model of the canonical order
     for crits in ([a.criterion for a in res.per_model], [a.likelihood + 50.0 for a in res.per_model]):
@@ -130,7 +131,7 @@ def test_select_empty_collection():
     rng = np.random.default_rng(12)
     obs = Observations(y1=rng.normal(size=16), y2=rng.normal(size=16))
     with pytest.raises(ValueError):
-        select([], obs, PenaltySpec(1.0, 2.0, 0.01))
+        select([], obs, CollectionConfig(16, 1.0, 2.0, 0.01, 3.0))
 
 
 def test_select_raises_when_any_model_is_degenerate():
@@ -140,10 +141,11 @@ def test_select_raises_when_any_model_is_degenerate():
     y2 = rng.normal(size=64)
     y2[:32] = 0.5
     obs = Observations(y1=rng.normal(size=64), y2=y2)
-    coll = build_collection(CollectionConfig(64, 1.0, 2.0, 0.01, 3.0))
+    cfg = CollectionConfig(64, 1.0, 2.0, 0.01, 3.0)
+    coll = build_collection(cfg)
     assert len(coll) == 8 and sum(m.num_coarse > 1 for m in coll) == 4
     with pytest.raises(DegenerateVarianceError, match="zero residual variance"):
-        select(coll, obs, PenaltySpec(1.0, 2.0, 0.01))
+        select(coll, obs, cfg)
 
 
 def test_select_raises_when_no_criterion_is_finite():
@@ -151,9 +153,9 @@ def test_select_raises_when_no_criterion_is_finite():
     rng = np.random.default_rng(7)
     y = rng.uniform(0.85e308, 1.7e308, size=(2, 64))
     obs = Observations(y1=y[0], y2=y[1])
-    coll = build_collection(CollectionConfig(64, 2.0, 2.0, 0.01, 3.0))
+    cfg = CollectionConfig(64, 2.0, 2.0, 0.01, 3.0)
     with pytest.raises(ValueError, match="no model has a finite criterion"):
-        select(coll, obs, PenaltySpec(2.0, 2.0, 0.01))
+        select(build_collection(cfg), obs, cfg)
 
 
 @pytest.mark.parametrize("n, rows", [(16, 5), (1024, 5), (65536, 1)])

@@ -14,7 +14,7 @@ from heteroselect.estimation import (
     kl_divergence,
 )
 from heteroselect.model_space import CollectionConfig, Model, build_collection
-from heteroselect.selector import PenaltySpec, select
+from heteroselect.selector import select
 from heteroselect.simlab import (
     Scenario,
     SeedPolicy,
@@ -95,19 +95,19 @@ def test_seed_policy_substreams_are_distinct():
 
 def test_mc_risk_singleton_pipeline_equivalence():
     sc = get_scenario("M1")
-    coll = build_collection(CollectionConfig(16, 1.0, 2.0, 0.01, 3.0))
+    cfg = CollectionConfig(16, 1.0, 2.0, 0.01, 3.0)
+    coll = build_collection(cfg)
     assert len(coll) == 1
     seeds = SeedPolicy(5)
     fixed = mc_risk(sc, 16, coll[0], 200, seeds)
-    piped = mc_risk(sc, 16, SelectionTarget(coll, PenaltySpec(1.0, 2.0, 0.01)), 200, seeds)
+    piped = mc_risk(sc, 16, SelectionTarget(cfg), 200, seeds)
     assert fixed == piped
 
 
 def test_mc_risk_deterministic():
     sc = get_scenario("M4")
-    coll = build_collection(CollectionConfig(64, 2.0, 2.0, 0.01, 3.0))
     seeds = SeedPolicy(9)
-    t = SelectionTarget(coll, PenaltySpec(2.0, 2.0, 0.01))
+    t = SelectionTarget(CollectionConfig(64, 2.0, 2.0, 0.01, 3.0))
     assert mc_risk(sc, 64, t, 50, seeds) == mc_risk(sc, 64, t, 50, seeds)
 
 
@@ -139,10 +139,10 @@ def test_oracle_model_for_m1():
 
 def test_crn_oracle_beats_selection_up_to_noise():
     sc = get_scenario("M4")
-    coll = build_collection(CollectionConfig(512, 2.0, 2.0, 0.01, 3.0))
+    target = SelectionTarget(CollectionConfig(512, 2.0, 2.0, 0.01, 3.0))
     seeds = SeedPolicy(13)
-    _, oracle = oracle_risk(sc, 512, coll, 80, seeds)
-    sel = mc_risk(sc, 512, SelectionTarget(coll, PenaltySpec(2.0, 2.0, 0.01)), 80, seeds)
+    _, oracle = oracle_risk(sc, 512, target.collection, 80, seeds)
+    sel = mc_risk(sc, 512, target, 80, seeds)
     assert oracle.estimate <= sel.estimate + 3 * (oracle.std_error + sel.std_error)
 
 
@@ -167,8 +167,7 @@ def test_ratio_table_equals_separate_passes():
         oracle_coll = build_collection(CollectionConfig(n, sc.true_gamma, 2.0, 0.01, 3.0))
         _, oracle = oracle_risk(sc, n, oracle_coll, reps, sc_seeds)
         for g in grid:
-            coll = build_collection(CollectionConfig(n, g, 2.0, 0.01, 3.0))
-            rep = mc_risk(sc, n, SelectionTarget(coll, PenaltySpec(g, 2.0, 0.01)), reps, sc_seeds)
+            rep = mc_risk(sc, n, SelectionTarget(CollectionConfig(n, g, 2.0, 0.01, 3.0)), reps, sc_seeds)
             ratio = rep.estimate / oracle.estimate
             se = abs(ratio) * math.sqrt(
                 (rep.std_error / rep.estimate) ** 2 + (oracle.std_error / oracle.estimate) ** 2
@@ -211,11 +210,8 @@ def test_convergence_output_shape_and_normalization():
     sc = lipschitz_scenario()
     res = convergence_experiment(sc, [64, 128], 20, SeedPolicy(37))
     assert [p.n for p in res.points] == [64, 128]
-    coll = build_collection(CollectionConfig(64, sc.true_gamma, 2.0, 0.01, 3.0))
-    rep = mc_risk(
-        sc, 64, SelectionTarget(coll, PenaltySpec(sc.true_gamma, 2.0, 0.01)), 20,
-        SeedPolicy(37).namespaced(0),
-    )
+    target = SelectionTarget(CollectionConfig(64, sc.true_gamma, 2.0, 0.01, 3.0))
+    rep = mc_risk(sc, 64, target, 20, SeedPolicy(37).namespaced(0))
     assert res.points[0].normalized_risk == pytest.approx(rep.estimate / 64, rel=1e-12)
 
 
@@ -297,14 +293,14 @@ def _targets(sc, n, grid):
     """The oracle collection's models and one SelectionTarget per gamma, as `ratio_table` scores them."""
     oracle = build_collection(CollectionConfig(n, sc.true_gamma, 2.0, 0.01, 3.0))
     return oracle + [
-        SelectionTarget(build_collection(CollectionConfig(n, g, 2.0, 0.01, 3.0)), PenaltySpec(g, 2.0, 0.01))
+        SelectionTarget(CollectionConfig(n, g, 2.0, 0.01, 3.0))
         for g in grid
     ]
 
 
 def _scalar_estimate(target, obs):
     if isinstance(target, SelectionTarget):
-        return select(target.collection, obs, target.spec).estimate
+        return select(target.collection, obs, target.config).estimate
     return fit(target, obs)
 
 
@@ -330,7 +326,7 @@ def test_batched_scoring_equals_scalar_path(master):
             obs = Observations(y1[r], y2[r])
             for i, t in enumerate(targets):
                 if isinstance(t, SelectionTarget):
-                    result = select(t.collection, obs, t.spec)
+                    result = select(t.collection, obs, t.config)
                     for _, picks, _ in scored.values():
                         assert t.collection[picks[r, i]] is result.chosen
                     est = result.estimate
