@@ -28,13 +28,13 @@ from .simlab import (
     RiskReport,
     Scenario,
     SeedPolicy,
-    SelectionTarget,
     builtin_scenarios,
     convergence_experiment,
     get_scenario,
     mc_risk,
     oracle_risk,
     ratio_table,
+    risk_profile,
     sample,
     selection_frequency,
 )
@@ -50,7 +50,6 @@ __all__ = [
     "Scenario",
     "SeedPolicy",
     "SelectionResult",
-    "SelectionTarget",
     "TruthSpec",
     "best_approx",
     "build_collection",
@@ -67,6 +66,7 @@ __all__ = [
     "project",
     "prop1_bounds",
     "ratio_table",
+    "risk_profile",
     "sample",
     "select",
     "selection_frequency",

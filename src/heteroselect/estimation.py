@@ -88,7 +88,9 @@ class TruthSpec:
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
         if self.s.shape != self.sigma.shape or self.s.ndim != 1:
             raise ValueError("s and sigma must be 1-d arrays of equal length")
-        if np.any(self.sigma <= 0):
+        if not (np.isfinite(self.s).all() and np.isfinite(self.sigma).all()):
+            raise ValueError("s and sigma must be finite")
+        if not np.all(self.sigma > 0):
             raise ValueError("sigma must be strictly positive")
 
     @property
@@ -99,7 +101,7 @@ class TruthSpec:
 def phi(u):
     """log(u) + 1/u - 1, the per-coordinate variance discrepancy; zero iff u == 1."""
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
+    if not np.all(u > 0):
         raise ValueError("phi requires strictly positive arguments")
     out = _phi(np.array(u, ndmin=1)).reshape(u.shape)
     return float(out) if out.ndim == 0 else out
@@ -117,7 +119,7 @@ def kl_divergence(truth: TruthSpec, mean: np.ndarray, variance: np.ndarray) -> f
     variance = np.asarray(variance, dtype=float)
     if mean.shape != (truth.n,) or variance.shape != (truth.n,):
         raise ValueError("mean/variance length mismatch with truth")
-    if np.any(variance <= 0):
+    if not np.all(variance > 0):
         raise ValueError("variance must be strictly positive")
     return float(_loss("kullback", truth, (truth.s - mean) ** 2, variance))
 
@@ -129,7 +131,7 @@ def log_likelihood(y1: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> fl
     variance = np.asarray(variance, dtype=float)
     if y1.shape != mean.shape or y1.shape != variance.shape:
         raise ValueError("length mismatch")
-    if np.any(variance <= 0):
+    if not np.all(variance > 0):
         raise ValueError("variance must be strictly positive")
     return float(_neg_log_likelihood(y1, mean, variance))
 

@@ -136,6 +136,12 @@ def _dimension_bound_holds(n: int, dim: int, gamma: float, theta: float) -> bool
     return dim <= (theta - 1.0) / theta * n / (gamma + 2.0)
 
 
+def all_models(n: int) -> list[Model]:
+    """Every model on {1, ..., n}, by ascending level, then ascending per_block_dim."""
+    k_n = n.bit_length() - 1
+    return [Model(n, k, 2**j) for k in range(k_n + 1) for j in range(k_n - k + 1)]
+
+
 def build_collection(cfg: CollectionConfig) -> list[Model]:
     """Enumerate all admissible models, in canonical order.
 
@@ -147,16 +153,12 @@ def build_collection(cfg: CollectionConfig) -> list[Model]:
     number of coarse blocks; the first minimum in this order wins downstream.
     """
     n = cfg.n
-    k_n = n.bit_length() - 1
     dim_cap_log = 5.0 * cfg.delta * cfg.gamma * n / log_power(n, cfg.epsilon) if n > 1 else 0.0
-    models = []
-    for k in range(k_n + 1):
-        d = 1
-        while d <= 2 ** (k_n - k):
-            dim = 2**k * (d + 1)
-            if _dimension_bound_holds(n, dim, cfg.gamma, cfg.theta) and dim <= dim_cap_log:
-                models.append(Model(n, k, d))
-            d *= 2
+    models = [
+        m
+        for m in all_models(n)
+        if _dimension_bound_holds(n, m.dim, cfg.gamma, cfg.theta) and m.dim <= dim_cap_log
+    ]
     if not models:
         raise EmptyCollectionError(
             f"no admissible model for n={n}, gamma={cfg.gamma}, theta={cfg.theta}: "

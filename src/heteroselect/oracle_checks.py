@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import KAPPA, TruthSpec, _fit_rows, best_approx, prop1_bounds
-from .model_space import DELTA, EPSILON, THETA, CollectionConfig, Model, block_means, build_collection
+from .model_space import (
+    DELTA, EPSILON, THETA, CollectionConfig, Model, all_models, block_means, build_collection,
+)
 from .simlab import Scenario, SeedPolicy, risk_profile
 
 # Rows of standard normals the Monte Carlo checks draw at a time, bounding their memory.
@@ -35,7 +37,7 @@ class InverseMomentCase:
             raise ValueError("a and b must be 1-d arrays of equal length")
         if len(self.a) <= 2:
             raise ValueError("need n > 2 for the inverse moment to be finite")
-        if np.any(self.b <= 0):
+        if not np.all(self.b > 0):
             raise ValueError("scales b must be strictly positive")
 
     @property
@@ -91,7 +93,7 @@ def lemma10_check(sigma_diag: np.ndarray, m: Model) -> CompressedSpectrumResult:
     sigma_diag = np.asarray(sigma_diag, dtype=float)
     if sigma_diag.shape != (m.n,):
         raise ValueError(f"sigma_diag must have length {m.n}")
-    if np.any(sigma_diag <= 0):
+    if not np.all(sigma_diag > 0):
         raise ValueError("sigma_diag must be strictly positive")
     tau = block_means(sigma_diag, m.num_fine)
     lo, hi = float(sigma_diag.min()), float(sigma_diag.max())
@@ -170,19 +172,14 @@ def lemma11_battery(
 
 
 def lemma10_battery(num_cases: int, n: int, seeds: SeedPolicy) -> list[CompressedSpectrumResult]:
-    """Random (variance diagonal, model) pairs over all admissible partition shapes."""
+    """Random (variance diagonal, model) pairs, the model drawn from `all_models(n)`."""
     rng = seeds.stream()
-    k_n = n.bit_length() - 1
-    shapes = [
-        (k, 2**j)
-        for k in range(k_n + 1)
-        for j in range(k_n - k + 1)
-    ]
+    models = all_models(n)
     results = []
     for _ in range(num_cases):
-        k, d = shapes[int(rng.integers(len(shapes)))]
+        m = models[int(rng.integers(len(models)))]
         sigma_diag = np.exp(rng.normal(0.0, 1.0, size=n))
-        results.append(lemma10_check(sigma_diag, Model(n, k, d)))
+        results.append(lemma10_check(sigma_diag, m))
     return results
 
 
@@ -213,7 +210,7 @@ def prop1_sandwich_check(
     cfg = CollectionConfig(n, scenario.true_gamma, theta, epsilon, delta)
     collection = build_collection(cfg)
     truth = scenario.truth(n)
-    reports = risk_profile(scenario, n, collection, reps, seeds, "kullback")
+    reports = risk_profile(scenario, collection, reps, seeds, "kullback")
     entries = []
     for m, rep in zip(collection, reports):
         lower, upper = prop1_bounds(m, truth, cfg.gamma, cfg.theta)

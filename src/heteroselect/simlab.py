@@ -1,6 +1,7 @@
 """Simulation lab: scenarios, seeded data generation and Monte Carlo risk studies.
 
-Every experiment goes through one replication engine, `_run`:
+Every experiment scores targets, each a fixed `Model` or a `CollectionConfig`
+that stands for its selection procedure, through one replication engine, `_run`:
 
 - Replications are drawn and scored in blocks of max(1, 2**16 // n) rows.
   Replication r draws from the substream keyed (r,) of its seed policy, so
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -60,7 +60,7 @@ class Scenario:
         x = np.arange(1, n + 1) / n
         s = np.asarray(self.mean_fn(x), dtype=float) * np.ones(n)
         sigma = np.asarray(self.var_fn(x), dtype=float) * np.ones(n)
-        if np.any(sigma <= 0):
+        if not np.all(sigma > 0):
             raise ValueError(f"scenario {self.name}: variance function not positive on the grid")
         ratio = sigma.max() / sigma.min()
         if ratio > self.true_gamma * (1.0 + 1e-9):
@@ -108,19 +108,9 @@ class SeedPolicy:
         return replace(self, prefix=self.prefix + key)
 
 
-@dataclass(frozen=True)
-class SelectionTarget:
-    """Run the full selection pipeline each replication instead of a fixed model: select
-    from the configuration's collection with the configuration's penalty."""
-
-    config: CollectionConfig
-
-    @cached_property
-    def collection(self) -> list[Model]:
-        return build_collection(self.config)
-
-
-Target = Union[Model, SelectionTarget]
+#: A fixed model, or a configuration that selects from its collection with its
+#: penalty on each replication.
+Target = Union[Model, CollectionConfig]
 
 
 def builtin_scenarios() -> list[Scenario]:
@@ -238,20 +228,18 @@ def _scorer(targets: Sequence[Target], kind: str | None):
     Model), and bad[r] whether the row is degenerate for any model of any
     target.  Each distinct model is fitted once per block by the block
     kernel `estimation._fit_block`, of which `select` is the one-row case,
-    and a SelectionTarget picks by `selector`'s rule: the first minimum of
-    likelihood plus penalty, where NaN never wins.  The penalties are
-    computed once, here.
+    and a CollectionConfig picks by `selector`'s rule: the first minimum of
+    likelihood plus penalty, where NaN never wins.  Each configuration's
+    collection and penalties are computed once, here.
     """
-    members = [t.collection if isinstance(t, SelectionTarget) else [t] for t in targets]
+    collections = {t: build_collection(t) for t in targets if isinstance(t, CollectionConfig)}
+    members = [collections.get(t, [t]) for t in targets]
     models = list(dict.fromkeys(m for ms in members for m in ms))
     column = {m: j for j, m in enumerate(models)}
-    ranked = {m for t in targets if isinstance(t, SelectionTarget) for m in t.collection}
+    ranked = {m for ms in collections.values() for m in ms}
     needs_lik = [m in ranked for m in models]
     cols = [np.array([column[m] for m in ms]) for ms in members]
-    pens = [
-        np.array([penalty(m, t.config) for m in t.collection]) if isinstance(t, SelectionTarget) else None
-        for t in targets
-    ]
+    pens = [np.array([penalty(m, t) for m in collections[t]]) if t in collections else None for t in targets]
 
     def score(y1, y2, truth):
         lik, loss, bad = _fit_block(models, y1, y2, needs_lik, truth, kind)
@@ -279,57 +267,53 @@ def _aggregate(losses: np.ndarray, kind: str, degenerate: int) -> RiskReport:
     )
 
 
-def _risks(scenario, n, targets, reps, seeds, kind) -> list[RiskReport]:
-    """One risk report per target (a Model or a SelectionTarget), all scored on the same draws."""
-    if kind not in RISK_KINDS:
-        raise ValueError(f"kind must be one of {RISK_KINDS}, got {kind!r}")
-    if reps < 2:
-        raise ValueError(f"reps must be >= 2, got {reps}")
-
-    losses, _, degenerate = _run(scenario, n, seeds, reps, _scorer(targets, kind))
-    return [_aggregate(losses[:, j], kind, degenerate) for j in range(len(targets))]
-
-
 def mc_risk(
     scenario: Scenario,
-    n: int,
     target: Target,
     reps: int,
     seeds: SeedPolicy,
     kind: str = "kullback",
 ) -> RiskReport:
-    """Monte Carlo risk of a fixed model or of the full selection pipeline."""
-    return _risks(scenario, n, [target], reps, seeds, kind)[0]
+    """Monte Carlo risk of a fixed model or of the selection procedure of a configuration."""
+    return risk_profile(scenario, [target], reps, seeds, kind)[0]
 
 
 def risk_profile(
     scenario: Scenario,
-    n: int,
-    collection: Sequence[Model],
+    targets: Sequence[Target],
     reps: int,
     seeds: SeedPolicy,
     kind: str = "kullback",
 ) -> list[RiskReport]:
-    """Per-model risk reports on shared seeds (common random numbers).
+    """One risk report per target (a Model or a CollectionConfig), at the targets'
+    common sample size, all on shared seeds (common random numbers).
 
-    A replication whose draw is degenerate for any model is redrawn for all of
-    them, so every model sees exactly the same observations.
+    A replication whose draw is degenerate for any model of any target is
+    redrawn for all of them, so every target sees exactly the same observations.
     """
-    if not collection:
-        raise ValueError("empty model collection")
-    return _risks(scenario, n, collection, reps, seeds, kind)
+    if not targets:
+        raise ValueError("empty target list")
+    sizes = sorted({t.n for t in targets})
+    if len(sizes) > 1:
+        raise ValueError(f"targets have different sample sizes {sizes}")
+    if kind not in RISK_KINDS:
+        raise ValueError(f"kind must be one of {RISK_KINDS}, got {kind!r}")
+    if reps < 2:
+        raise ValueError(f"reps must be >= 2, got {reps}")
+
+    losses, _, degenerate = _run(scenario, sizes[0], seeds, reps, _scorer(targets, kind))
+    return [_aggregate(losses[:, j], kind, degenerate) for j in range(len(targets))]
 
 
 def oracle_risk(
     scenario: Scenario,
-    n: int,
     collection: Sequence[Model],
     reps: int,
     seeds: SeedPolicy,
     kind: str = "kullback",
 ) -> tuple[Model, RiskReport]:
     """The model with the smallest estimated risk on shared seeds, with its report."""
-    reports = risk_profile(scenario, n, collection, reps, seeds, kind)
+    reports = risk_profile(scenario, collection, reps, seeds, kind)
     best = min(range(len(collection)), key=lambda j: (reports[j].estimate, j))
     return collection[best], reports[best]
 
@@ -365,8 +349,8 @@ def ratio_table(
     cells = []
     for i, sc in enumerate(scenarios):
         oracle_coll = build_collection(CollectionConfig(n, sc.true_gamma, theta, epsilon, delta))
-        selections = [SelectionTarget(CollectionConfig(n, g, theta, epsilon, delta)) for g in gamma_grid]
-        reports = _risks(sc, n, oracle_coll + selections, reps, seeds.namespaced(i), kind)
+        selections = [CollectionConfig(n, g, theta, epsilon, delta) for g in gamma_grid]
+        reports = risk_profile(sc, oracle_coll + selections, reps, seeds.namespaced(i), kind)
         oracle = min(reports[: len(oracle_coll)], key=lambda rep: rep.estimate)
         for g, rep in zip(gamma_grid, reports[len(oracle_coll) :]):
             ratio = rep.estimate / oracle.estimate
@@ -388,9 +372,9 @@ def selection_frequency(
     with the scenario's true gamma and the default theta, epsilon and delta."""
     if reps < 1000:
         raise ValueError(f"reps must be >= 1000 for a meaningful frequency, got {reps}")
-    target = SelectionTarget(CollectionConfig(n, scenario.true_gamma, THETA, EPSILON, DELTA))
-    hit = np.array([1.0 if predicate(m) else 0.0 for m in target.collection])
-    _, picks, _ = _run(scenario, n, seeds, reps, _scorer([target], None))
+    cfg = CollectionConfig(n, scenario.true_gamma, THETA, EPSILON, DELTA)
+    hit = np.array([1.0 if predicate(m) else 0.0 for m in build_collection(cfg)])
+    _, picks, _ = _run(scenario, n, seeds, reps, _scorer([cfg], None))
     return float(hit[picks[:, 0]].mean())
 
 
@@ -445,8 +429,8 @@ def convergence_experiment(
         raise ValueError(f"n_grid starts below the admissible threshold {threshold:.1f}")
     points = []
     for j, n in enumerate(n_grid):
-        target = SelectionTarget(CollectionConfig(n, scenario.true_gamma, theta, epsilon, delta))
-        rep = mc_risk(scenario, n, target, reps, seeds.namespaced(j), "kullback")
+        cfg = CollectionConfig(n, scenario.true_gamma, theta, epsilon, delta)
+        rep = mc_risk(scenario, cfg, reps, seeds.namespaced(j), "kullback")
         points.append(
             ConvergencePoint(n=n, normalized_risk=rep.estimate / n, std_error=rep.std_error / n)
         )

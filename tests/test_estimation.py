@@ -26,6 +26,10 @@ def test_phi_values():
         phi(0.0)
     with pytest.raises(ValueError):
         phi(-1.0)
+    with pytest.raises(ValueError):
+        phi(np.nan)
+    with pytest.raises(ValueError):
+        phi(np.array([1.0, np.nan]))
 
 
 def test_kl_divergence_values():
@@ -59,6 +63,29 @@ def test_kl_divergence_rejects_nonpositive_variance():
     truth = TruthSpec(s=[0.0, 0.0], sigma=[1.0, 1.0])
     with pytest.raises(ValueError):
         kl_divergence(truth, np.zeros(2), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        kl_divergence(truth, np.zeros(2), np.array([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_log_likelihood_rejects_nonpositive_variance(bad):
+    with pytest.raises(ValueError, match="positive"):
+        log_likelihood(np.zeros(2), np.zeros(2), np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize(
+    "s, sigma, message",
+    [
+        ([0.0, 0.0], [1.0, 0.0], "positive"),
+        ([0.0, 0.0], [np.nan, 1.0], "finite"),
+        ([0.0, 0.0], [np.inf, 1.0], "finite"),
+        ([np.nan, 0.0], [1.0, 1.0], "finite"),
+        ([0.0, -np.inf], [1.0, 1.0], "finite"),
+    ],
+)
+def test_truth_spec_rejects_bad_values(s, sigma, message):
+    with pytest.raises(ValueError, match=message):
+        TruthSpec(s=s, sigma=sigma)
 
 
 def test_log_likelihood_values():

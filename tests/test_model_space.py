@@ -7,6 +7,7 @@ from heteroselect.model_space import (
     CollectionConfig,
     EmptyCollectionError,
     Model,
+    all_models,
     build_collection,
     expand,
     log_power,
@@ -73,6 +74,19 @@ def brute_force_collection(cfg):
             if ok_small and ok_log:
                 out.add((k, d))
     return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 64])
+def test_all_models_lists_every_model_once_in_order(n):
+    valid = []
+    for k in range(8):
+        for d in range(1, n + 1):
+            try:
+                Model(n, k, d)
+            except ValueError:
+                continue
+            valid.append((k, d))
+    assert [(m.level, m.per_block_dim) for m in all_models(n)] == valid
 
 
 def test_build_collection_n16_single_model():

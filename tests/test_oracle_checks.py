@@ -87,6 +87,8 @@ def test_inverse_moment_case_validation():
     with pytest.raises(ValueError):
         InverseMomentCase(a=np.zeros(4), b=np.array([1.0, 1.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
+        InverseMomentCase(a=np.zeros(4), b=np.array([1.0, np.nan, 1.0, 1.0]))
+    with pytest.raises(ValueError):
         lemma11_check(InverseMomentCase(a=np.zeros(4), b=np.ones(4)), 100, SeedPolicy(0))
 
 
@@ -109,6 +111,12 @@ def test_compressed_spectrum_constant_sigma():
     res = lemma10_check(np.full(16, 2.5), m)
     assert res.tau_min == res.tau_max == pytest.approx(2.5)
     assert res.holds
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_compressed_spectrum_rejects_nonpositive_sigma(bad):
+    with pytest.raises(ValueError, match="positive"):
+        lemma10_check(np.array([1.0, bad]), Model(2, 0, 1))
 
 
 def test_compressed_spectrum_battery():

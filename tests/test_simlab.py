@@ -18,7 +18,6 @@ from heteroselect.selector import select
 from heteroselect.simlab import (
     Scenario,
     SeedPolicy,
-    SelectionTarget,
     builtin_scenarios,
     convergence_experiment,
     get_scenario,
@@ -49,6 +48,13 @@ def test_scenario_gamma_consistency_on_grid():
     m2 = get_scenario("M2")
     truth = m2.truth(256)
     assert truth.sigma.max() / truth.sigma.min() == 1.0 == m2.true_gamma
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_scenario_truth_rejects_nonpositive_variance(bad):
+    sc = Scenario("bad", lambda x: x, lambda x: np.where(x > 0.9, bad, 1.0), true_gamma=1.0)
+    with pytest.raises(ValueError, match="not positive"):
+        sc.truth(64)
 
 
 def test_unknown_scenario():
@@ -99,33 +105,37 @@ def test_mc_risk_singleton_pipeline_equivalence():
     coll = build_collection(cfg)
     assert len(coll) == 1
     seeds = SeedPolicy(5)
-    fixed = mc_risk(sc, 16, coll[0], 200, seeds)
-    piped = mc_risk(sc, 16, SelectionTarget(cfg), 200, seeds)
+    fixed = mc_risk(sc, coll[0], 200, seeds)
+    piped = mc_risk(sc, cfg, 200, seeds)
     assert fixed == piped
 
 
 def test_mc_risk_deterministic():
     sc = get_scenario("M4")
     seeds = SeedPolicy(9)
-    t = SelectionTarget(CollectionConfig(64, 2.0, 2.0, 0.01, 3.0))
-    assert mc_risk(sc, 64, t, 50, seeds) == mc_risk(sc, 64, t, 50, seeds)
+    t = CollectionConfig(64, 2.0, 2.0, 0.01, 3.0)
+    assert mc_risk(sc, t, 50, seeds) == mc_risk(sc, t, 50, seeds)
 
 
 def test_mc_risk_rejects_bad_args():
     sc = get_scenario("M1")
     coll = build_collection(CollectionConfig(16, 1.0, 2.0, 0.01, 3.0))
     with pytest.raises(ValueError):
-        mc_risk(sc, 16, coll[0], 1, SeedPolicy(0))
+        mc_risk(sc, coll[0], 1, SeedPolicy(0))
     with pytest.raises(ValueError):
-        mc_risk(sc, 16, coll[0], 10, SeedPolicy(0), kind="nope")
+        mc_risk(sc, coll[0], 10, SeedPolicy(0), kind="nope")
+    with pytest.raises(ValueError, match="sample sizes"):
+        risk_profile(sc, [Model(64, 0, 1), CollectionConfig(128, 2.0, 2.0, 0.01, 3.0)], 10, SeedPolicy(0))
+    with pytest.raises(ValueError, match="empty"):
+        risk_profile(sc, [], 10, SeedPolicy(0))
 
 
 def test_oracle_risk_minimizes_over_shared_seeds():
     sc = get_scenario("M1")
     coll = build_collection(CollectionConfig(256, 2.0, 2.0, 0.01, 3.0))
     seeds = SeedPolicy(21)
-    best, report = oracle_risk(sc, 256, coll, 80, seeds)
-    reports = risk_profile(sc, 256, coll, 80, seeds)
+    best, report = oracle_risk(sc, coll, 80, seeds)
+    reports = risk_profile(sc, coll, 80, seeds)
     assert report.estimate == min(r.estimate for r in reports)
     assert report.estimate <= min(r.estimate for r in reports) + 1e-15
 
@@ -133,16 +143,16 @@ def test_oracle_risk_minimizes_over_shared_seeds():
 def test_oracle_model_for_m1():
     sc = get_scenario("M1")
     coll = build_collection(CollectionConfig(1024, 2.0, 2.0, 0.01, 3.0))
-    best, _ = oracle_risk(sc, 1024, coll, 60, SeedPolicy(31))
+    best, _ = oracle_risk(sc, coll, 60, SeedPolicy(31))
     assert (best.level, best.per_block_dim) == (1, 2)
 
 
 def test_crn_oracle_beats_selection_up_to_noise():
     sc = get_scenario("M4")
-    target = SelectionTarget(CollectionConfig(512, 2.0, 2.0, 0.01, 3.0))
+    target = CollectionConfig(512, 2.0, 2.0, 0.01, 3.0)
     seeds = SeedPolicy(13)
-    _, oracle = oracle_risk(sc, 512, target.collection, 80, seeds)
-    sel = mc_risk(sc, 512, target, 80, seeds)
+    _, oracle = oracle_risk(sc, build_collection(target), 80, seeds)
+    sel = mc_risk(sc, target, 80, seeds)
     assert oracle.estimate <= sel.estimate + 3 * (oracle.std_error + sel.std_error)
 
 
@@ -165,9 +175,9 @@ def test_ratio_table_equals_separate_passes():
     for i, sc in enumerate(scenarios):
         sc_seeds = seeds.namespaced(i)
         oracle_coll = build_collection(CollectionConfig(n, sc.true_gamma, 2.0, 0.01, 3.0))
-        _, oracle = oracle_risk(sc, n, oracle_coll, reps, sc_seeds)
+        _, oracle = oracle_risk(sc, oracle_coll, reps, sc_seeds)
         for g in grid:
-            rep = mc_risk(sc, n, SelectionTarget(CollectionConfig(n, g, 2.0, 0.01, 3.0)), reps, sc_seeds)
+            rep = mc_risk(sc, CollectionConfig(n, g, 2.0, 0.01, 3.0), reps, sc_seeds)
             ratio = rep.estimate / oracle.estimate
             se = abs(ratio) * math.sqrt(
                 (rep.std_error / rep.estimate) ** 2 + (oracle.std_error / oracle.estimate) ** 2
@@ -186,7 +196,7 @@ def test_selection_frequency_trivial_predicate():
 def test_risk_report_std_error_definition():
     sc = get_scenario("M2")
     coll = build_collection(CollectionConfig(64, 1.0, 2.0, 0.01, 3.0))
-    rep = mc_risk(sc, 64, coll[0], 40, SeedPolicy(23))
+    rep = mc_risk(sc, coll[0], 40, SeedPolicy(23))
     assert rep.std_error >= 0
     assert rep.replications == 40
 
@@ -210,16 +220,16 @@ def test_convergence_output_shape_and_normalization():
     sc = lipschitz_scenario()
     res = convergence_experiment(sc, [64, 128], 20, SeedPolicy(37))
     assert [p.n for p in res.points] == [64, 128]
-    target = SelectionTarget(CollectionConfig(64, sc.true_gamma, 2.0, 0.01, 3.0))
-    rep = mc_risk(sc, 64, target, 20, SeedPolicy(37).namespaced(0))
+    target = CollectionConfig(64, sc.true_gamma, 2.0, 0.01, 3.0)
+    rep = mc_risk(sc, target, 20, SeedPolicy(37).namespaced(0))
     assert res.points[0].normalized_risk == pytest.approx(rep.estimate / 64, rel=1e-12)
 
 
 def test_doubling_reps_shrinks_std_error():
     sc = get_scenario("M2")
     coll = build_collection(CollectionConfig(64, 1.0, 2.0, 0.01, 3.0))
-    small = mc_risk(sc, 64, coll[0], 200, SeedPolicy(41))
-    large = mc_risk(sc, 64, coll[0], 800, SeedPolicy(41))
+    small = mc_risk(sc, coll[0], 200, SeedPolicy(41))
+    large = mc_risk(sc, coll[0], 800, SeedPolicy(41))
     assert large.std_error < small.std_error
 
 
@@ -249,13 +259,13 @@ def test_persistent_degenerate_draws_raise_after_max_redraws(monkeypatch):
     seeds = SeedPolicy(1)
     seen = _recording_fit(monkeypatch)
     with pytest.raises(DegenerateVarianceError, match="persisted"):
-        mc_risk(sc, 16, coll[0], 10, seeds)
+        mc_risk(sc, coll[0], 10, seeds)
     keys = [(0,)] + [(0, k) for k in range(1, simlab._MAX_REDRAWS)]
     assert len(seen) == len(keys)
     for y1, key in zip(seen, keys):
         np.testing.assert_array_equal(y1[0], sample(sc, 16, seeds.stream(*key)).y1)
     with pytest.raises(DegenerateVarianceError, match="persisted"):
-        risk_profile(sc, 16, coll, 10, seeds)
+        risk_profile(sc, coll, 10, seeds)
     with pytest.raises(DegenerateVarianceError, match="persisted"):
         selection_frequency(sc, 16, lambda m: True, 1000, seeds)
 
@@ -266,7 +276,7 @@ def test_degenerate_draw_is_redrawn_from_its_substream(monkeypatch):
     seeds = SeedPolicy(11)
     reps = 1000
     _recording_fit(monkeypatch, [sample(sc, 16, seeds.stream(3)).y1])
-    rep = mc_risk(sc, 16, model, reps, seeds)
+    rep = mc_risk(sc, model, reps, seeds)
     assert rep.degenerate == 1
     truth = sc.truth(16)
     losses = []
@@ -283,24 +293,24 @@ def test_second_degenerate_draw_exceeds_budget(monkeypatch, bad_keys):
     seeds = SeedPolicy(11)
     _recording_fit(monkeypatch, [sample(sc, 16, seeds.stream(*key)).y1 for key in bad_keys])
     with pytest.raises(DegenerateVarianceError, match="budget"):
-        mc_risk(sc, 16, model, 1000, seeds)
+        mc_risk(sc, model, 1000, seeds)
 
 
 GRID = [1.0, 1.5, 2.0, 2.5, 3.0]
 
 
 def _targets(sc, n, grid):
-    """The oracle collection's models and one SelectionTarget per gamma, as `ratio_table` scores them."""
+    """The oracle collection's models and one CollectionConfig per gamma, as `ratio_table` scores them."""
     oracle = build_collection(CollectionConfig(n, sc.true_gamma, 2.0, 0.01, 3.0))
     return oracle + [
-        SelectionTarget(CollectionConfig(n, g, 2.0, 0.01, 3.0))
+        CollectionConfig(n, g, 2.0, 0.01, 3.0)
         for g in grid
     ]
 
 
 def _scalar_estimate(target, obs):
-    if isinstance(target, SelectionTarget):
-        return select(target.collection, obs, target.config).estimate
+    if isinstance(target, CollectionConfig):
+        return select(build_collection(target), obs, target).estimate
     return fit(target, obs)
 
 
@@ -325,10 +335,10 @@ def test_batched_scoring_equals_scalar_path(master):
         for r in range(rows):
             obs = Observations(y1[r], y2[r])
             for i, t in enumerate(targets):
-                if isinstance(t, SelectionTarget):
-                    result = select(t.collection, obs, t.config)
+                if isinstance(t, CollectionConfig):
+                    result = select(build_collection(t), obs, t)
                     for _, picks, _ in scored.values():
-                        assert t.collection[picks[r, i]] is result.chosen
+                        assert build_collection(t)[picks[r, i]] == result.chosen
                     est = result.estimate
                 else:
                     est = fit(t, obs)
@@ -342,7 +352,7 @@ def test_results_do_not_depend_on_block_size(monkeypatch):
         scenarios = [get_scenario("M1"), get_scenario("M3")]
         tables = [ratio_table(scenarios, [1.0, 2.0], n, reps, seeds, kind=k) for k in simlab.RISK_KINDS]
         coll = build_collection(CollectionConfig(n, 2.0, 2.0, 0.01, 3.0))
-        profile = risk_profile(get_scenario("M4"), n, coll, reps, seeds.namespaced(7))
+        profile = risk_profile(get_scenario("M4"), coll, reps, seeds.namespaced(7))
         freq = selection_frequency(
             get_scenario("M1"), n, lambda m: m.num_coarse == 2, 1000, seeds.namespaced(8)
         )
@@ -369,7 +379,7 @@ def test_draw_degenerate_for_one_target_is_redrawn_for_all(monkeypatch):
     sc, n, reps, seeds = get_scenario("M1"), 128, 1000, SeedPolicy(47)
     targets = _targets(sc, n, [1.0, 2.0])
     only_g1 = Model(n, 2, 4)
-    in_collection = [t.collection for t in targets if isinstance(t, SelectionTarget)]
+    in_collection = [build_collection(t) for t in targets if isinstance(t, CollectionConfig)]
     assert only_g1 in in_collection[0] and only_g1 not in in_collection[1] and only_g1 not in targets
     truth = sc.truth(n)
     keys = [(3, 1) if r == 3 else (r,) for r in range(reps)]
@@ -390,6 +400,6 @@ def test_draw_degenerate_for_one_target_is_redrawn_for_all(monkeypatch):
         return mean, block_var, degenerate
 
     monkeypatch.setattr(estimation, "_fit_rows", fit_rows)
-    reports = simlab._risks(sc, n, targets, reps, seeds, "kullback")
+    reports = risk_profile(sc, targets, reps, seeds, "kullback")
     assert [rep.degenerate for rep in reports] == [1] * len(targets)
     assert [rep.estimate for rep in reports] == [expected[:, j].mean() for j in range(len(targets))]
