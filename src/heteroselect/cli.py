@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -151,6 +152,16 @@ def _write_text(path: str | None, text: str) -> None:
             raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _records_text(records, fmt: str) -> str:
+    """Dataclass records of one type as a JSON list of their fields, or as CSV: a header
+    of the field names, then one line per record, each value its `repr` (a str as is)."""
+    if fmt == "json":
+        return json.dumps([dataclasses.asdict(r) for r in records], indent=2) + "\n"
+    lines = [",".join(f.name for f in dataclasses.fields(records[0]))]
+    lines += [",".join(v if isinstance(v, str) else repr(v) for v in dataclasses.astuple(r)) for r in records]
+    return "\n".join(lines) + "\n"
+
+
 def _json_runs(blocks: np.ndarray, n: int) -> str:
     """The length-n vector that repeats each of `blocks` n // len(blocks) times, as
     `json.dumps(indent=2)` lays out a list inside the payload dict: each block is
@@ -230,19 +241,7 @@ def cmd_table(args) -> int:
         epsilon=args.epsilon,
         delta=args.delta,
     )
-    if args.format == "json":
-        text = json.dumps(
-            [
-                {"scenario": c.scenario, "gamma": c.gamma, "ratio": c.ratio, "std_error": c.std_error}
-                for c in cells
-            ],
-            indent=2,
-        ) + "\n"
-    else:
-        lines = ["scenario,gamma,ratio,std_error"]
-        lines += [f"{c.scenario},{c.gamma!r},{c.ratio!r},{c.std_error!r}" for c in cells]
-        text = "\n".join(lines) + "\n"
-    _write_text(args.output, text)
+    _write_text(args.output, _records_text(cells, args.format))
     return EXIT_OK
 
 
@@ -263,24 +262,18 @@ def cmd_convergence(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if args.format == "json":
-        text = json.dumps(
-            {
-                "points": [
-                    {"n": p.n, "normalized_risk": p.normalized_risk, "std_error": p.std_error}
-                    for p in result.points
-                ],
-                "slope": result.slope,
-            },
-            indent=2,
-        ) + "\n"
+        text = json.dumps(dataclasses.asdict(result), indent=2) + "\n"
     else:
-        lines = ["n,normalized_risk,std_error"]
-        lines += [f"{p.n},{p.normalized_risk!r},{p.std_error!r}" for p in result.points]
-        lines += [f"# slope,{result.slope!r}"]
-        text = "\n".join(lines) + "\n"
+        text = _records_text(result.points, "csv") + f"# slope,{result.slope!r}\n"
     _write_text(args.output, text)
     print(f"fitted log-log slope: {result.slope:.4f}", file=sys.stderr)
     return EXIT_OK
+
+
+def _count_check(name: str, key: str, results) -> dict:
+    """A check that passes when every result holds, with the number of results under `key`."""
+    failures = sum(not r.holds for r in results)
+    return {"name": name, "passed": failures == 0, key: len(results), "failures": failures}
 
 
 def cmd_verify(args) -> int:
@@ -288,12 +281,12 @@ def cmd_verify(args) -> int:
     seeds = SeedPolicy(seed)
     kappa = args.kappa
     sandwich_scenario = get_scenario("M1")
-    _collection_config(args.n, sandwich_scenario.true_gamma, args)
+    # An n with no admissible sandwich model fails here, before any check runs.
+    build_collection(_collection_config(args.n, sandwich_scenario.true_gamma, args))
     if args.reps < VERIFY_MIN_REPS:
         raise InputError(f"--reps must be >= {VERIFY_MIN_REPS}, got {args.reps}")
     if not (math.isfinite(kappa) and kappa > 0):
         raise InputError(f"--kappa must be finite and > 0, got {kappa}")
-    checks = []
 
     exact = lemma11_check(
         InverseMomentCase(a=np.zeros(4), b=np.ones(4)),
@@ -301,37 +294,8 @@ def cmd_verify(args) -> int:
         seeds=seeds.namespaced(0),
         kappa=kappa,
     )
-    exact_ok = exact.holds and abs(exact.mc_estimate - 0.5) <= 4.0 * exact.std_error
-    checks.append(
-        {
-            "name": "inverse_moment_exact_chi_square",
-            "passed": bool(exact_ok),
-            "mc_estimate": exact.mc_estimate,
-            "bound": exact.bound,
-            "std_error": exact.std_error,
-        }
-    )
-
     battery = lemma11_battery(50, reps=args.reps // 10, seeds=seeds.namespaced(1), kappa=kappa)
-    checks.append(
-        {
-            "name": "inverse_moment_random_battery",
-            "passed": all(r.holds for r in battery),
-            "cases": len(battery),
-            "failures": sum(not r.holds for r in battery),
-        }
-    )
-
     spectrum = lemma10_battery(100, n=64, seeds=seeds.namespaced(2))
-    checks.append(
-        {
-            "name": "compressed_spectrum_battery",
-            "passed": all(r.holds for r in spectrum),
-            "cases": len(spectrum),
-            "failures": sum(not r.holds for r in spectrum),
-        }
-    )
-
     entries = prop1_sandwich_check(
         sandwich_scenario,
         n=args.n,
@@ -341,15 +305,18 @@ def cmd_verify(args) -> int:
         epsilon=args.epsilon,
         delta=args.delta,
     )
-    checks.append(
+    checks = [
         {
-            "name": "risk_sandwich_m1",
-            "passed": all(e.holds for e in entries),
-            "models": len(entries),
-            "failures": sum(not e.holds for e in entries),
-        }
-    )
-
+            "name": "inverse_moment_exact_chi_square",
+            "passed": bool(exact.holds and abs(exact.mc_estimate - 0.5) <= 4.0 * exact.std_error),
+            "mc_estimate": exact.mc_estimate,
+            "bound": exact.bound,
+            "std_error": exact.std_error,
+        },
+        _count_check("inverse_moment_random_battery", "cases", battery),
+        _count_check("compressed_spectrum_battery", "cases", spectrum),
+        _count_check("risk_sandwich_m1", "models", entries),
+    ]
     passed = all(c["passed"] for c in checks)
     _write_text(args.output, json.dumps({"passed": passed, "checks": checks}, indent=2) + "\n")
     if not passed:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model_space import Model, _blocks, _dimension_bound_holds, block_means, expand, is_power_of_two
+from .model_space import Model, _blocks, _dimension_bound_holds, block_means, check_power_of_two, expand
 
 KAPPA = 1.0 + 2.0 * math.exp(-1.0)
 
@@ -48,8 +48,7 @@ class Observations:
         object.__setattr__(self, "y2", np.asarray(self.y2, dtype=float))
         if self.y1.shape != self.y2.shape or self.y1.ndim != 1:
             raise ValueError("replicates must be 1-d arrays of equal length")
-        if not is_power_of_two(len(self.y1)):
-            raise ValueError(f"length must be a power of two, got {len(self.y1)}")
+        check_power_of_two("length", len(self.y1))
         if not (np.isfinite(self.y1).all() and np.isfinite(self.y2).all()):
             raise ValueError("replicates must be finite")
 
@@ -121,6 +120,8 @@ def kl_divergence(truth: TruthSpec, mean: np.ndarray, variance: np.ndarray) -> f
         raise ValueError("mean/variance length mismatch with truth")
     if not np.all(variance > 0):
         raise ValueError("variance must be strictly positive")
+    if not (np.isfinite(mean).all() and np.isfinite(variance).all()):
+        raise ValueError("mean and variance must be finite")
     return float(_loss("kullback", truth, (truth.s - mean) ** 2, variance))
 
 
@@ -133,6 +134,8 @@ def log_likelihood(y1: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> fl
         raise ValueError("length mismatch")
     if not np.all(variance > 0):
         raise ValueError("variance must be strictly positive")
+    if not (np.isfinite(y1).all() and np.isfinite(mean).all() and np.isfinite(variance).all()):
+        raise ValueError("y1, mean and variance must be finite")
     return float(_neg_log_likelihood(y1, mean, variance))
 
 

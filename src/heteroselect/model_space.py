@@ -18,8 +18,10 @@ class EmptyCollectionError(ValueError):
     """Every candidate model was filtered out: n is too small for the configuration."""
 
 
-def is_power_of_two(x: int) -> bool:
-    return x >= 1 and (x & (x - 1)) == 0
+def check_power_of_two(name: str, x: int) -> None:
+    """Raise ValueError unless x is 1, 2, 4, 8, ..."""
+    if not (x >= 1 and (x & (x - 1)) == 0):
+        raise ValueError(f"{name} must be a power of two, got {x}")
 
 
 def log_power(x: float, epsilon: float) -> float:
@@ -62,15 +64,13 @@ class Model:
     per_block_dim: int
 
     def __post_init__(self):
-        if not is_power_of_two(self.n):
-            raise ValueError(f"n must be a power of two, got {self.n}")
+        check_power_of_two("n", self.n)
         if self.level < 0:
             raise ValueError(f"level must be nonnegative, got {self.level}")
         if 2**self.level > self.n:
             raise ValueError(f"2**{self.level} blocks exceed n={self.n}")
         d = self.per_block_dim
-        if not is_power_of_two(d):
-            raise ValueError(f"per_block_dim must be a power of two, got {d}")
+        check_power_of_two("per_block_dim", d)
         if d * 2**self.level > self.n:
             raise ValueError(f"per_block_dim {d} exceeds coarse block size {self.n >> self.level}")
 
@@ -121,8 +121,7 @@ class CollectionConfig:
     delta: float
 
     def __post_init__(self):
-        if not is_power_of_two(self.n):
-            raise ValueError(f"n must be a power of two, got {self.n}")
+        check_power_of_two("n", self.n)
         for name, (bound, holds) in _CONSTANT_RANGES.items():
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -145,7 +144,7 @@ def all_models(n: int) -> list[Model]:
 def build_collection(cfg: CollectionConfig) -> list[Model]:
     """Enumerate all admissible models, in canonical order.
 
-    A model with coarse level k and per-block dimension d (a power of two up
+    A model with coarse level k and per-block dimension d (1, 2, 4, ... up
     to the coarse block size) is kept when both
       n >= theta/(theta-1) * (gamma+2) * D   and
       D <= 5*delta*gamma*n / (log n)^(1+epsilon),

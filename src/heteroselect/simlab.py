@@ -30,7 +30,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .estimation import DegenerateVarianceError, Observations, TruthSpec, _fit_block
-from .model_space import DELTA, EPSILON, THETA, CollectionConfig, Model, build_collection, is_power_of_two
+from .model_space import DELTA, EPSILON, THETA, CollectionConfig, Model, build_collection, check_power_of_two
 from .selector import _first_min, penalty
 
 RISK_KINDS = ("kullback", "quadratic_mean", "quadratic_variance")
@@ -55,8 +55,7 @@ class Scenario:
     true_gamma: float
 
     def truth(self, n: int) -> TruthSpec:
-        if not is_power_of_two(n):
-            raise ValueError(f"n must be a power of two, got {n}")
+        check_power_of_two("n", n)
         x = np.arange(1, n + 1) / n
         s = np.asarray(self.mean_fn(x), dtype=float) * np.ones(n)
         sigma = np.asarray(self.var_fn(x), dtype=float) * np.ones(n)
@@ -342,14 +341,15 @@ def ratio_table(
     The oracle is estimated once per scenario over the collection built with
     the scenario's true gamma; each grid gamma drives both the collection
     filters and the penalty of the selection run.  All runs of one scenario
-    are scored on the same draws, each drawn once.
+    are scored on the same draws, each drawn once.  Every oracle collection
+    is built before any scenario is scored, so an empty one fails at once.
     """
     if not gamma_grid:
         raise ValueError("empty gamma grid")
+    selections = [CollectionConfig(n, g, theta, epsilon, delta) for g in gamma_grid]
+    oracles = [build_collection(CollectionConfig(n, sc.true_gamma, theta, epsilon, delta)) for sc in scenarios]
     cells = []
-    for i, sc in enumerate(scenarios):
-        oracle_coll = build_collection(CollectionConfig(n, sc.true_gamma, theta, epsilon, delta))
-        selections = [CollectionConfig(n, g, theta, epsilon, delta) for g in gamma_grid]
+    for i, (sc, oracle_coll) in enumerate(zip(scenarios, oracles)):
         reports = risk_profile(sc, oracle_coll + selections, reps, seeds.namespaced(i), kind)
         oracle = min(reports[: len(oracle_coll)], key=lambda rep: rep.estimate)
         for g, rep in zip(gamma_grid, reports[len(oracle_coll) :]):
@@ -420,8 +420,8 @@ def convergence_experiment(
     n_grid = list(n_grid)
     if len(n_grid) < 2:
         raise ValueError("n_grid needs at least two points to fit a slope")
-    if any(not is_power_of_two(n) for n in n_grid):
-        raise ValueError("n_grid entries must be powers of two")
+    for n in n_grid:
+        check_power_of_two("n_grid entry", n)
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
     threshold = rate_threshold(scenario, n_grid[0], epsilon)

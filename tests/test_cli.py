@@ -3,12 +3,26 @@ import json
 import numpy as np
 import pytest
 
-from heteroselect import cli
+from heteroselect import cli, simlab
 from heteroselect.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
-from heteroselect.estimation import Observations, log_likelihood
+from heteroselect.estimation import KAPPA, Observations, log_likelihood
 from heteroselect.model_space import CollectionConfig, Model, build_collection
+from heteroselect.oracle_checks import (
+    InverseMomentCase,
+    lemma10_battery,
+    lemma11_battery,
+    lemma11_check,
+    prop1_sandwich_check,
+)
 from heteroselect.selector import penalty, select
-from heteroselect.simlab import SeedPolicy, get_scenario, sample
+from heteroselect.simlab import (
+    SeedPolicy,
+    convergence_experiment,
+    get_scenario,
+    lipschitz_scenario,
+    ratio_table,
+    sample,
+)
 
 
 def write_csv(path, y1, y2):
@@ -230,6 +244,12 @@ def test_table_csv_output_and_determinism(tmp_path):
     assert lines[0] == "scenario,gamma,ratio,std_error"
     assert len(lines) == 3
     assert all(line.startswith("M1,") for line in lines[1:])
+    # Reference encoding: each value as the repr of a Python float, so a numpy scalar
+    # (whose repr is `np.float64(...)` under numpy 2) in a record shows up here.
+    cells = ratio_table([get_scenario("M1")], [1.0, 2.0], n=128, reps=10, seeds=SeedPolicy(5))
+    expected = ["scenario,gamma,ratio,std_error"]
+    expected += [f"{c.scenario},{float(c.gamma)!r},{float(c.ratio)!r},{float(c.std_error)!r}" for c in cells]
+    assert out1.read_text() == "\n".join(expected) + "\n"
 
 
 def test_table_env_seed_override(tmp_path, monkeypatch):
@@ -286,6 +306,12 @@ def test_table_json_format(tmp_path):
     rows = json.loads(out.read_text())
     assert rows[0]["scenario"] == "M2"
     assert set(rows[0]) == {"scenario", "gamma", "ratio", "std_error"}
+    cells = ratio_table([get_scenario("M2")], [1.0], n=128, reps=5, seeds=SeedPolicy(0))
+    expected = json.dumps(
+        [{"scenario": c.scenario, "gamma": c.gamma, "ratio": c.ratio, "std_error": c.std_error} for c in cells],
+        indent=2,
+    )
+    assert out.read_text() == expected + "\n"
 
 
 def test_table_all_scenarios_by_default(tmp_path):
@@ -333,6 +359,16 @@ def test_table_bad_flags_are_input_errors(flags):
     assert main(["table", "--scenario", "M1", "--gamma-grid", "1"] + flags) == EXIT_INPUT
 
 
+def test_table_empty_oracle_collection_fails_before_any_replication(monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("table ran replications before building every collection")
+
+    monkeypatch.setattr(simlab, "_run", no_run)
+    # At n=16 M3's true gamma 7/3 admits no model, while the grid gammas 1 and 2 do.
+    assert main(["table", "--n", "16", "--gamma-grid", "1,2", "--reps", "2"]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: no admissible model for n=16, gamma=2.3333333333333335")
+
+
 @pytest.mark.parametrize(
     "flags, field",
     [
@@ -360,7 +396,8 @@ def test_verify_bad_n_fails_before_any_check(monkeypatch):
         raise AssertionError("verify ran a check before validating its flags")
 
     monkeypatch.setattr(cli, "lemma11_check", no_battery)
-    assert main(["verify", "--n", "1000"]) == EXIT_INPUT
+    for n in ["1000", "4"]:  # 4 is a power of two with no admissible sandwich model
+        assert main(["verify", "--n", n]) == EXIT_INPUT
 
 
 @pytest.mark.parametrize(
@@ -389,7 +426,7 @@ def test_verify_help_states_the_reps_floor(capsys):
     assert "at least 100,000" in " ".join(capsys.readouterr().out.split())
 
 
-def test_convergence_csv(tmp_path):
+def test_convergence_csv(tmp_path, capsys):
     out = tmp_path / "conv.csv"
     assert main([
         "convergence", "--n-grid", "64,128,256", "--reps", "10", "--output", str(out),
@@ -398,6 +435,12 @@ def test_convergence_csv(tmp_path):
     assert lines[0] == "n,normalized_risk,std_error"
     assert len(lines) == 5  # header + 3 rows + slope comment
     assert lines[-1].startswith("# slope,")
+    result = convergence_experiment(lipschitz_scenario(), [64, 128, 256], reps=10, seeds=SeedPolicy(0))
+    expected = ["n,normalized_risk,std_error"]
+    expected += [f"{int(p.n)!r},{float(p.normalized_risk)!r},{float(p.std_error)!r}" for p in result.points]
+    expected += [f"# slope,{float(result.slope)!r}"]
+    assert out.read_text() == "\n".join(expected) + "\n"
+    assert capsys.readouterr().err == f"fitted log-log slope: {result.slope:.4f}\n"
 
 
 def test_convergence_json(tmp_path):
@@ -409,6 +452,9 @@ def test_convergence_json(tmp_path):
     assert [p["n"] for p in report["points"]] == [64, 128]
     assert set(report["points"][0]) == {"n", "normalized_risk", "std_error"}
     assert isinstance(report["slope"], float)
+    result = convergence_experiment(lipschitz_scenario(), [64, 128], reps=10, seeds=SeedPolicy(0))
+    points = [{"n": p.n, "normalized_risk": p.normalized_risk, "std_error": p.std_error} for p in result.points]
+    assert out.read_text() == json.dumps({"points": points, "slope": result.slope}, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("grid", ["256", "256.9,512"])
@@ -416,11 +462,49 @@ def test_convergence_single_point_grid_is_an_error(grid):
     assert main(["convergence", "--n-grid", grid, "--reps", "10"]) == EXIT_INPUT
 
 
+def _reference_verify_text(n, reps, seed, kappa):
+    """`verify`'s report, built check by check from the oracle results, and the names
+    of the failed checks."""
+    seeds = SeedPolicy(seed)
+    exact = lemma11_check(
+        InverseMomentCase(a=np.zeros(4), b=np.ones(4)), reps=reps, seeds=seeds.namespaced(0), kappa=kappa
+    )
+    checks = [
+        {
+            "name": "inverse_moment_exact_chi_square",
+            "passed": bool(exact.holds and abs(exact.mc_estimate - 0.5) <= 4.0 * exact.std_error),
+            "mc_estimate": exact.mc_estimate,
+            "bound": exact.bound,
+            "std_error": exact.std_error,
+        }
+    ]
+    battery = lemma11_battery(50, reps=reps // 10, seeds=seeds.namespaced(1), kappa=kappa)
+    spectrum = lemma10_battery(100, n=64, seeds=seeds.namespaced(2))
+    entries = prop1_sandwich_check(get_scenario("M1"), n=n, reps=reps // 50, seeds=seeds.namespaced(3))
+    for name, key, results in [
+        ("inverse_moment_random_battery", "cases", battery),
+        ("compressed_spectrum_battery", "cases", spectrum),
+        ("risk_sandwich_m1", "models", entries),
+    ]:
+        checks.append(
+            {
+                "name": name,
+                "passed": all(r.holds for r in results),
+                key: len(results),
+                "failures": sum(not r.holds for r in results),
+            }
+        )
+    passed = all(c["passed"] for c in checks)
+    failed = [c["name"] for c in checks if not c["passed"]]
+    return json.dumps({"passed": passed, "checks": checks}, indent=2) + "\n", failed
+
+
 def test_verify_passes_and_reports(tmp_path):
     out = tmp_path / "verify.json"
     assert main([
         "verify", "--n", "256", "--reps", "100000", "--seed", "7", "--output", str(out),
     ]) == EXIT_OK
+    assert out.read_text() == _reference_verify_text(256, 100_000, 7, KAPPA)[0]
     report = json.loads(out.read_text())
     assert report["passed"]
     names = [c["name"] for c in report["checks"]]
@@ -432,7 +516,7 @@ def test_verify_passes_and_reports(tmp_path):
     ]
 
 
-def test_verify_adversarial_kappa_fails(tmp_path):
+def test_verify_adversarial_kappa_fails(tmp_path, capsys):
     out = tmp_path / "verify.json"
     assert main([
         "verify", "--n", "256", "--reps", "100000", "--seed", "7",
@@ -440,3 +524,6 @@ def test_verify_adversarial_kappa_fails(tmp_path):
     ]) == EXIT_VERIFY
     report = json.loads(out.read_text())
     assert not report["passed"]
+    expected, failed = _reference_verify_text(256, 100_000, 7, 0.05)
+    assert out.read_text() == expected
+    assert capsys.readouterr().err == f"verification failed: {', '.join(failed)} failed\n"

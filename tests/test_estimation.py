@@ -65,12 +65,19 @@ def test_kl_divergence_rejects_nonpositive_variance():
         kl_divergence(truth, np.zeros(2), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         kl_divergence(truth, np.zeros(2), np.array([1.0, np.nan]))
+    for mean, variance in [([np.nan, 0.0], [1.0, 1.0]), ([0.0, np.inf], [1.0, 1.0]), ([0.0, 0.0], [np.inf, 1.0])]:
+        with pytest.raises(ValueError, match="finite"):
+            kl_divergence(truth, np.array(mean), np.array(variance))
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
 def test_log_likelihood_rejects_nonpositive_variance(bad):
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="finite" if bad == np.inf else "positive"):
         log_likelihood(np.zeros(2), np.zeros(2), np.array([1.0, bad]))
+    if not np.isfinite(bad):
+        for y1, mean in [([0.0, bad], [0.0, 0.0]), ([0.0, 0.0], [bad, 0.0])]:
+            with pytest.raises(ValueError, match="finite"):
+                log_likelihood(np.array(y1), np.array(mean), np.ones(2))
 
 
 @pytest.mark.parametrize(
