@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .estimation import KAPPA, DegenerateVarianceError, Observations
-from .model_space import DELTA, EPSILON, THETA, CollectionConfig, EmptyCollectionError, build_collection
+from .model_space import DELTA, EPSILON, THETA, CollectionConfig, build_collection
 from .oracle_checks import (
     InverseMomentCase,
     lemma10_battery,
@@ -39,7 +39,6 @@ from .simlab import (
 )
 
 EXIT_OK = 0
-EXIT_ERROR = 1
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
 
@@ -47,12 +46,8 @@ EXIT_VERIFY = 3
 VERIFY_MIN_REPS = 100_000
 
 
-class InputError(Exception):
-    """User-facing problem with input data or flags."""
-
-
-class VerificationFailure(Exception):
-    """One or more verification checks failed."""
+class InputError(ValueError):
+    """A problem with input data or flags that the library does not check itself."""
 
 
 def _resolve_seed(args) -> int:
@@ -133,14 +128,6 @@ def _power_of_two_length(y1, y2, truncate: bool):
     return y1[:lower], y2[:lower]
 
 
-def _collection_config(n: int, gamma: float, args) -> CollectionConfig:
-    """The collection configuration the flags describe; a bad value is an input error."""
-    try:
-        return CollectionConfig(n, gamma, args.theta, args.epsilon, args.delta)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -176,12 +163,8 @@ def cmd_fit(args) -> int:
     y1, y2 = _read_pairs(args.input)
     y1, y2 = _power_of_two_length(y1, y2, args.truncate)
     obs = Observations(y1=y1, y2=y2)
-    cfg = _collection_config(obs.n, args.gamma, args)
-    collection = build_collection(cfg)
-    try:
-        result = select(collection, obs, cfg)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    cfg = CollectionConfig(obs.n, args.gamma, args.theta, args.epsilon, args.delta)
+    result = select(build_collection(cfg), obs, cfg)
     chosen, est = result.chosen, result.estimate
     chosen_audit = next(a for a in result.per_model if a.model is chosen)
     # The vectors are spliced into the text in place of these placeholders:
@@ -221,13 +204,9 @@ def cmd_table(args) -> int:
     else:
         try:
             scenarios = [get_scenario(name) for name in args.scenario.split(",")]
-        except KeyError as exc:
-            raise InputError(str(exc)) from exc
+        except KeyError as exc:  # str() of a KeyError is the repr of its message
+            raise InputError(exc.args[0]) from exc
     grid = _parse_list(args.gamma_grid)
-    if not grid:
-        raise InputError("empty gamma grid")
-    for g in grid:
-        _collection_config(args.n, g, args)
     if args.reps < 2:
         raise InputError(f"--reps must be >= 2, got {args.reps}")
     cells = ratio_table(
@@ -248,19 +227,15 @@ def cmd_table(args) -> int:
 def cmd_convergence(args) -> int:
     seed = _resolve_seed(args)
     scenario = lipschitz_scenario()
-    n_grid = _parse_list(args.n_grid, int)
-    try:
-        result = convergence_experiment(
-            scenario,
-            n_grid,
-            reps=args.reps,
-            seeds=SeedPolicy(seed),
-            theta=args.theta,
-            epsilon=args.epsilon,
-            delta=args.delta,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    result = convergence_experiment(
+        scenario,
+        _parse_list(args.n_grid, int),
+        reps=args.reps,
+        seeds=SeedPolicy(seed),
+        theta=args.theta,
+        epsilon=args.epsilon,
+        delta=args.delta,
+    )
     if args.format == "json":
         text = json.dumps(dataclasses.asdict(result), indent=2) + "\n"
     else:
@@ -282,7 +257,7 @@ def cmd_verify(args) -> int:
     kappa = args.kappa
     sandwich_scenario = get_scenario("M1")
     # An n with no admissible sandwich model fails here, before any check runs.
-    build_collection(_collection_config(args.n, sandwich_scenario.true_gamma, args))
+    build_collection(CollectionConfig(args.n, sandwich_scenario.true_gamma, args.theta, args.epsilon, args.delta))
     if args.reps < VERIFY_MIN_REPS:
         raise InputError(f"--reps must be >= {VERIFY_MIN_REPS}, got {args.reps}")
     if not (math.isfinite(kappa) and kappa > 0):
@@ -320,9 +295,9 @@ def cmd_verify(args) -> int:
     passed = all(c["passed"] for c in checks)
     _write_text(args.output, json.dumps({"passed": passed, "checks": checks}, indent=2) + "\n")
     if not passed:
-        raise VerificationFailure(
-            ", ".join(c["name"] for c in checks if not c["passed"]) + " failed"
-        )
+        failed = ", ".join(c["name"] for c in checks if not c["passed"])
+        print(f"verification failed: {failed} failed", file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 
@@ -390,17 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The one error policy: a bad flag or input, found here or by the library, is exit 2.
     try:
         return args.func(args)
-    except (InputError, EmptyCollectionError, DegenerateVarianceError) as exc:
+    except (ValueError, DegenerateVarianceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except VerificationFailure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
 
 
 if __name__ == "__main__":

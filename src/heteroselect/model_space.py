@@ -19,8 +19,8 @@ class EmptyCollectionError(ValueError):
 
 
 def check_power_of_two(name: str, x: int) -> None:
-    """Raise ValueError unless x is 1, 2, 4, 8, ..."""
-    if not (x >= 1 and (x & (x - 1)) == 0):
+    """Raise ValueError unless x is an integer (numpy's too) among 1, 2, 4, 8, ..."""
+    if not (isinstance(x, (int, np.integer)) and x >= 1 and (x & (x - 1)) == 0):
         raise ValueError(f"{name} must be a power of two, got {x}")
 
 

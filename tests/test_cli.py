@@ -347,8 +347,27 @@ def test_fit_non_utf8_input_is_an_input_error(tmp_path, capsys, data):
     assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
 
 
-def test_table_unknown_scenario():
+def test_table_unknown_scenario(capsys):
     assert main(["table", "--scenario", "M99", "--reps", "5"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: unknown scenario 'M99'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, library_call",
+    [
+        (["table", "--scenario", "M1", "--gamma-grid", "1", "--n", "64", "--reps", "2"], "ratio_table"),
+        (["convergence", "--n-grid", "64,128", "--reps", "2"], "convergence_experiment"),
+        (["fit", "--input", "{csv}"], "select"),
+    ],
+    ids=["table", "convergence", "fit"],
+)
+def test_any_library_value_error_is_an_input_error(argv, library_call, m1_csv, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, library_call, boom)
+    assert main([a.format(csv=m1_csv) for a in argv]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,7 @@ def test_partition_rejects_bad_inputs():
 def test_model_dimension_formula():
     m = Model(1024, 2, 2)
     assert m.dim == 4 * 3 == 12
+    assert Model(np.int64(1024), 2, np.int64(2)).dim == 12  # numpy integers are sizes too
 
 
 @pytest.mark.parametrize("field", ["gamma", "theta", "epsilon", "delta"])
@@ -50,6 +51,21 @@ def test_config_rejects_non_finite_constants(field, value):
 def test_model_rejects_non_power_of_two_dim():
     with pytest.raises(ValueError):
         Model(16, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: CollectionConfig(1024.0, 2.0, 2.0, 0.01, 3.0), "n must be a power of two, got 1024.0"),
+        (lambda: Model(64.0, 0, 1), "n must be a power of two, got 64.0"),
+        (lambda: Model(64, 0, 2.0), "per_block_dim must be a power of two, got 2.0"),
+    ],
+    ids=["config-n", "model-n", "model-per_block_dim"],
+)
+def test_float_sizes_are_not_powers_of_two(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_fine_blocks_nest_in_coarse_blocks():
