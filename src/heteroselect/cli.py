@@ -197,6 +197,13 @@ def _parse_list(text: str, kind=float) -> list:
         raise InputError(f"malformed numeric list {text!r}") from exc
 
 
+def _lab_reps(args) -> int:
+    """`table`'s and `convergence`'s `--reps`: a standard error needs two replications."""
+    if args.reps < 2:
+        raise InputError(f"--reps must be >= 2, got {args.reps}")
+    return args.reps
+
+
 def cmd_table(args) -> int:
     seed = _resolve_seed(args)
     if args.scenario == "all":
@@ -206,14 +213,11 @@ def cmd_table(args) -> int:
             scenarios = [get_scenario(name) for name in args.scenario.split(",")]
         except KeyError as exc:  # str() of a KeyError is the repr of its message
             raise InputError(exc.args[0]) from exc
-    grid = _parse_list(args.gamma_grid)
-    if args.reps < 2:
-        raise InputError(f"--reps must be >= 2, got {args.reps}")
     cells = ratio_table(
         scenarios,
-        grid,
+        _parse_list(args.gamma_grid),
         n=args.n,
-        reps=args.reps,
+        reps=_lab_reps(args),
         seeds=SeedPolicy(seed),
         kind=args.kind,
         theta=args.theta,
@@ -230,7 +234,7 @@ def cmd_convergence(args) -> int:
     result = convergence_experiment(
         scenario,
         _parse_list(args.n_grid, int),
-        reps=args.reps,
+        reps=_lab_reps(args),
         seeds=SeedPolicy(seed),
         theta=args.theta,
         epsilon=args.epsilon,

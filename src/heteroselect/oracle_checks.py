@@ -53,6 +53,27 @@ class InverseMomentResult:
     holds: bool
 
 
+def _inverse_forms(case: InverseMomentCase, reps: int, rng: np.random.Generator) -> np.ndarray:
+    """1/Z for each of reps draws of Z, drawn _CHUNK_ROWS rows at a time into one buffer.
+
+    Each chunk computes 1 / sum((a + sqrt(b) * z)**2) in place, with the same
+    operations in the same order as that expression, so the draws and the
+    returned array are the only arrays as large as a chunk.
+    """
+    scale = np.sqrt(case.b)
+    inv = np.empty(reps)
+    draws = np.empty((min(_CHUNK_ROWS, reps), case.n))
+    for done in range(0, reps, _CHUNK_ROWS):
+        z = rng.standard_normal(out=draws[: reps - done])
+        out = inv[done : done + len(z)]
+        np.multiply(scale, z, out=z)
+        np.add(case.a, z, out=z)
+        np.square(z, out=z)
+        np.sum(z, axis=1, out=out)
+        np.divide(1.0, out, out=out)
+    return inv
+
+
 def lemma11_check(
     case: InverseMomentCase,
     reps: int,
@@ -62,11 +83,7 @@ def lemma11_check(
     """Monte Carlo check of E[1/Z] <= (1/E[Z]) * (1 + 2*kappa*(b_max/b_min)^2 / (n-2))."""
     if reps < 10_000:
         raise ValueError(f"reps must be >= 10000, got {reps}")
-    rng = seeds.stream()
-    inv = np.empty(reps)
-    for done in range(0, reps, _CHUNK_ROWS):
-        z = rng.standard_normal((min(_CHUNK_ROWS, reps - done), case.n))
-        inv[done : done + len(z)] = 1.0 / (((case.a + np.sqrt(case.b) * z) ** 2).sum(axis=1))
+    inv = _inverse_forms(case, reps, seeds.stream())
     estimate = float(inv.mean())
     se = float(inv.std(ddof=1) / math.sqrt(reps))
     mean_z = float(np.sum(case.a**2 + case.b))
@@ -133,8 +150,11 @@ def variance_mean_check(
     sd = np.sqrt(truth.sigma)
     total = np.zeros(m.num_coarse)
     total_sq = np.zeros(m.num_coarse)
+    draws = np.empty((min(_CHUNK_ROWS, reps), m.n))
     for done in range(0, reps, _CHUNK_ROWS):
-        y2 = truth.s + sd * rng.standard_normal((min(_CHUNK_ROWS, reps - done), m.n))
+        y2 = rng.standard_normal(out=draws[: reps - done])  # truth.s + sd * z, in place
+        np.multiply(sd, y2, out=y2)
+        np.add(truth.s, y2, out=y2)
         _, sighat, _ = _fit_rows(m, y2, y2)
         total += sighat.sum(axis=0)
         total_sq += (sighat**2).sum(axis=0)

@@ -167,11 +167,19 @@ def get_scenario(name: str) -> Scenario:
 
 def _draw(truth: TruthSpec, rngs) -> tuple[np.ndarray, np.ndarray]:
     """Draw the two replicates once per generator, one row each; the first n normal
-    draws of a row feed y1, the next n feed y2."""
+    draws of a row feed y1, the next n feed y2.
+
+    Each row of one (R, 2n) buffer is filled from its generator and becomes
+    truth.s + sqrt(sigma) * z in place; y1 and y2 are (R, n) views of its two halves.
+    """
     n = truth.n
-    z = np.array([rng.standard_normal(2 * n) for rng in rngs])
-    sd = np.sqrt(truth.sigma)
-    return truth.s + sd * z[:, :n], truth.s + sd * z[:, n:]
+    z = np.empty((len(rngs), 2 * n))
+    for rng, row in zip(rngs, z):
+        rng.standard_normal(out=row)
+    halves = z.reshape(len(rngs), 2, n)
+    np.multiply(np.sqrt(truth.sigma), halves, out=halves)
+    np.add(truth.s, halves, out=halves)
+    return halves[:, 0], halves[:, 1]
 
 
 def sample(scenario: Scenario, n: int, rng: np.random.Generator) -> Observations:

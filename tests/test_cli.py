@@ -378,6 +378,15 @@ def test_table_bad_flags_are_input_errors(flags):
     assert main(["table", "--scenario", "M1", "--gamma-grid", "1"] + flags) == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--scenario", "M1", "--gamma-grid", "1"], ["convergence", "--n-grid", "64,128"]],
+)
+def test_lab_commands_word_a_bad_reps_alike(argv, capsys):
+    assert main(argv + ["--reps", "1"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: --reps must be >= 2, got 1\n"
+
+
 def test_table_empty_oracle_collection_fails_before_any_replication(monkeypatch, capsys):
     def no_run(*args, **kwargs):
         raise AssertionError("table ran replications before building every collection")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from heteroselect import oracle_checks
-from heteroselect.estimation import KAPPA, TruthSpec
+from heteroselect.estimation import KAPPA, TruthSpec, _fit_rows
 from heteroselect.model_space import Model, block_means
 from heteroselect.oracle_checks import (
     InverseMomentCase,
@@ -81,6 +81,31 @@ def test_inverse_moment_memory_is_bounded_by_the_chunk():
     assert peak < 8 * reps * n / 2
 
 
+@pytest.mark.parametrize("n", [4, 64])
+def test_inverse_moment_equals_the_one_expression_formula(n, monkeypatch):
+    rng = np.random.default_rng(65)
+    case = InverseMomentCase(a=rng.normal(size=n), b=np.exp(rng.normal(size=n)))
+    reps = 10_007
+    monkeypatch.setattr(oracle_checks, "_CHUNK_ROWS", 3_000)  # 3 full chunks and a 1,007-row tail
+    z = SeedPolicy(66).stream().standard_normal((reps, n))
+    inv = 1.0 / (((case.a + np.sqrt(case.b) * z) ** 2).sum(axis=1))
+    res = lemma11_check(case, reps, SeedPolicy(66))
+    assert res.mc_estimate == float(inv.mean())
+    assert res.std_error == float(inv.std(ddof=1) / math.sqrt(reps))
+
+
+def test_inverse_moment_allocates_no_chunk_sized_temporaries():
+    n, reps = 64, 200_000
+    tracemalloc.start()
+    try:
+        lemma11_check(InverseMomentCase(a=np.zeros(n), b=np.ones(n)), reps, SeedPolicy(64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One chunk of draws, the per-row `inv`, and 1 MiB for everything else.
+    assert peak <= 8 * oracle_checks._CHUNK_ROWS * n + 8 * reps + 2**20
+
+
 def test_inverse_moment_case_validation():
     with pytest.raises(ValueError):
         InverseMomentCase(a=np.zeros(2), b=np.ones(2))
@@ -143,6 +168,27 @@ def test_variance_estimator_mean_identity():
     res = variance_mean_check(truth, m, reps=100_000, seeds=SeedPolicy(60))
     assert res.holds
     assert np.all(res.expected > 0)
+
+
+def test_variance_estimator_mean_equals_the_one_expression_formula(monkeypatch):
+    rng = np.random.default_rng(67)
+    m = Model(16, 1, 2)
+    truth = TruthSpec(s=rng.normal(size=16), sigma=np.exp(rng.normal(size=16) * 0.4))
+    reps = 5_003
+    monkeypatch.setattr(oracle_checks, "_CHUNK_ROWS", 2_000)  # 2 full chunks and a 1,003-row tail
+    stream = SeedPolicy(68).stream()
+    total = np.zeros(m.num_coarse)
+    total_sq = np.zeros(m.num_coarse)
+    for done in range(0, reps, 2_000):
+        y2 = truth.s + np.sqrt(truth.sigma) * stream.standard_normal((min(2_000, reps - done), m.n))
+        _, sighat, _ = _fit_rows(m, y2, y2)
+        total += sighat.sum(axis=0)
+        total_sq += (sighat**2).sum(axis=0)
+    empirical = total / reps
+    se = np.sqrt((total_sq - reps * empirical**2) / (reps - 1) / reps)
+    res = variance_mean_check(truth, m, reps, SeedPolicy(68))
+    assert np.array_equal(res.empirical, empirical)
+    assert np.array_equal(res.std_error, se)
 
 
 def test_prop1_sandwich_small_case():

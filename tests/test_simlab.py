@@ -73,6 +73,18 @@ def test_sample_deterministic():
     assert not np.array_equal(a.y1, c.y1)
 
 
+@pytest.mark.parametrize("name", ["M1", "M3"])
+@pytest.mark.parametrize("rows", [1, 5])
+def test_draw_equals_the_one_expression_formula(name, rows):
+    n = 64
+    truth = get_scenario(name).truth(n)
+    seeds = SeedPolicy(321)
+    y1, y2 = simlab._draw(truth, [seeds.stream(r) for r in range(rows)])
+    z = np.array([seeds.stream(r).standard_normal(2 * n) for r in range(rows)])
+    assert np.array_equal(y1, truth.s + np.sqrt(truth.sigma) * z[:, :n])
+    assert np.array_equal(y2, truth.s + np.sqrt(truth.sigma) * z[:, n:])
+
+
 def test_sample_mean_matches_truth():
     sc = get_scenario("M2")
     truth = sc.truth(8)
