@@ -6,6 +6,9 @@ block.  Splitting the data keeps the two estimators independent.
 
 All fit arithmetic lives here, including the block kernel `_fit_block` that
 scores a model collection on an (R, n) block for `select` and the simulation lab.
+The kernel takes the loss terms that depend only on the variance once per run
+of equal true variance within a coarse block, bit-identical to `kl_divergence`'s
+per-point terms.
 """
 
 from __future__ import annotations
@@ -214,19 +217,73 @@ def _loss(kind: str, truth: TruthSpec, sq_err, variance, out=(None, None)):
 
     out, when given, is two arrays shaped like variance that take the terms.
     """
-    terms, ratio = out
-    if kind == "kullback":
-        phi_terms = _phi(np.divide(variance, truth.sigma, out=ratio), out=terms)
-        return 0.5 * np.sum(np.add(np.divide(sq_err, variance, out=ratio), phi_terms, out=terms), axis=-1)
     if kind == "quadratic_mean":
         return np.sum(sq_err, axis=-1)
+    terms = _variance_terms(kind, truth.sigma, variance, out)
     if kind == "quadratic_variance":
-        terms = np.subtract(truth.sigma, variance, out=terms)
-        return np.sum(np.square(terms, out=terms), axis=-1)
+        return np.sum(terms, axis=-1)
+    return 0.5 * np.sum(np.add(np.divide(sq_err, variance, out=out[1]), terms, out=terms), axis=-1)
+
+
+def _variance_terms(kind: str, sigma, variance, out=(None, None)):
+    """The loss terms that depend only on the variance, written into out[0] when given:
+    phi(variance / sigma) for 'kullback' (the ratio goes to out[1]) and (sigma - variance) ** 2
+    for 'quadratic_variance'."""
+    terms, ratio = out
+    if kind == "kullback":
+        return _phi(np.divide(variance, sigma, out=ratio), out=terms)
+    if kind == "quadratic_variance":
+        return np.square(np.subtract(sigma, variance, out=terms), out=terms)
     raise ValueError(f"unknown risk kind {kind!r}")
 
 
-def _fit_block(models: Sequence[Model], y1: np.ndarray, y2: np.ndarray, ranked, truth=None, kind=None):
+def _sigma_runs(sigma: np.ndarray, blocks: int):
+    """The runs of sigma on `blocks` equal coarse blocks: the cells of the common refinement of
+    the blocks and the runs of equal neighbouring values of sigma, in order.
+
+    Returns (sigma on each run, the block of each run, the run of each point), or None when
+    every point is its own run.
+    """
+    n = len(sigma)
+    start = np.empty(n, dtype=bool)
+    start[0] = True
+    np.not_equal(sigma[1:], sigma[:-1], out=start[1:])
+    start[:: n // blocks] = True
+    first = np.flatnonzero(start)
+    if len(first) == n:
+        return None
+    return sigma[first], first // (n // blocks), np.cumsum(start) - 1
+
+
+def _run_loss(kind: str, runs, sq_err, block_var, out):
+    """`_loss` of variances given per coarse block, block_var (rows, blocks), with the variance
+    terms taken once per run of `_sigma_runs(truth.sigma, blocks)` and expanded to the points.
+
+    out is two (rows, n) arrays for the terms.  Every term equals its value in `_loss` on the
+    expanded variance: a variance and a sigma that compare equal are equal bit for bit, so each
+    term comes from the same IEEE operations on the same inputs, and the same contiguous
+    (rows, n) terms are summed.
+    """
+    if kind == "quadratic_mean":
+        return np.sum(sq_err, axis=-1)
+    terms, scratch = out
+    run_sigma, run_block, point_run = runs
+    shape = (len(block_var), len(run_sigma))
+    variance, run_terms = (b.reshape(-1)[: shape[0] * shape[1]].reshape(shape) for b in (scratch, terms))
+    # mode="clip" writes straight into out; the default mode buffers it.  The indices are in range.
+    np.take(block_var, run_block, axis=-1, out=variance, mode="clip")
+    _variance_terms(kind, run_sigma, variance, out=(run_terms, variance))
+    var_terms = np.take(run_terms, point_run, axis=-1, out=scratch, mode="clip")
+    if kind == "quadratic_variance":
+        return np.sum(var_terms, axis=-1)
+    blocks = block_var.shape[-1]
+    np.divide(_blocks(sq_err, blocks), block_var[..., None], out=_blocks(terms, blocks))
+    return 0.5 * np.sum(np.add(terms, var_terms, out=terms), axis=-1)
+
+
+def _fit_block(
+    models: Sequence[Model], y1: np.ndarray, y2: np.ndarray, ranked, truth=None, kind=None, runs=None
+):
     """Fit every model to each row of an (R, n) block with `fit`'s arithmetic: (lik, losses, bad).
 
     lik[r, j] is `log_likelihood` of model j on row r if ranked[j], losses[r, j]
@@ -234,17 +291,30 @@ def _fit_block(models: Sequence[Model], y1: np.ndarray, y2: np.ndarray, ranked, 
     bad[r] whether row r is degenerate for any model.
 
     The y1 block means and the squared residuals of a fine partition are computed
-    once for each run of consecutive models on it; in canonical order each fine
-    partition is one run.  Every (R, n) temporary is written into buffers
-    allocated once per call.
+    once for each stretch of consecutive models on it; in canonical order each
+    fine partition is one stretch.  The loss terms that depend only on the
+    variance are taken once per run of `_sigma_runs(truth.sigma, blocks)`
+    (`_run_loss`), and once per point where every point is its own run.  runs
+    maps a number of coarse blocks to its `_sigma_runs` and is filled for the
+    models' coarse levels: pass one dict per truth to share them between calls.
+    Every (R, n) temporary is written into buffers allocated once per call.
     """
     size, n = y1.shape
     bad = np.zeros(size, dtype=bool)
     lik = np.zeros((size, len(models)))
     losses = np.zeros((size, len(models)))
+    runs = {} if runs is None else runs
+    if kind is not None:
+        for m in models:
+            if m.num_coarse not in runs:
+                runs[m.num_coarse] = _sigma_runs(truth.sigma, m.num_coarse)
+    per_point = kind is not None and any(runs[m.num_coarse] is None for m in models)
     # Squared errors of y1 and of the true mean from the y1 block means, y2's squared
-    # projection residuals, the expanded variance and the scratch of the sums.
-    y1_err, s_err, r2, variance, terms, ratio = np.empty((6, size, n))
+    # projection residuals, the scratch of the sums and, when some loss is taken per
+    # point, the expanded variance.
+    buffers = np.empty((6 if per_point else 5, size, n))
+    y1_err, s_err, r2, terms, ratio = buffers[:5]
+    variance = buffers[5] if per_point else None
     any_ranked = any(ranked)
     num_fine = None
     for j, m in enumerate(models):
@@ -262,8 +332,11 @@ def _fit_block(models: Sequence[Model], y1: np.ndarray, y2: np.ndarray, ranked, 
         if ranked[j]:
             lik[:, j] = _block_log_likelihood(y1_err, block_var, out=terms)
         if kind is not None:
-            np.copyto(_blocks(variance, m.num_coarse), block_var[..., None])
-            losses[:, j] = _loss(kind, truth, s_err, variance, out=(terms, ratio))
+            if runs[m.num_coarse] is None:
+                np.copyto(_blocks(variance, m.num_coarse), block_var[..., None])
+                losses[:, j] = _loss(kind, truth, s_err, variance, out=(terms, ratio))
+            else:
+                losses[:, j] = _run_loss(kind, runs[m.num_coarse], s_err, block_var, out=(terms, ratio))
     return lik, losses, bad
 
 

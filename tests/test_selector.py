@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heteroselect.estimation import (
     DegenerateVarianceError,
     Observations,
+    TruthSpec,
     _fit_block,
     _fit_rows,
     _loss,
@@ -13,7 +16,7 @@ from heteroselect.estimation import (
     fit,
     log_likelihood,
 )
-from heteroselect.model_space import CollectionConfig, Model, build_collection, expand, log_power
+from heteroselect.model_space import CollectionConfig, Model, all_models, build_collection, expand, log_power
 from heteroselect.selector import _first_min, penalty, select
 from heteroselect.simlab import RISK_KINDS, get_scenario
 
@@ -158,8 +161,13 @@ def test_select_raises_when_no_criterion_is_finite():
         select(build_collection(cfg), obs, cfg)
 
 
-@pytest.mark.parametrize("n, rows", [(16, 5), (1024, 5), (65536, 1)])
-def test_shared_kernel_equals_per_model_formulas(n, rows):
+@pytest.mark.parametrize("name, n, rows", [
+    # M3's ids stay n-rows, so records of earlier runs still name the same tests.
+    pytest.param(name, n, rows, id=f"{n}-{rows}" if name == "M3" else f"{name}-{n}-{rows}")
+    for name in ("M3", "M1", "M2", "M4")
+    for n, rows in ((16, 5), (1024, 5), (65536, 1))
+])
+def test_shared_kernel_equals_per_model_formulas(name, n, rows):
     # The block kernel shares each fine partition's residuals between its models and
     # broadcasts block values into buffers; per model, on expanded vectors, the formulas
     # must give the same bits.  The order is shuffled, so fine partitions recur
@@ -173,7 +181,7 @@ def test_shared_kernel_equals_per_model_formulas(n, rows):
         models = build_collection(CollectionConfig(n, 2.0, 2.0, 0.01, 3.0))
     models = [models[i] for i in rng.permutation(len(models))]
     ranked = [j % 3 != 1 for j in range(len(models))]
-    truth = get_scenario("M3").truth(n)
+    truth = get_scenario(name).truth(n)
     y1, y2 = truth.s + np.sqrt(truth.sigma) * rng.standard_normal((2, rows, n))
     if rows > 1:
         y2[rows // 2, : n // 2] = 0.5
@@ -195,3 +203,55 @@ def test_shared_kernel_equals_per_model_formulas(n, rows):
         assert (losses[~bad] == expected[kind][~bad]).all()
     lik, losses, _ = _fit_block(models, y1, y2, ranked)
     assert (lik[~bad] == expected[None][~bad]).all() and not losses.any()
+
+
+@st.composite
+def piecewise_constant_truths(draw):
+    """A truth at n in {8, ..., 256} whose sigma breaks on dyadic block edges, one point off
+    a dyadic edge (like M1's n/2 - 1), at neighbouring points, nowhere or everywhere."""
+    levels = draw(st.integers(3, 8))
+    n = 2**levels
+    shape = draw(st.sampled_from(["mixed", "nowhere", "everywhere"]))
+    if shape == "everywhere":
+        breaks = set(range(1, n))
+    elif shape == "nowhere":
+        breaks = set()
+    else:
+        edges = st.integers(1, levels).flatmap(lambda k: st.integers(1, 2**k - 1).map(lambda i: i * (n >> k)))
+        breaks = draw(st.sets(edges, max_size=4))
+        breaks |= {e - 1 for e in draw(st.sets(edges, max_size=2)) if e > 1}
+        breaks |= {i + d for i in draw(st.sets(st.integers(1, n - 2), max_size=2)) for d in (0, 1)}
+    starts = [0] + sorted(breaks)
+    values = draw(st.lists(st.floats(0.25, 4.0), min_size=len(starts), max_size=len(starts)))
+    sigma = np.repeat(values, np.diff(starts + [n]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    order = draw(st.permutations(range(len(all_models(n)))))
+    return TruthSpec(np.random.default_rng(seed).normal(size=n), sigma), seed, order
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=piecewise_constant_truths())
+def test_losses_per_run_equal_per_point_losses(case):
+    # The kernel takes the variance terms of a loss once per run of equal sigma within a
+    # coarse block; per model, on expanded vectors, the formulas must give the same bits.
+    # Every model, shuffled, so coarse levels recur non-consecutively.  Row 1 turns
+    # degenerate partway through (y2 constant on its first half).  A model with one-point
+    # fine blocks fits y2 exactly and turns every row degenerate, so those models come last;
+    # a degenerate row's losses take variance 1.
+    truth, seed, order = case
+    n, rows = truth.n, 3
+    models = sorted((all_models(n)[i] for i in order), key=lambda m: m.num_fine == n)
+    y1, y2 = truth.s + np.sqrt(truth.sigma) * np.random.default_rng(seed).standard_normal((2, rows, n))
+    y2[1, : n // 2] = 0.5
+    bad = np.zeros(rows, dtype=bool)
+    expected = {kind: np.zeros((rows, len(models))) for kind in RISK_KINDS}
+    for j, m in enumerate(models):
+        block_mean, block_var, degenerate = _fit_rows(m, y1, y2)
+        bad |= degenerate
+        mean, variance = expand(block_mean, n), expand(np.where(bad[:, None], 1.0, block_var), n)
+        for kind in RISK_KINDS:
+            expected[kind][:, j] = _loss(kind, truth, (truth.s - mean) ** 2, variance)
+    for kind in RISK_KINDS:
+        _, losses, got_bad = _fit_block(models, y1, y2, [False] * len(models), truth, kind)
+        assert got_bad.tolist() == bad.tolist()
+        assert (losses == expected[kind]).all()
