@@ -255,28 +255,31 @@ def _sigma_runs(sigma: np.ndarray, blocks: int):
     return sigma[first], first // (n // blocks), np.cumsum(start) - 1
 
 
-def _run_loss(kind: str, runs, sq_err, block_var, out):
-    """`_loss` of variances given per coarse block, block_var (rows, blocks), with the variance
-    terms taken once per run of `_sigma_runs(truth.sigma, blocks)` and expanded to the points.
+def _run_loss(kind: str, sigma, runs, sq_err, block_var, out):
+    """`_loss` of a kind with variance terms, 'kullback' or 'quadratic_variance', for variances
+    given per coarse block, block_var (rows, blocks).
 
-    out is two (rows, n) arrays for the terms.  Every term equals its value in `_loss` on the
-    expanded variance: a variance and a sigma that compare equal are equal bit for bit, so each
-    term comes from the same IEEE operations on the same inputs, and the same contiguous
-    (rows, n) terms are summed.
+    runs is `_sigma_runs(sigma, blocks)`: the variance terms are taken once per run and
+    expanded to the points, or once per point when runs is None.  out is two (rows, n) arrays
+    for the terms.  Every term equals its value in `_loss` on the expanded variance: a variance
+    and a sigma that compare equal are equal bit for bit, so each term comes from the same IEEE
+    operations on the same inputs, and the same contiguous (rows, n) terms are summed.
     """
-    if kind == "quadratic_mean":
-        return np.sum(sq_err, axis=-1)
     terms, scratch = out
-    run_sigma, run_block, point_run = runs
-    shape = (len(block_var), len(run_sigma))
-    variance, run_terms = (b.reshape(-1)[: shape[0] * shape[1]].reshape(shape) for b in (scratch, terms))
-    # mode="clip" writes straight into out; the default mode buffers it.  The indices are in range.
-    np.take(block_var, run_block, axis=-1, out=variance, mode="clip")
-    _variance_terms(kind, run_sigma, variance, out=(run_terms, variance))
-    var_terms = np.take(run_terms, point_run, axis=-1, out=scratch, mode="clip")
+    blocks = block_var.shape[-1]
+    if runs is None:
+        np.copyto(_blocks(terms, blocks), block_var[..., None])
+        var_terms = _variance_terms(kind, sigma, terms, out=(scratch, terms))
+    else:
+        run_sigma, run_block, point_run = runs
+        shape = (len(block_var), len(run_sigma))
+        variance, run_terms = (b.reshape(-1)[: shape[0] * shape[1]].reshape(shape) for b in (scratch, terms))
+        # mode="clip" writes straight into out; the default mode buffers it.  The indices are in range.
+        np.take(block_var, run_block, axis=-1, out=variance, mode="clip")
+        _variance_terms(kind, run_sigma, variance, out=(run_terms, variance))
+        var_terms = np.take(run_terms, point_run, axis=-1, out=scratch, mode="clip")
     if kind == "quadratic_variance":
         return np.sum(var_terms, axis=-1)
-    blocks = block_var.shape[-1]
     np.divide(_blocks(sq_err, blocks), block_var[..., None], out=_blocks(terms, blocks))
     return 0.5 * np.sum(np.add(terms, var_terms, out=terms), axis=-1)
 
@@ -294,27 +297,19 @@ def _fit_block(
     once for each stretch of consecutive models on it; in canonical order each
     fine partition is one stretch.  The loss terms that depend only on the
     variance are taken once per run of `_sigma_runs(truth.sigma, blocks)`
-    (`_run_loss`), and once per point where every point is its own run.  runs
-    maps a number of coarse blocks to its `_sigma_runs` and is filled for the
-    models' coarse levels: pass one dict per truth to share them between calls.
-    Every (R, n) temporary is written into buffers allocated once per call.
+    (`_run_loss`).  runs maps a number of coarse blocks to its `_sigma_runs` and
+    is filled as the models' coarse levels come up: pass one dict per truth to
+    share them between calls.  Every (R, n) temporary is written into buffers
+    allocated once per call.
     """
     size, n = y1.shape
     bad = np.zeros(size, dtype=bool)
     lik = np.zeros((size, len(models)))
     losses = np.zeros((size, len(models)))
     runs = {} if runs is None else runs
-    if kind is not None:
-        for m in models:
-            if m.num_coarse not in runs:
-                runs[m.num_coarse] = _sigma_runs(truth.sigma, m.num_coarse)
-    per_point = kind is not None and any(runs[m.num_coarse] is None for m in models)
     # Squared errors of y1 and of the true mean from the y1 block means, y2's squared
-    # projection residuals, the scratch of the sums and, when some loss is taken per
-    # point, the expanded variance.
-    buffers = np.empty((6 if per_point else 5, size, n))
-    y1_err, s_err, r2, terms, ratio = buffers[:5]
-    variance = buffers[5] if per_point else None
+    # projection residuals, and the scratch of the sums.
+    y1_err, s_err, r2, terms, scratch = np.empty((5, size, n))
     any_ranked = any(ranked)
     num_fine = None
     for j, m in enumerate(models):
@@ -331,12 +326,13 @@ def _fit_block(
             block_var = np.where(bad[:, None], 1.0, block_var)
         if ranked[j]:
             lik[:, j] = _block_log_likelihood(y1_err, block_var, out=terms)
-        if kind is not None:
-            if runs[m.num_coarse] is None:
-                np.copyto(_blocks(variance, m.num_coarse), block_var[..., None])
-                losses[:, j] = _loss(kind, truth, s_err, variance, out=(terms, ratio))
-            else:
-                losses[:, j] = _run_loss(kind, runs[m.num_coarse], s_err, block_var, out=(terms, ratio))
+        if kind == "quadratic_mean":
+            losses[:, j] = _loss(kind, truth, s_err, None)
+        elif kind is not None:
+            if m.num_coarse not in runs:
+                runs[m.num_coarse] = _sigma_runs(truth.sigma, m.num_coarse)
+            level_runs = runs[m.num_coarse]
+            losses[:, j] = _run_loss(kind, truth.sigma, level_runs, s_err, block_var, (terms, scratch))
     return lik, losses, bad
 
 

@@ -8,7 +8,6 @@ sample size; everything downstream enumerates this family exhaustively.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -136,14 +135,10 @@ def _dimension_bound_holds(n: int, dim: int, gamma: float, theta: float) -> bool
     return dim <= (theta - 1.0) / theta * n / (gamma + 2.0)
 
 
-@functools.cache
-def all_models(n: int) -> tuple[Model, ...]:
-    """Every model on {1, ..., n}, by ascending level, then ascending per_block_dim.
-
-    Built once per n: models are frozen, so callers share the tuple.
-    """
+def all_models(n: int) -> list[Model]:
+    """Every model on {1, ..., n}, by ascending level, then ascending per_block_dim."""
     k_n = n.bit_length() - 1
-    return tuple(Model(n, k, 2**j) for k in range(k_n + 1) for j in range(k_n - k + 1))
+    return [Model(n, k, 2**j) for k in range(k_n + 1) for j in range(k_n - k + 1)]
 
 
 def build_collection(cfg: CollectionConfig) -> list[Model]:

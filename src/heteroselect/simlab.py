@@ -237,7 +237,8 @@ def _scorer(targets: Sequence[Target], kind: str | None):
     kernel `estimation._fit_block`, of which `select` is the one-row case,
     and a CollectionConfig picks by `selector`'s rule: the first minimum of
     likelihood plus penalty, where NaN never wins.  Each configuration's
-    collection and penalties are computed once, here.
+    collection and penalties are computed once, here.  A scorer serves one
+    truth: it keeps that truth's sigma runs between blocks.
     """
     collections = {t: build_collection(t) for t in targets if isinstance(t, CollectionConfig)}
     members = [collections.get(t, [t]) for t in targets]
@@ -248,14 +249,11 @@ def _scorer(targets: Sequence[Target], kind: str | None):
     cols = [np.array([column[m] for m in ms]) for ms in members]
     pens = [np.array([penalty(m, t) for m in collections[t]]) if t in collections else None for t in targets]
 
-    # The truth last scored and its sigma runs, which `_fit_block` fills once per coarse level.
-    # Holding the truth keeps the identity test sound.
-    last = [None, {}]
+    # The sigma runs of the truth, which `_fit_block` fills once per coarse level.
+    runs = {}
 
     def score(y1, y2, truth):
-        if last[0] is not truth:
-            last[:] = truth, {}
-        lik, loss, bad = _fit_block(models, y1, y2, needs_lik, truth, kind, last[1])
+        lik, loss, bad = _fit_block(models, y1, y2, needs_lik, truth, kind, runs)
         size = len(y1)
         picks = np.zeros((size, len(targets)), dtype=np.intp)
         losses = np.empty((size, len(targets)))

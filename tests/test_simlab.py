@@ -359,18 +359,6 @@ def test_batched_scoring_equals_scalar_path(master):
                     assert losses[r, i] == _scalar_loss(kind, truth, est)
 
 
-def test_one_scorer_scores_each_truth_with_its_own_sigma_runs():
-    # The scorer keeps the sigma runs of the last truth it scored; a new truth of the same
-    # size, or a fresh copy of an earlier one, must not reuse them.
-    n, rows = 64, 3
-    targets = [Model(n, 2, 2), Model(n, 3, 1), CollectionConfig(n, 2.0, 2.0, 0.01, 3.0)]
-    score = simlab._scorer(targets, "kullback")
-    for name in ("M1", "M3", "M1", "M2"):
-        truth = get_scenario(name).truth(n)
-        y1, y2 = simlab._draw(truth, [np.random.default_rng(r) for r in range(rows)])
-        assert (score(y1, y2, truth)[0] == simlab._scorer(targets, "kullback")(y1, y2, truth)[0]).all()
-
-
 def test_results_do_not_depend_on_block_size(monkeypatch):
     def results(n, reps, seeds):
         scenarios = [get_scenario("M1"), get_scenario("M3")]
