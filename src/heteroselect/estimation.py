@@ -19,7 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .model_space import Model, _blocks, _dimension_bound_holds, block_means, check_power_of_two, expand
+from .model_space import (
+    Model, _blocks, _dimension_bound_holds, block_means, check_constant, check_power_of_two, expand,
+)
 
 KAPPA = 1.0 + 2.0 * math.exp(-1.0)
 
@@ -357,6 +359,8 @@ def prop1_bounds(m: Model, truth: TruthSpec, gamma: float, theta: float) -> tupl
     lower = max(bias, D/(4*gamma)); upper = bias + kappa*gamma^2*theta^2*D with
     kappa = 1 + 2/e.  Requires the dimension bound to hold for the model.
     """
+    check_constant("gamma", gamma)
+    check_constant("theta", theta)
     if not _dimension_bound_holds(m.n, m.dim, gamma, theta):
         raise ValueError(
             f"dimension bound violated: n={m.n} < {theta / (theta - 1.0) * (gamma + 2.0) * m.dim:.1f}"

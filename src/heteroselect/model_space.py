@@ -122,12 +122,17 @@ class CollectionConfig:
 
     def __post_init__(self):
         check_power_of_two("n", self.n)
-        for name, (bound, holds) in _CONSTANT_RANGES.items():
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if not holds(value):
-                raise ValueError(f"{name} must be {bound}, got {value}")
+        for name in _CONSTANT_RANGES:
+            check_constant(name, getattr(self, name))
+
+
+def check_constant(name: str, value: float) -> None:
+    """Raise ValueError unless the constant `name` (gamma, theta, epsilon or delta) is finite and in range."""
+    bound, holds = _CONSTANT_RANGES[name]
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if not holds(value):
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def _dimension_bound_holds(n: int, dim: int, gamma: float, theta: float) -> bool:

@@ -17,10 +17,7 @@ from .estimation import KAPPA, TruthSpec, _fit_rows, best_approx, prop1_bounds
 from .model_space import (
     DELTA, EPSILON, THETA, CollectionConfig, Model, all_models, block_means, build_collection,
 )
-from .simlab import Scenario, SeedPolicy, risk_profile
-
-# Rows of standard normals the Monte Carlo checks draw at a time, bounding their memory.
-_CHUNK_ROWS = 20_000
+from .simlab import Scenario, SeedPolicy, _block_rows, risk_profile
 
 
 @dataclass(frozen=True)
@@ -37,8 +34,10 @@ class InverseMomentCase:
             raise ValueError("a and b must be 1-d arrays of equal length")
         if len(self.a) <= 2:
             raise ValueError("need n > 2 for the inverse moment to be finite")
-        if not np.all(self.b > 0):
-            raise ValueError("scales b must be strictly positive")
+        if not np.isfinite(self.a).all():
+            raise ValueError("offsets a must be finite")
+        if not np.all((self.b > 0) & (self.b < np.inf)):
+            raise ValueError("scales b must be finite and strictly positive")
 
     @property
     def n(self) -> int:
@@ -53,21 +52,24 @@ class InverseMomentResult:
     holds: bool
 
 
-def _inverse_forms(case: InverseMomentCase, reps: int, rng: np.random.Generator) -> np.ndarray:
-    """1/Z for each of reps draws of Z, drawn _CHUNK_ROWS rows at a time into one buffer.
+def _gaussian_blocks(rng: np.random.Generator, reps: int, shift: np.ndarray, scale: np.ndarray):
+    """Yield (first row, block) over reps rows of shift + scale * z, z standard normal, drawn
+    from rng `_block_rows(n)` rows at a time into one reused buffer and transformed in place."""
+    rows = _block_rows(len(scale))
+    draws = np.empty((min(rows, reps), len(scale)))
+    for first in range(0, reps, rows):
+        block = rng.standard_normal(out=draws[: reps - first])
+        np.multiply(scale, block, out=block)
+        np.add(shift, block, out=block)
+        yield first, block
 
-    Each chunk computes 1 / sum((a + sqrt(b) * z)**2) in place, with the same
-    operations in the same order as that expression, so the draws and the
-    returned array are the only arrays as large as a chunk.
-    """
-    scale = np.sqrt(case.b)
+
+def _inverse_forms(case: InverseMomentCase, reps: int, rng: np.random.Generator) -> np.ndarray:
+    """1/Z for each of reps draws of Z, computed in place block by block with the
+    operations of 1 / sum((a + sqrt(b) * z)**2) in their order."""
     inv = np.empty(reps)
-    draws = np.empty((min(_CHUNK_ROWS, reps), case.n))
-    for done in range(0, reps, _CHUNK_ROWS):
-        z = rng.standard_normal(out=draws[: reps - done])
-        out = inv[done : done + len(z)]
-        np.multiply(scale, z, out=z)
-        np.add(case.a, z, out=z)
+    for first, z in _gaussian_blocks(rng, reps, case.a, np.sqrt(case.b)):
+        out = inv[first : first + len(z)]
         np.square(z, out=z)
         np.sum(z, axis=1, out=out)
         np.divide(1.0, out, out=out)
@@ -110,8 +112,8 @@ def lemma10_check(sigma_diag: np.ndarray, m: Model) -> CompressedSpectrumResult:
     sigma_diag = np.asarray(sigma_diag, dtype=float)
     if sigma_diag.shape != (m.n,):
         raise ValueError(f"sigma_diag must have length {m.n}")
-    if not np.all(sigma_diag > 0):
-        raise ValueError("sigma_diag must be strictly positive")
+    if not np.all((sigma_diag > 0) & (sigma_diag < np.inf)):
+        raise ValueError("sigma_diag must be finite and strictly positive")
     tau = block_means(sigma_diag, m.num_fine)
     lo, hi = float(sigma_diag.min()), float(sigma_diag.max())
     slack = 1e-12 * max(1.0, hi)
@@ -146,15 +148,9 @@ def variance_mean_check(
     rho = block_means(diag_sigma, m.num_coarse) / sigma_m_blocks
     expected = sigma_m_blocks * (1.0 - rho)
 
-    rng = seeds.stream()
-    sd = np.sqrt(truth.sigma)
     total = np.zeros(m.num_coarse)
     total_sq = np.zeros(m.num_coarse)
-    draws = np.empty((min(_CHUNK_ROWS, reps), m.n))
-    for done in range(0, reps, _CHUNK_ROWS):
-        y2 = rng.standard_normal(out=draws[: reps - done])  # truth.s + sd * z, in place
-        np.multiply(sd, y2, out=y2)
-        np.add(truth.s, y2, out=y2)
+    for _, y2 in _gaussian_blocks(seeds.stream(), reps, truth.s, np.sqrt(truth.sigma)):
         _, sighat, _ = _fit_rows(m, y2, y2)
         total += sighat.sum(axis=0)
         total_sq += (sighat**2).sum(axis=0)

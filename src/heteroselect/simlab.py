@@ -40,9 +40,13 @@ DEGENERATE_BUDGET = 1e-3
 
 _MAX_REDRAWS = 8
 
-#: Data points per block of replications: a block holds max(1, _BLOCK_POINTS // n) draws,
-#: so each (R, n) float temporary takes 512 KiB for n <= _BLOCK_POINTS.
 _BLOCK_POINTS = 2**16
+
+
+def _block_rows(n: int) -> int:
+    """Draws of n points per block, in the lab and the oracle checks alike: each (R, n)
+    float temporary of a block takes 512 KiB for n <= _BLOCK_POINTS."""
+    return max(1, _BLOCK_POINTS // n)
 
 
 @dataclass(frozen=True)
@@ -191,7 +195,7 @@ def sample(scenario: Scenario, n: int, rng: np.random.Generator) -> Observations
 def _run(scenario, n, seeds, reps, score):
     """The replication engine: score(y1, y2, truth) on blocks of the reps draws.
 
-    A block stacks max(1, _BLOCK_POINTS // n) replications as rows of (R, n)
+    A block stacks `_block_rows(n)` replications as rows of (R, n)
     arrays; score is a `_scorer` and returns per-row losses, picks and a
     degenerate mask.  Returns (the losses and the picks of all replications,
     number of redraws).  Replication r draws from the stream (r,) and, while
@@ -199,7 +203,7 @@ def _run(scenario, n, seeds, reps, score):
     _MAX_REDRAWS attempts in all.
     """
     truth = scenario.truth(n)
-    rows = max(1, _BLOCK_POINTS // n)
+    rows = _block_rows(n)
     results = None
     degenerate = 0
     for start in range(0, reps, rows):
@@ -307,6 +311,9 @@ def risk_profile(
     sizes = sorted({t.n for t in targets})
     if len(sizes) > 1:
         raise ValueError(f"targets have different sample sizes {sizes}")
+    for t in targets:
+        if isinstance(t, Model) and t.num_fine == t.n:
+            raise ValueError(f"{t} has one point per fine block, so its variance estimate is 0 on every draw")
     if kind not in RISK_KINDS:
         raise ValueError(f"kind must be one of {RISK_KINDS}, got {kind!r}")
     if reps < 2:

@@ -215,6 +215,25 @@ def test_prop1_rejects_oversized_model():
         prop1_bounds(m, truth, gamma=1.0, theta=2.0)
 
 
+@pytest.mark.parametrize(
+    "gamma, theta, message",
+    [
+        (2.0, 1.0, "theta must be > 1, got 1.0"),
+        (2.0, 0.5, "theta must be > 1, got 0.5"),
+        (0.5, 2.0, "gamma must be >= 1, got 0.5"),
+        (math.nan, 2.0, "gamma must be finite, got nan"),
+        (2.0, math.inf, "theta must be finite, got inf"),
+    ],
+    ids=["theta-1", "theta-0.5", "gamma-0.5", "gamma-nan", "theta-inf"],
+)
+def test_prop1_bounds_rejects_constants_out_of_range(gamma, theta, message):
+    m = Model(1024, 2, 2)
+    truth = TruthSpec(s=np.zeros(1024), sigma=np.ones(1024))
+    with pytest.raises(ValueError) as info:
+        prop1_bounds(m, truth, gamma, theta)
+    assert str(info.value) == message
+
+
 def test_observations_validation():
     with pytest.raises(ValueError):
         Observations(y1=np.zeros(3), y2=np.zeros(3))

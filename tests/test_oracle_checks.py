@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heteroselect import oracle_checks
+from heteroselect import oracle_checks, simlab
 from heteroselect.estimation import KAPPA, TruthSpec, _fit_rows
 from heteroselect.model_space import Model, block_means
 from heteroselect.oracle_checks import (
@@ -16,7 +16,7 @@ from heteroselect.oracle_checks import (
     prop1_sandwich_check,
     variance_mean_check,
 )
-from heteroselect.simlab import SeedPolicy, get_scenario
+from heteroselect.simlab import SeedPolicy, _block_rows, get_scenario
 
 
 def test_inverse_moment_exact_chi_square_case():
@@ -61,12 +61,13 @@ def test_inverse_moment_adversarial_kappa_fails():
 
 def test_inverse_moment_chunks_equal_one_draw(monkeypatch):
     rng = np.random.default_rng(62)
-    case = InverseMomentCase(a=rng.normal(size=8), b=np.exp(rng.normal(size=8)))
     reps = 10_007
-    assert reps <= oracle_checks._CHUNK_ROWS
-    whole = lemma11_check(case, reps, SeedPolicy(63))
-    monkeypatch.setattr(oracle_checks, "_CHUNK_ROWS", 3)  # 3,336 chunks with a one-row tail
-    assert lemma11_check(case, reps, SeedPolicy(63)) == whole
+    for n in (8, 64):
+        case = InverseMomentCase(a=rng.normal(size=n), b=np.exp(rng.normal(size=n)))
+        monkeypatch.setattr(simlab, "_BLOCK_POINTS", reps * n)  # one block of all the draws
+        whole = lemma11_check(case, reps, SeedPolicy(63))
+        monkeypatch.setattr(simlab, "_BLOCK_POINTS", 3 * n)  # 3,336 blocks with a one-row tail
+        assert lemma11_check(case, reps, SeedPolicy(63)) == whole
 
 
 def test_inverse_moment_memory_is_bounded_by_the_chunk():
@@ -86,7 +87,7 @@ def test_inverse_moment_equals_the_one_expression_formula(n, monkeypatch):
     rng = np.random.default_rng(65)
     case = InverseMomentCase(a=rng.normal(size=n), b=np.exp(rng.normal(size=n)))
     reps = 10_007
-    monkeypatch.setattr(oracle_checks, "_CHUNK_ROWS", 3_000)  # 3 full chunks and a 1,007-row tail
+    monkeypatch.setattr(simlab, "_BLOCK_POINTS", 3_000 * n)  # 3 full blocks and a 1,007-row tail
     z = SeedPolicy(66).stream().standard_normal((reps, n))
     inv = 1.0 / (((case.a + np.sqrt(case.b) * z) ** 2).sum(axis=1))
     res = lemma11_check(case, reps, SeedPolicy(66))
@@ -96,14 +97,16 @@ def test_inverse_moment_equals_the_one_expression_formula(n, monkeypatch):
 
 def test_inverse_moment_allocates_no_chunk_sized_temporaries():
     n, reps = 64, 200_000
+    case = InverseMomentCase(a=np.zeros(n), b=np.ones(n))
     tracemalloc.start()
     try:
-        lemma11_check(InverseMomentCase(a=np.zeros(n), b=np.ones(n)), reps, SeedPolicy(64))
+        oracle_checks._inverse_forms(case, reps, SeedPolicy(64).stream())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # One chunk of draws, the per-row `inv`, and 1 MiB for everything else.
-    assert peak <= 8 * oracle_checks._CHUNK_ROWS * n + 8 * reps + 2**20
+    # One block of draws, the per-row `inv`, and 1 MiB for everything else.  The draws are
+    # traced alone: `lemma11_check`'s `inv.std` takes one more reps-float temporary after them.
+    assert peak <= 8 * _block_rows(n) * n + 8 * reps + 2**20
 
 
 def test_inverse_moment_case_validation():
@@ -113,6 +116,11 @@ def test_inverse_moment_case_validation():
         InverseMomentCase(a=np.zeros(4), b=np.array([1.0, 1.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         InverseMomentCase(a=np.zeros(4), b=np.array([1.0, np.nan, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        InverseMomentCase(a=np.zeros(4), b=np.array([1.0, np.inf, 1.0, 1.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            InverseMomentCase(a=np.array([0.0, bad, 0.0, 0.0]), b=np.ones(4))
     with pytest.raises(ValueError):
         lemma11_check(InverseMomentCase(a=np.zeros(4), b=np.ones(4)), 100, SeedPolicy(0))
 
@@ -138,7 +146,7 @@ def test_compressed_spectrum_constant_sigma():
     assert res.holds
 
 
-@pytest.mark.parametrize("bad", [0.0, np.nan])
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
 def test_compressed_spectrum_rejects_nonpositive_sigma(bad):
     with pytest.raises(ValueError, match="positive"):
         lemma10_check(np.array([1.0, bad]), Model(2, 0, 1))
@@ -175,7 +183,7 @@ def test_variance_estimator_mean_equals_the_one_expression_formula(monkeypatch):
     m = Model(16, 1, 2)
     truth = TruthSpec(s=rng.normal(size=16), sigma=np.exp(rng.normal(size=16) * 0.4))
     reps = 5_003
-    monkeypatch.setattr(oracle_checks, "_CHUNK_ROWS", 2_000)  # 2 full chunks and a 1,003-row tail
+    monkeypatch.setattr(simlab, "_BLOCK_POINTS", 2_000 * m.n)  # 2 full blocks and a 1,003-row tail
     stream = SeedPolicy(68).stream()
     total = np.zeros(m.num_coarse)
     total_sq = np.zeros(m.num_coarse)

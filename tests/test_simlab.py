@@ -13,7 +13,7 @@ from heteroselect.estimation import (
     fit,
     kl_divergence,
 )
-from heteroselect.model_space import CollectionConfig, Model, build_collection
+from heteroselect.model_space import CollectionConfig, Model, all_models, build_collection
 from heteroselect.selector import select
 from heteroselect.simlab import (
     Scenario,
@@ -140,6 +140,28 @@ def test_mc_risk_rejects_bad_args():
         risk_profile(sc, [Model(64, 0, 1), CollectionConfig(128, 2.0, 2.0, 0.01, 3.0)], 10, SeedPolicy(0))
     with pytest.raises(ValueError, match="empty"):
         risk_profile(sc, [], 10, SeedPolicy(0))
+
+
+def test_risk_profile_rejects_a_model_with_one_point_per_fine_block(monkeypatch):
+    sc = get_scenario("M1")
+    models = all_models(64)
+    # Such a model fits y2 exactly, so its variance estimate is 0 on every draw.
+    exact = [m for m in models if m.num_fine == m.n]
+    assert exact == [Model(64, k, 64 >> k) for k in range(7)]
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("risk_profile drew before rejecting the target")
+
+    monkeypatch.setattr(simlab, "_run", no_run)
+    with pytest.raises(ValueError, match=r"^Model\(n=64, level=0, per_block_dim=64\) has one point per fine block"):
+        risk_profile(sc, models, 40, SeedPolicy(7))
+    cfg = CollectionConfig(64, 2.0, 2.0, 0.01, 3.0)
+    with pytest.raises(ValueError, match=r"^Model\(n=64, level=6, per_block_dim=1\) has one point"):
+        risk_profile(sc, [cfg, Model(64, 6, 1)], 40, SeedPolicy(7))
+    monkeypatch.undo()
+    # Every other model is scored.
+    reports = risk_profile(sc, [m for m in models if m not in exact], 40, SeedPolicy(7))
+    assert all(r.degenerate == 0 for r in reports)
 
 
 def test_oracle_risk_minimizes_over_shared_seeds():
