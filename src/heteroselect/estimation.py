@@ -210,7 +210,7 @@ def _block_log_likelihood(sq_err, block_var, out=None):
     terms = _blocks(out, blocks)
     np.divide(_blocks(sq_err, blocks), block_var[..., None], out=terms)
     np.add(terms, np.log(block_var)[..., None], out=terms)
-    return 0.5 * np.sum(out, axis=-1)
+    return 0.5 * np.add.reduce(out, axis=-1)
 
 
 def _loss(kind: str, truth: TruthSpec, sq_err, variance, out=(None, None)):
@@ -220,11 +220,11 @@ def _loss(kind: str, truth: TruthSpec, sq_err, variance, out=(None, None)):
     out, when given, is two arrays shaped like variance that take the terms.
     """
     if kind == "quadratic_mean":
-        return np.sum(sq_err, axis=-1)
+        return np.add.reduce(sq_err, axis=-1)
     terms = _variance_terms(kind, truth.sigma, variance, out)
     if kind == "quadratic_variance":
-        return np.sum(terms, axis=-1)
-    return 0.5 * np.sum(np.add(np.divide(sq_err, variance, out=out[1]), terms, out=terms), axis=-1)
+        return np.add.reduce(terms, axis=-1)
+    return 0.5 * np.add.reduce(np.add(np.divide(sq_err, variance, out=out[1]), terms, out=terms), axis=-1)
 
 
 def _variance_terms(kind: str, sigma, variance, out=(None, None)):
@@ -281,9 +281,9 @@ def _run_loss(kind: str, sigma, runs, sq_err, block_var, out):
         _variance_terms(kind, run_sigma, variance, out=(run_terms, variance))
         var_terms = np.take(run_terms, point_run, axis=-1, out=scratch, mode="clip")
     if kind == "quadratic_variance":
-        return np.sum(var_terms, axis=-1)
+        return np.add.reduce(var_terms, axis=-1)
     np.divide(_blocks(sq_err, blocks), block_var[..., None], out=_blocks(terms, blocks))
-    return 0.5 * np.sum(np.add(terms, var_terms, out=terms), axis=-1)
+    return 0.5 * np.add.reduce(np.add(terms, var_terms, out=terms), axis=-1)
 
 
 def _fit_block(
@@ -349,7 +349,7 @@ def best_approx(m: Model, truth: TruthSpec) -> tuple[Estimate, float]:
         raise ValueError(f"truth has length {truth.n}, model expects {m.n}")
     block_mean = block_means(truth.s, m.num_fine)
     block_var = block_means((truth.s - expand(block_mean, m.n)) ** 2 + truth.sigma, m.num_coarse)
-    bias = 0.5 * float(np.sum(np.log(expand(block_var, m.n) / truth.sigma)))
+    bias = 0.5 * float(np.add.reduce(np.log(expand(block_var, m.n) / truth.sigma)))
     return Estimate(m, block_mean, block_var), bias
 
 

@@ -8,6 +8,7 @@ sample size; everything downstream enumerates this family exhaustively.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,8 +36,12 @@ def log_power(x: float, epsilon: float) -> float:
 
 
 def block_means(y: np.ndarray, blocks: int) -> np.ndarray:
-    """Means of `blocks` equal consecutive blocks along the last axis, which shrinks to length `blocks`."""
-    return _blocks(y, blocks).mean(axis=-1)
+    """Means of `blocks` equal consecutive blocks along the last axis, which shrinks to length `blocks`.
+
+    The sum and the in-place division are those of `ndarray.mean`, without its Python wrapper.
+    """
+    sums = np.add.reduce(_blocks(y, blocks), axis=-1)
+    return np.divide(sums, y.shape[-1] // blocks, out=sums)
 
 
 def _blocks(y: np.ndarray, blocks: int) -> np.ndarray:
@@ -155,7 +160,14 @@ def build_collection(cfg: CollectionConfig) -> list[Model]:
       D <= 5*delta*gamma*n / (log n)^(1+epsilon),
     with D = 2**k * (d+1).  Canonical order: ascending D, then ascending
     number of coarse blocks; the first minimum in this order wins downstream.
+    Each config's collection is built once; every call returns a new list.
     """
+    return list(_collection(cfg))
+
+
+@functools.lru_cache(maxsize=64)
+def _collection(cfg: CollectionConfig) -> tuple[Model, ...]:
+    """`build_collection`'s models as a tuple, which the cache keeps and no caller can mutate."""
     n = cfg.n
     dim_cap_log = 5.0 * cfg.delta * cfg.gamma * n / log_power(n, cfg.epsilon) if n > 1 else 0.0
     models = [
@@ -168,8 +180,7 @@ def build_collection(cfg: CollectionConfig) -> list[Model]:
             f"no admissible model for n={n}, gamma={cfg.gamma}, theta={cfg.theta}: "
             "sample size too small for this configuration"
         )
-    models.sort(key=lambda m: (m.dim, m.num_coarse))
-    return models
+    return tuple(sorted(models, key=lambda m: (m.dim, m.num_coarse)))
 
 
 def project(m: Model, y: np.ndarray) -> np.ndarray:

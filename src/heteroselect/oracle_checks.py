@@ -85,6 +85,8 @@ def lemma11_check(
     """Monte Carlo check of E[1/Z] <= (1/E[Z]) * (1 + 2*kappa*(b_max/b_min)^2 / (n-2))."""
     if reps < 10_000:
         raise ValueError(f"reps must be >= 10000, got {reps}")
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"kappa must be finite and > 0, got {kappa}")
     inv = _inverse_forms(case, reps, seeds.stream())
     estimate = float(inv.mean())
     se = float(inv.std(ddof=1) / math.sqrt(reps))

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from heteroselect import model_space
 from heteroselect.model_space import (
     CollectionConfig,
     EmptyCollectionError,
     Model,
+    _blocks,
     all_models,
+    block_means,
     build_collection,
     expand,
     log_power,
@@ -134,6 +137,73 @@ def test_build_collection_canonical_order():
 def test_build_collection_empty_is_an_error():
     with pytest.raises(EmptyCollectionError):
         build_collection(CollectionConfig(4, 1.0, 2.0, 0.01, 3.0))
+
+
+def test_build_collection_returns_a_new_list_each_call():
+    cfg = CollectionConfig(1024, 2.0, 2.0, 0.01, 3.0)
+    first = build_collection(cfg)
+    expected = list(first)
+    first.reverse()
+    first.append(Model(1024, 0, 1))
+    second = build_collection(cfg)
+    assert second is not first
+    assert second == expected
+    second.clear()
+    assert build_collection(cfg) == expected
+
+
+@pytest.mark.parametrize("n", [16, 64, 1024, 65536])
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0, 7.0 / 3.0, 3.0])
+def test_build_collection_equals_an_uncached_recomputation(n, gamma):
+    cfg = CollectionConfig(n, gamma, 2.0, 0.01, 3.0)
+    try:
+        fresh = list(model_space._collection.__wrapped__(cfg))
+    except EmptyCollectionError:
+        for _ in range(2):
+            with pytest.raises(EmptyCollectionError):
+                build_collection(cfg)
+        return
+    model_space._collection.cache_clear()
+    assert build_collection(cfg) == fresh  # a miss
+    assert build_collection(cfg) == fresh  # a hit
+
+
+def test_int_and_float_constants_give_equal_collections():
+    for n in (64, 1024):
+        model_space._collection.cache_clear()
+        by_int = build_collection(CollectionConfig(n, 2, 2, 0.01, 3))
+        by_float = build_collection(CollectionConfig(n, 2.0, 2.0, 0.01, 3.0))
+        assert by_float == by_int
+        model_space._collection.cache_clear()
+        assert build_collection(CollectionConfig(n, 2.0, 2.0, 0.01, 3.0)) == by_int
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_block_means_equals_the_mean_bit_for_bit(rows):
+    n = 64
+    rng = np.random.default_rng(11)
+    shape = (n,) if rows is None else (rows, n)
+    # Signed zeros, subnormals, values near 1e300 and ordinary ones, mixed within blocks.
+    pool = np.array([-0.0, 0.0, 5e-324, -2.5e-320, 1e300, -9.9e299, 7.3e299, 1.0, -3.25, 1e-8])
+    values = [
+        pool[rng.integers(len(pool), size=shape)],
+        rng.integers(-7, 8, size=shape) * 5e-324,  # subnormals only: each mean rounds once
+        rng.normal(size=shape) * 1e300,
+        np.full(shape, -0.0),
+    ]
+    if rows is not None:
+        # The (R, n) views of one (R, 2, n) buffer that the lab hands the kernel.
+        values.append(rng.normal(size=(rows, 2, n))[:, 1])
+    for y in values:
+        for blocks in (2**k for k in range(n.bit_length())):
+            got = block_means(y, blocks)
+            want = _blocks(y, blocks).mean(axis=-1)
+            assert got.shape == want.shape == shape[:-1] + (blocks,)
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_project_blockwise_means():

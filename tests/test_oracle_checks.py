@@ -125,6 +125,19 @@ def test_inverse_moment_case_validation():
         lemma11_check(InverseMomentCase(a=np.zeros(4), b=np.ones(4)), 100, SeedPolicy(0))
 
 
+@pytest.mark.parametrize("kappa", [math.inf, math.nan, 0.0, -1.0])
+def test_inverse_moment_rejects_a_bad_kappa_before_any_draw(kappa, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("lemma11_check drew before checking kappa")
+
+    monkeypatch.setattr(oracle_checks, "_inverse_forms", no_draw)
+    message = f"kappa must be finite and > 0, got {kappa}"
+    with pytest.raises(ValueError, match=message):
+        lemma11_check(InverseMomentCase(a=np.zeros(4), b=np.ones(4)), 10_000, SeedPolicy(57), kappa=kappa)
+    with pytest.raises(ValueError, match=message):
+        lemma11_battery(3, reps=10_000, seeds=SeedPolicy(58), kappa=kappa)
+
+
 def test_compressed_spectrum_identity_projection():
     m = Model(2, 0, 2)  # fine blocks of size 1: projection is the identity
     res = lemma10_check(np.array([1.0, 2.0]), m)

@@ -235,6 +235,28 @@ def test_risk_report_std_error_definition():
     assert rep.replications == 40
 
 
+@pytest.mark.parametrize("reps", [2, 3, 500, 8192, 8193, 20000])
+def test_aggregate_equals_one_reduction_per_column(reps):
+    rng = np.random.default_rng(reps)
+    losses = np.column_stack(
+        [
+            rng.exponential(size=reps),
+            np.full(reps, 0.25),  # constant, summed exactly: the standard error is exactly 0
+            rng.normal(size=reps) * 1e6 + 3e9,
+            rng.exponential(size=reps) ** 4,
+            -rng.exponential(size=reps) * 1e-12,
+        ]
+    )
+    reports = simlab._aggregate(losses, "kullback", 3)
+    assert len(reports) == losses.shape[1]
+    for j, rep in enumerate(reports):
+        col = losses[:, j]
+        assert rep.estimate == float(col.mean())
+        assert rep.std_error == float(col.std(ddof=1) / math.sqrt(reps))
+        assert (rep.replications, rep.kind, rep.degenerate) == (reps, "kullback", 3)
+    assert reports[1].std_error == 0.0
+
+
 def test_convergence_guards():
     sc = lipschitz_scenario()
     seeds = SeedPolicy(29)
