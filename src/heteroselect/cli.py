@@ -190,9 +190,9 @@ def cmd_fit(args) -> int:
 
 
 def _parse_list(text: str, kind=float) -> list:
-    """The comma-separated entries of `text`, each parsed by `kind`."""
+    """The comma-separated entries of `text`, each stripped and parsed by `kind`; blank entries are skipped."""
     try:
-        return [kind(t) for t in text.split(",") if t.strip()]
+        return [kind(t.strip()) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise InputError(f"malformed numeric list {text!r}") from exc
 
@@ -210,7 +210,7 @@ def cmd_table(args) -> int:
         scenarios = builtin_scenarios()
     else:
         try:
-            scenarios = [get_scenario(name) for name in args.scenario.split(",")]
+            scenarios = _parse_list(args.scenario, get_scenario)
         except KeyError as exc:  # str() of a KeyError is the repr of its message
             raise InputError(exc.args[0]) from exc
     cells = ratio_table(

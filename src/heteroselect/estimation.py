@@ -213,18 +213,15 @@ def _block_log_likelihood(sq_err, block_var, out=None):
     return 0.5 * np.add.reduce(out, axis=-1)
 
 
-def _loss(kind: str, truth: TruthSpec, sq_err, variance, out=(None, None)):
+def _loss(kind: str, truth: TruthSpec, sq_err, variance):
     """The loss of a fitted pair from its squared mean errors (truth.s - mean) ** 2 and its variance:
-    'kullback' (`kl_divergence`), 'quadratic_mean' or 'quadratic_variance'.
-
-    out, when given, is two arrays shaped like variance that take the terms.
-    """
+    'kullback' (`kl_divergence`), 'quadratic_mean' or 'quadratic_variance'."""
     if kind == "quadratic_mean":
         return np.add.reduce(sq_err, axis=-1)
-    terms = _variance_terms(kind, truth.sigma, variance, out)
+    terms = _variance_terms(kind, truth.sigma, variance)
     if kind == "quadratic_variance":
         return np.add.reduce(terms, axis=-1)
-    return 0.5 * np.add.reduce(np.add(np.divide(sq_err, variance, out=out[1]), terms, out=terms), axis=-1)
+    return 0.5 * np.add.reduce(sq_err / variance + terms, axis=-1)
 
 
 def _variance_terms(kind: str, sigma, variance, out=(None, None)):
@@ -286,39 +283,35 @@ def _run_loss(kind: str, sigma, runs, sq_err, block_var, out):
     return 0.5 * np.add.reduce(np.add(terms, var_terms, out=terms), axis=-1)
 
 
-def _fit_block(
-    models: Sequence[Model], y1: np.ndarray, y2: np.ndarray, ranked, truth=None, kind=None, runs=None
-):
+def _fit_block(models: Sequence[Model], y1: np.ndarray, y2: np.ndarray, rank: bool, truth=None, kind=None):
     """Fit every model to each row of an (R, n) block with `fit`'s arithmetic: (lik, losses, bad).
 
-    lik[r, j] is `log_likelihood` of model j on row r if ranked[j], losses[r, j]
+    lik[r, j] is `log_likelihood` of model j on row r if rank, losses[r, j]
     is the loss `kind` against truth if a kind is given (both 0 otherwise), and
-    bad[r] whether row r is degenerate for any model.
+    bad[r] whether row r is degenerate for any model.  Nothing is kept between
+    calls.
 
     The y1 block means and the squared residuals of a fine partition are computed
     once for each stretch of consecutive models on it; in canonical order each
     fine partition is one stretch.  The loss terms that depend only on the
     variance are taken once per run of `_sigma_runs(truth.sigma, blocks)`
-    (`_run_loss`).  runs maps a number of coarse blocks to its `_sigma_runs` and
-    is filled as the models' coarse levels come up: pass one dict per truth to
-    share them between calls.  Every (R, n) temporary is written into buffers
-    allocated once per call.
+    (`_run_loss`), found once per coarse level as the levels come up.  Every
+    (R, n) temporary is written into buffers allocated once per call.
     """
     size, n = y1.shape
     bad = np.zeros(size, dtype=bool)
     lik = np.zeros((size, len(models)))
     losses = np.zeros((size, len(models)))
-    runs = {} if runs is None else runs
+    runs = {}
     # Squared errors of y1 and of the true mean from the y1 block means, y2's squared
     # projection residuals, and the scratch of the sums.
     y1_err, s_err, r2, terms, scratch = np.empty((5, size, n))
-    any_ranked = any(ranked)
     num_fine = None
     for j, m in enumerate(models):
         if m.num_fine != num_fine:
             num_fine = m.num_fine
             fine = _fine_fit(num_fine, y1, y2, out=r2)
-            if any_ranked:
+            if rank:
                 _squared_residuals(y1, fine[0], out=y1_err)
             if kind is not None:
                 _squared_residuals(truth.s, fine[0], out=s_err)
@@ -326,15 +319,14 @@ def _fit_block(
         bad |= degenerate
         if bad.any():  # callers discard or redraw those rows; keep their arithmetic finite
             block_var = np.where(bad[:, None], 1.0, block_var)
-        if ranked[j]:
+        if rank:
             lik[:, j] = _block_log_likelihood(y1_err, block_var, out=terms)
         if kind == "quadratic_mean":
             losses[:, j] = _loss(kind, truth, s_err, None)
         elif kind is not None:
             if m.num_coarse not in runs:
                 runs[m.num_coarse] = _sigma_runs(truth.sigma, m.num_coarse)
-            level_runs = runs[m.num_coarse]
-            losses[:, j] = _run_loss(kind, truth.sigma, level_runs, s_err, block_var, (terms, scratch))
+            losses[:, j] = _run_loss(kind, truth.sigma, runs[m.num_coarse], s_err, block_var, (terms, scratch))
     return lik, losses, bad
 
 

@@ -88,8 +88,10 @@ def lemma11_check(
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be finite and > 0, got {kappa}")
     inv = _inverse_forms(case, reps, seeds.stream())
-    estimate = float(inv.mean())
-    se = float(inv.std(ddof=1) / math.sqrt(reps))
+    # inv.mean() and inv.std(ddof=1), operation for operation, with the deviations taken in inv.
+    estimate = float(np.add.reduce(inv) / reps)
+    np.square(np.subtract(inv, estimate, out=inv), out=inv)
+    se = math.sqrt(np.add.reduce(inv) / (reps - 1)) / math.sqrt(reps)
     mean_z = float(np.sum(case.a**2 + case.b))
     ratio = float(case.b.max() / case.b.min())
     bound = (1.0 + 2.0 * kappa * ratio**2 / (case.n - 2)) / mean_z
@@ -144,6 +146,8 @@ def variance_mean_check(
     in-model variance.  Passes when every block's empirical mean is within 4
     standard errors of the prediction.
     """
+    if reps < 2:
+        raise ValueError(f"reps must be >= 2, got {reps}")
     approx, _ = best_approx(m, truth)
     sigma_m_blocks = approx.block_variance
     diag_sigma = truth.sigma * (m.num_fine / m.n)

@@ -56,7 +56,7 @@ def select(collection: Sequence[Model], obs: Observations, cfg: CollectionConfig
     pens = [penalty(m, cfg) for m in collection]
     # Overflow yields inf/nan criteria, which never win; the check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        lik, _, bad = _fit_block(collection, obs.y1[None], obs.y2[None], [True] * len(collection))
+        lik, _, bad = _fit_block(collection, obs.y1[None], obs.y2[None], True)
         if bad[0]:
             raise DegenerateVarianceError
         crits = lik[0] + pens

@@ -240,24 +240,19 @@ def _scorer(targets: Sequence[Target], kind: str | None):
     target.  Each distinct model is fitted once per block by the block
     kernel `estimation._fit_block`, of which `select` is the one-row case,
     and a CollectionConfig picks by `selector`'s rule: the first minimum of
-    likelihood plus penalty, where NaN never wins.  Each configuration's
-    collection and penalties are computed once, here.  A scorer serves one
-    truth: it keeps that truth's sigma runs between blocks.
+    likelihood plus penalty, where NaN never wins.  Likelihoods are taken for
+    every model when any target is a CollectionConfig.  Each configuration's
+    collection and penalties are computed once, here.
     """
     collections = {t: build_collection(t) for t in targets if isinstance(t, CollectionConfig)}
     members = [collections.get(t, [t]) for t in targets]
     models = list(dict.fromkeys(m for ms in members for m in ms))
     column = {m: j for j, m in enumerate(models)}
-    ranked = {m for ms in collections.values() for m in ms}
-    needs_lik = [m in ranked for m in models]
     cols = [np.array([column[m] for m in ms]) for ms in members]
     pens = [np.array([penalty(m, t) for m in collections[t]]) if t in collections else None for t in targets]
 
-    # The sigma runs of the truth, which `_fit_block` fills once per coarse level.
-    runs = {}
-
     def score(y1, y2, truth):
-        lik, loss, bad = _fit_block(models, y1, y2, needs_lik, truth, kind, runs)
+        lik, loss, bad = _fit_block(models, y1, y2, bool(collections), truth, kind)
         size = len(y1)
         picks = np.zeros((size, len(targets)), dtype=np.intp)
         losses = np.empty((size, len(targets)))
@@ -364,6 +359,8 @@ def ratio_table(
     are scored on the same draws, each drawn once.  Every oracle collection
     is built before any scenario is scored, so an empty one fails at once.
     """
+    if not scenarios:
+        raise ValueError("empty scenario list")
     if not gamma_grid:
         raise ValueError("empty gamma grid")
     selections = [CollectionConfig(n, g, theta, epsilon, delta) for g in gamma_grid]

@@ -326,6 +326,20 @@ def test_table_empty_gamma_grid(capsys):
     assert capsys.readouterr().err == "error: empty gamma grid\n"
 
 
+def test_table_empty_scenario_list(capsys):
+    assert main(["table", "--scenario", ",", "--gamma-grid", "1", "--n", "64", "--reps", "2"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: empty scenario list\n"
+
+
+def test_table_scenario_entries_are_stripped(tmp_path):
+    # Like --gamma-grid: blanks around an entry and blank entries are ignored.
+    base = ["table", "--gamma-grid", "1", "--n", "64", "--reps", "2", "--seed", "5", "--output"]
+    spaced, plain = tmp_path / "spaced.csv", tmp_path / "plain.csv"
+    assert main(base + [str(spaced), "--scenario", " M1, M2 ,"]) == EXIT_OK
+    assert main(base + [str(plain), "--scenario", "M1,M2"]) == EXIT_OK
+    assert spaced.read_bytes() == plain.read_bytes()
+
+
 def test_non_integer_env_seed_is_an_input_error(monkeypatch, capsys):
     monkeypatch.setenv("HETEROSELECT_SEED", "4.2")
     assert main(["table", "--scenario", "M1", "--gamma-grid", "1", "--n", "64", "--reps", "2"]) == EXIT_INPUT

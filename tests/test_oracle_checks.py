@@ -109,6 +109,29 @@ def test_inverse_moment_allocates_no_chunk_sized_temporaries():
     assert peak <= 8 * _block_rows(n) * n + 8 * reps + 2**20
 
 
+@pytest.mark.parametrize("reps", [10_000, 12_345, 123_457])
+def test_inverse_moment_statistics_equal_numpys_on_the_same_draws(reps):
+    rng = np.random.default_rng(reps)
+    case = InverseMomentCase(a=rng.normal(size=8), b=np.exp(rng.normal(size=8)))
+    inv = oracle_checks._inverse_forms(case, reps, SeedPolicy(70).stream())
+    res = lemma11_check(case, reps, SeedPolicy(70))
+    assert res.mc_estimate == float(inv.mean())
+    assert res.std_error == float(inv.std(ddof=1) / math.sqrt(reps))
+
+
+def test_inverse_moment_holds_one_float_per_draw_beyond_the_draw_buffer():
+    n, reps = 64, 200_000
+    SeedPolicy(64).stream()  # numpy imports numpy.random on the first stream; not traced
+    tracemalloc.start()
+    try:
+        lemma11_check(InverseMomentCase(a=np.zeros(n), b=np.ones(n)), reps, SeedPolicy(64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # `inv` is 8 bytes per draw; its deviations from the mean in a second array would be 8 more.
+    assert peak - 8 * _block_rows(n) * n < 10 * reps
+
+
 def test_inverse_moment_case_validation():
     with pytest.raises(ValueError):
         InverseMomentCase(a=np.zeros(2), b=np.ones(2))
@@ -189,6 +212,17 @@ def test_variance_estimator_mean_identity():
     res = variance_mean_check(truth, m, reps=100_000, seeds=SeedPolicy(60))
     assert res.holds
     assert np.all(res.expected > 0)
+
+
+@pytest.mark.parametrize("reps", [1, 0, -1])
+def test_variance_estimator_mean_rejects_fewer_than_two_reps_before_any_draw(reps, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("variance_mean_check drew before checking reps")
+
+    monkeypatch.setattr(oracle_checks, "_gaussian_blocks", no_draw)
+    truth = TruthSpec(s=np.zeros(16), sigma=np.ones(16))
+    with pytest.raises(ValueError, match=f"reps must be >= 2, got {reps}"):
+        variance_mean_check(truth, Model(16, 1, 2), reps, SeedPolicy(69))
 
 
 def test_variance_estimator_mean_equals_the_one_expression_formula(monkeypatch):

@@ -172,7 +172,8 @@ def test_shared_kernel_equals_per_model_formulas(name, n, rows):
     # broadcasts block values into buffers; per model, on expanded vectors, the formulas
     # must give the same bits.  The order is shuffled, so fine partitions recur
     # non-consecutively, and in a multi-row block the middle row has y2 constant on its
-    # first half: it turns degenerate partway through the collection.
+    # first half: it turns degenerate partway through the collection.  With rank the kernel
+    # takes every model's likelihood, without it none, and the losses are the same.
     rng = np.random.default_rng(n)
     levels = n.bit_length() - 1
     # Every model whose fine blocks hold at least two points; the others fit y2 exactly.
@@ -180,7 +181,6 @@ def test_shared_kernel_equals_per_model_formulas(name, n, rows):
     if n == 65536:
         models = build_collection(CollectionConfig(n, 2.0, 2.0, 0.01, 3.0))
     models = [models[i] for i in rng.permutation(len(models))]
-    ranked = [j % 3 != 1 for j in range(len(models))]
     truth = get_scenario(name).truth(n)
     y1, y2 = truth.s + np.sqrt(truth.sigma) * rng.standard_normal((2, rows, n))
     if rows > 1:
@@ -191,17 +191,17 @@ def test_shared_kernel_equals_per_model_formulas(name, n, rows):
         block_mean, block_var, degenerate = _fit_rows(m, y1, y2)
         bad |= degenerate
         mean, variance = expand(block_mean, n), expand(np.where(bad[:, None], 1.0, block_var), n)
-        if ranked[j]:
-            expected[None][:, j] = _neg_log_likelihood(y1, mean, variance)
+        expected[None][:, j] = _neg_log_likelihood(y1, mean, variance)
         for kind in RISK_KINDS:
             expected[kind][:, j] = _loss(kind, truth, (truth.s - mean) ** 2, variance)
     assert bad.tolist() == [rows > 1 and r == rows // 2 for r in range(rows)]
     for kind in RISK_KINDS:
-        lik, losses, got_bad = _fit_block(models, y1, y2, ranked, truth, kind)
-        assert got_bad.tolist() == bad.tolist()
-        assert (lik[~bad] == expected[None][~bad]).all()
-        assert (losses[~bad] == expected[kind][~bad]).all()
-    lik, losses, _ = _fit_block(models, y1, y2, ranked)
+        for rank in (True, False):
+            lik, losses, got_bad = _fit_block(models, y1, y2, rank, truth, kind)
+            assert got_bad.tolist() == bad.tolist()
+            assert (lik[~bad] == expected[None][~bad]).all() if rank else not lik.any()
+            assert (losses[~bad] == expected[kind][~bad]).all()
+    lik, losses, _ = _fit_block(models, y1, y2, True)
     assert (lik[~bad] == expected[None][~bad]).all() and not losses.any()
 
 
@@ -252,6 +252,6 @@ def test_losses_per_run_equal_per_point_losses(case):
         for kind in RISK_KINDS:
             expected[kind][:, j] = _loss(kind, truth, (truth.s - mean) ** 2, variance)
     for kind in RISK_KINDS:
-        _, losses, got_bad = _fit_block(models, y1, y2, [False] * len(models), truth, kind)
+        _, losses, got_bad = _fit_block(models, y1, y2, False, truth, kind)
         assert got_bad.tolist() == bad.tolist()
         assert (losses == expected[kind]).all()

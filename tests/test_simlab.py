@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -198,6 +199,11 @@ def test_ratio_table_layout_and_determinism():
     assert cells == again
     with pytest.raises(ValueError):
         ratio_table(sc, [], 128, 20, SeedPolicy(17))
+
+
+def test_ratio_table_rejects_an_empty_scenario_list():
+    with pytest.raises(ValueError, match="empty scenario list"):
+        ratio_table([], [1.0], 64, 2, SeedPolicy(17))
 
 
 def test_ratio_table_equals_separate_passes():
@@ -401,6 +407,23 @@ def test_batched_scoring_equals_scalar_path(master):
                 for kind, (losses, _, bad) in scored.items():
                     assert not bad[r]
                     assert losses[r, i] == _scalar_loss(kind, truth, est)
+
+
+def test_a_reused_scorer_equals_a_fresh_one_on_every_truth():
+    # The kernel keeps nothing between calls, so a scorer that has scored a block of one
+    # truth scores a block of another exactly as a new scorer does, in either order.
+    n = 64
+    cfg = CollectionConfig(n, 2.0, 2.0, 0.01, 3.0)
+    targets = build_collection(cfg) + [cfg]
+    for kind, order in itertools.product(simlab.RISK_KINDS, [("M1", "M4"), ("M4", "M1")]):
+        reused = simlab._scorer(targets, kind)
+        for name in order:
+            truth = get_scenario(name).truth(n)
+            y1, y2 = simlab._draw(truth, [SeedPolicy(71).stream(r) for r in range(8)])
+            losses, picks, bad = reused(y1, y2, truth)
+            fresh_losses, fresh_picks, fresh_bad = simlab._scorer(targets, kind)(y1, y2, truth)
+            assert (losses == fresh_losses).all() and (picks == fresh_picks).all()
+            assert (bad == fresh_bad).all()
 
 
 def test_results_do_not_depend_on_block_size(monkeypatch):
