@@ -206,7 +206,7 @@ def _lab_reps(args) -> int:
 
 def cmd_table(args) -> int:
     seed = _resolve_seed(args)
-    if args.scenario == "all":
+    if args.scenario.strip() == "all":
         scenarios = builtin_scenarios()
     else:
         try:

@@ -292,8 +292,8 @@ def _fit_block(models: Sequence[Model], y1: np.ndarray, y2: np.ndarray, rank: bo
     calls.
 
     The y1 block means and the squared residuals of a fine partition are computed
-    once for each stretch of consecutive models on it; in canonical order each
-    fine partition is one stretch.  The loss terms that depend only on the
+    once for each stretch of consecutive models on it; in `all_models`' order
+    each fine partition is one stretch.  The loss terms that depend only on the
     variance are taken once per run of `_sigma_runs(truth.sigma, blocks)`
     (`_run_loss`), found once per coarse level as the levels come up.  Every
     (R, n) temporary is written into buffers allocated once per call.

@@ -9,6 +9,7 @@ sample size; everything downstream enumerates this family exhaustively.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -145,42 +146,39 @@ def _dimension_bound_holds(n: int, dim: int, gamma: float, theta: float) -> bool
     return dim <= (theta - 1.0) / theta * n / (gamma + 2.0)
 
 
-def all_models(n: int) -> list[Model]:
-    """Every model on {1, ..., n}, by ascending level, then ascending per_block_dim."""
-    k_n = n.bit_length() - 1
-    return [Model(n, k, 2**j) for k in range(k_n + 1) for j in range(k_n - k + 1)]
+@functools.lru_cache(maxsize=None, typed=True)
+def all_models(n: int) -> tuple[Model, ...]:
+    """Every model on {1, ..., n}, built once per n, in canonical order: by fine partition, then coarse level.
+
+    With 2**j fine and 2**k coarse blocks (k <= j), D = 2**j + 2**k strictly
+    increases along this order: it is ascending D, no two models share a D, and
+    each fine partition is one stretch.  The first minimum in it wins downstream.
+    """
+    k_n = int(n).bit_length() - 1
+    return tuple(Model(n, k, 2 ** (j - k)) for j in range(k_n + 1) for k in range(j + 1))
 
 
 def build_collection(cfg: CollectionConfig) -> list[Model]:
-    """Enumerate all admissible models, in canonical order.
+    """The admissible models, a new list of a prefix of `all_models(n)`.
 
-    A model with coarse level k and per-block dimension d (1, 2, 4, ... up
-    to the coarse block size) is kept when both
+    A model with coarse level k and per-block dimension d, D = 2**k * (d+1), is kept when both
       n >= theta/(theta-1) * (gamma+2) * D   and
-      D <= 5*delta*gamma*n / (log n)^(1+epsilon),
-    with D = 2**k * (d+1).  Canonical order: ascending D, then ascending
-    number of coarse blocks; the first minimum in this order wins downstream.
-    Each config's collection is built once; every call returns a new list.
+      D <= 5*delta*gamma*n / (log n)^(1+epsilon).
+    Both bound D from above, so the collection ends at the first model that fails either.
     """
-    return list(_collection(cfg))
-
-
-@functools.lru_cache(maxsize=64)
-def _collection(cfg: CollectionConfig) -> tuple[Model, ...]:
-    """`build_collection`'s models as a tuple, which the cache keeps and no caller can mutate."""
     n = cfg.n
     dim_cap_log = 5.0 * cfg.delta * cfg.gamma * n / log_power(n, cfg.epsilon) if n > 1 else 0.0
-    models = [
-        m
-        for m in all_models(n)
-        if _dimension_bound_holds(n, m.dim, cfg.gamma, cfg.theta) and m.dim <= dim_cap_log
-    ]
+
+    def admissible(m: Model) -> bool:
+        return _dimension_bound_holds(n, m.dim, cfg.gamma, cfg.theta) and m.dim <= dim_cap_log
+
+    models = list(itertools.takewhile(admissible, all_models(n)))
     if not models:
         raise EmptyCollectionError(
             f"no admissible model for n={n}, gamma={cfg.gamma}, theta={cfg.theta}: "
             "sample size too small for this configuration"
         )
-    return tuple(sorted(models, key=lambda m: (m.dim, m.num_coarse)))
+    return models
 
 
 def project(m: Model, y: np.ndarray) -> np.ndarray:

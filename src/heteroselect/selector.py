@@ -42,7 +42,7 @@ class SelectionResult:
 def select(collection: Sequence[Model], obs: Observations, cfg: CollectionConfig) -> SelectionResult:
     """Minimize likelihood + penalty over the collection, with the penalty constants of cfg.
 
-    The collection is scanned in its canonical order (ascending dimension) and
+    The collection is scanned in `all_models`' order (ascending dimension) and
     ties are broken in favor of the earliest, i.e. most parsimonious, model.
     Runs the simulation lab's block kernel on a one-row block.  Raises
     ValueError when no model has a finite criterion, as when sums of values

@@ -332,12 +332,13 @@ def test_table_empty_scenario_list(capsys):
 
 
 def test_table_scenario_entries_are_stripped(tmp_path):
-    # Like --gamma-grid: blanks around an entry and blank entries are ignored.
+    # Like --gamma-grid: blanks around an entry and blank entries are ignored, "all" included.
     base = ["table", "--gamma-grid", "1", "--n", "64", "--reps", "2", "--seed", "5", "--output"]
-    spaced, plain = tmp_path / "spaced.csv", tmp_path / "plain.csv"
-    assert main(base + [str(spaced), "--scenario", " M1, M2 ,"]) == EXIT_OK
-    assert main(base + [str(plain), "--scenario", "M1,M2"]) == EXIT_OK
-    assert spaced.read_bytes() == plain.read_bytes()
+    for spaced_value, plain_value in [(" M1, M2 ,", "M1,M2"), (" all ", "all")]:
+        spaced, plain = tmp_path / "spaced.csv", tmp_path / "plain.csv"
+        assert main(base + [str(spaced), "--scenario", spaced_value]) == EXIT_OK
+        assert main(base + [str(plain), "--scenario", plain_value]) == EXIT_OK
+        assert spaced.read_bytes() == plain.read_bytes()
 
 
 def test_non_integer_env_seed_is_an_input_error(monkeypatch, capsys):

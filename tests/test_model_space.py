@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from heteroselect.model_space import (
     log_power,
     project,
 )
+from heteroselect.simlab import SeedPolicy, get_scenario, mc_risk
 
 
 def test_partition_blocks_cover_and_are_equal_sized():
@@ -95,6 +97,11 @@ def brute_force_collection(cfg):
     return out
 
 
+def ordered_brute_force_collection(cfg):
+    """The brute-force pairs in canonical order: ascending D, then fewer coarse blocks."""
+    return sorted(brute_force_collection(cfg), key=lambda kd: (2 ** kd[0] * (kd[1] + 1), 2 ** kd[0]))
+
+
 @pytest.mark.parametrize("n", [1, 2, 64])
 def test_all_models_lists_every_model_once_in_order(n):
     valid = []
@@ -105,7 +112,17 @@ def test_all_models_lists_every_model_once_in_order(n):
             except ValueError:
                 continue
             valid.append((k, d))
-    assert [(m.level, m.per_block_dim) for m in all_models(n)] == valid
+    models = all_models(n)
+    assert len(models) == len(valid)
+    assert sorted((m.level, m.per_block_dim) for m in models) == sorted(valid)
+    dims = [m.dim for m in models]
+    assert dims == sorted(set(dims))  # canonical order: ascending D, no two models share a D
+
+
+def test_all_models_is_built_once_per_n():
+    assert isinstance(all_models(64), tuple)
+    assert all_models(64) is all_models(64)
+    assert all_models(1024) is all_models(1024)
 
 
 def test_build_collection_n16_single_model():
@@ -156,26 +173,53 @@ def test_build_collection_returns_a_new_list_each_call():
 @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0, 7.0 / 3.0, 3.0])
 def test_build_collection_equals_an_uncached_recomputation(n, gamma):
     cfg = CollectionConfig(n, gamma, 2.0, 0.01, 3.0)
-    try:
-        fresh = list(model_space._collection.__wrapped__(cfg))
-    except EmptyCollectionError:
-        for _ in range(2):
+    expected = ordered_brute_force_collection(cfg)
+    model_space.all_models.cache_clear()
+    for calls in (1, 2):  # all_models(n) is a miss, then a hit
+        if expected:
+            assert [(m.level, m.per_block_dim) for m in build_collection(cfg)] == expected
+        else:
             with pytest.raises(EmptyCollectionError):
                 build_collection(cfg)
-        return
-    model_space._collection.cache_clear()
-    assert build_collection(cfg) == fresh  # a miss
-    assert build_collection(cfg) == fresh  # a hit
+        info = model_space.all_models.cache_info()
+        assert (info.misses, info.hits) == (1, calls - 1)
+
+
+def test_build_collection_sweep_equals_the_brute_force():
+    # Every power of two up to 2**20 under a grid of constants: the collection is the
+    # admissible set in (dim, num_coarse) order, or empty (n=1 admits no model).
+    for e, gamma, theta, epsilon, delta in itertools.product(
+        range(21), [1.0, 1.25, 1.5, 2.0, 7.0 / 3.0, 2.5, 3.0, 10.0], [1.1, 2.0, 5.0], [0.01, 1.0], [0.1, 3.0]
+    ):
+        cfg = CollectionConfig(2**e, gamma, theta, epsilon, delta)
+        expected = ordered_brute_force_collection(cfg) if e > 0 else []
+        try:
+            got = [(m.level, m.per_block_dim) for m in build_collection(cfg)]
+        except EmptyCollectionError:
+            got = []
+        assert got == expected, cfg
 
 
 def test_int_and_float_constants_give_equal_collections():
     for n in (64, 1024):
-        model_space._collection.cache_clear()
+        model_space.all_models.cache_clear()
         by_int = build_collection(CollectionConfig(n, 2, 2, 0.01, 3))
         by_float = build_collection(CollectionConfig(n, 2.0, 2.0, 0.01, 3.0))
         assert by_float == by_int
-        model_space._collection.cache_clear()
+        model_space.all_models.cache_clear()
         assert build_collection(CollectionConfig(n, 2.0, 2.0, 0.01, 3.0)) == by_int
+
+
+def test_numpy_integer_n_gives_the_int_collection_and_risk():
+    for n in (64, 1024):
+        by_numpy, by_int = (CollectionConfig(size, 2.0, 2.0, 0.01, 3.0) for size in (np.int64(n), n))
+        assert build_collection(by_numpy) == build_collection(by_int)
+    by_numpy, by_int = (CollectionConfig(size, 2.0, 2.0, 0.01, 3.0) for size in (np.int64(64), 64))
+    sc = get_scenario("M1")
+    assert mc_risk(sc, by_numpy, 50, SeedPolicy(3)) == mc_risk(sc, by_int, 50, SeedPolicy(3))
+    # The float 1024.0 is no size, though it hashes like 1024.
+    with pytest.raises(ValueError, match="^n must be a power of two, got 1024.0$"):
+        all_models(1024.0)
 
 
 def _bits(x):

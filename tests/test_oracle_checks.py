@@ -105,7 +105,7 @@ def test_inverse_moment_allocates_no_chunk_sized_temporaries():
     finally:
         tracemalloc.stop()
     # One block of draws, the per-row `inv`, and 1 MiB for everything else.  The draws are
-    # traced alone: `lemma11_check`'s `inv.std` takes one more reps-float temporary after them.
+    # traced alone: `lemma11_check` takes its moments in `inv` itself, with no reps-float temporary.
     assert peak <= 8 * _block_rows(n) * n + 8 * reps + 2**20
 
 
