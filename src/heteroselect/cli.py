@@ -47,7 +47,8 @@ VERIFY_MIN_REPS = 100_000
 
 
 class InputError(ValueError):
-    """A problem with input data or flags that the library does not check itself."""
+    """A problem with input data or flags that the library does not check itself, or one whose library
+    check the CLI repeats (`--reps`, `--kappa`) so that the message names the flag and fires before any work."""
 
 
 def _resolve_seed(args) -> int:

@@ -71,8 +71,8 @@ class Model:
 
     def __post_init__(self):
         check_power_of_two("n", self.n)
-        if self.level < 0:
-            raise ValueError(f"level must be nonnegative, got {self.level}")
+        if not (isinstance(self.level, (int, np.integer)) and self.level >= 0):
+            raise ValueError(f"level must be a nonnegative integer, got {self.level}")
         if 2**self.level > self.n:
             raise ValueError(f"2**{self.level} blocks exceed n={self.n}")
         d = self.per_block_dim
@@ -154,8 +154,8 @@ def all_models(n: int) -> tuple[Model, ...]:
     increases along this order: it is ascending D, no two models share a D, and
     each fine partition is one stretch.  The first minimum in it wins downstream.
     """
-    k_n = int(n).bit_length() - 1
-    return tuple(Model(n, k, 2 ** (j - k)) for j in range(k_n + 1) for k in range(j + 1))
+    check_power_of_two("n", n)
+    return tuple(Model(n, k, 2 ** (j - k)) for j in range(int(n).bit_length()) for k in range(j + 1))
 
 
 def build_collection(cfg: CollectionConfig) -> list[Model]:

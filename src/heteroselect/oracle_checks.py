@@ -17,7 +17,7 @@ from .estimation import KAPPA, TruthSpec, _fit_rows, best_approx, prop1_bounds
 from .model_space import (
     DELTA, EPSILON, THETA, CollectionConfig, Model, all_models, block_means, build_collection,
 )
-from .simlab import Scenario, SeedPolicy, _block_rows, risk_profile
+from .simlab import Scenario, SeedPolicy, _block_rows, _mean_and_se, risk_profile
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,7 @@ def lemma11_check(
         raise ValueError(f"reps must be >= 10000, got {reps}")
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be finite and > 0, got {kappa}")
-    inv = _inverse_forms(case, reps, seeds.stream())
-    # inv.mean() and inv.std(ddof=1), operation for operation, with the deviations taken in inv.
-    estimate = float(np.add.reduce(inv) / reps)
-    np.square(np.subtract(inv, estimate, out=inv), out=inv)
-    se = math.sqrt(np.add.reduce(inv) / (reps - 1)) / math.sqrt(reps)
+    estimate, se = map(float, _mean_and_se(_inverse_forms(case, reps, seeds.stream())))
     mean_z = float(np.sum(case.a**2 + case.b))
     ratio = float(case.b.max() / case.b.min())
     bound = (1.0 + 2.0 * kappa * ratio**2 / (case.n - 2)) / mean_z
@@ -141,28 +137,22 @@ def variance_mean_check(
 ) -> VarianceMeanResult:
     """Monte Carlo check of E[sigma_hat_I] = sigma_{m,I} * (1 - rho_I) on every coarse block.
 
-    rho_I averages the projection diagonal (1/|J| on each fine block J)
-    weighted by the true variances over the block, normalized by the best
-    in-model variance.  Passes when every block's empirical mean is within 4
-    standard errors of the prediction.
+    rho_I averages the projection diagonal (1/|J| on each fine block J) weighted by the true
+    variances over the block, normalized by the best in-model variance.  Passes when every
+    block's empirical mean is within 4 standard errors of the prediction.  The estimates of
+    all draws are held for the reduction: one float per draw and coarse block.
     """
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
-    approx, _ = best_approx(m, truth)
-    sigma_m_blocks = approx.block_variance
+    sigma_m_blocks = best_approx(m, truth)[0].block_variance
     diag_sigma = truth.sigma * (m.num_fine / m.n)
     rho = block_means(diag_sigma, m.num_coarse) / sigma_m_blocks
     expected = sigma_m_blocks * (1.0 - rho)
 
-    total = np.zeros(m.num_coarse)
-    total_sq = np.zeros(m.num_coarse)
-    for _, y2 in _gaussian_blocks(seeds.stream(), reps, truth.s, np.sqrt(truth.sigma)):
-        _, sighat, _ = _fit_rows(m, y2, y2)
-        total += sighat.sum(axis=0)
-        total_sq += (sighat**2).sum(axis=0)
-    empirical = total / reps
-    var = (total_sq - reps * empirical**2) / (reps - 1)
-    se = np.sqrt(var / reps)
+    sighats = np.empty((m.num_coarse, reps))
+    for first, y2 in _gaussian_blocks(seeds.stream(), reps, truth.s, np.sqrt(truth.sigma)):
+        sighats[:, first : first + len(y2)] = _fit_rows(m, y2, y2)[1].T
+    empirical, se = _mean_and_se(sighats)
     holds = bool(np.all(np.abs(empirical - expected) <= 4.0 * se))
     return VarianceMeanResult(empirical=empirical, expected=expected, std_error=se, holds=holds)
 

@@ -49,6 +49,16 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_POINTS // n)
 
 
+def _mean_and_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error std(ddof=1) / sqrt(reps) of each row of x, reps along the last
+    axis, by the operations of x.mean(-1) and x.std(-1, ddof=1) in numpy's order, bit-equal
+    to them.  Overwrites x with its squared deviations."""
+    reps = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / reps
+    np.square(np.subtract(x, mean, out=x), out=x)
+    return mean[..., 0], np.sqrt(np.add.reduce(x, axis=-1) / (reps - 1)) / math.sqrt(reps)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A pair of functions on [0, 1] sampled at i/n, with its variance-ratio bound."""
@@ -266,12 +276,10 @@ def _scorer(targets: Sequence[Target], kind: str | None):
 
 
 def _aggregate(losses: np.ndarray, kind: str, degenerate: int) -> list[RiskReport]:
-    """One report per column of the (reps, targets) losses.  The columns are reduced as the
-    rows of one contiguous copy, bit-equal to reducing each column on its own."""
+    """One report per column of the (reps, targets) losses, reduced as the rows of a copy (the
+    reduction overwrites it), bit-equal to reducing each column on its own."""
     reps = len(losses)
-    columns = np.ascontiguousarray(losses.T)
-    estimates = columns.mean(axis=-1)
-    std_errors = columns.std(axis=-1, ddof=1) / math.sqrt(reps)
+    estimates, std_errors = _mean_and_se(losses.T.copy())
     return [
         RiskReport(estimate=float(e), std_error=float(se), replications=reps, kind=kind, degenerate=degenerate)
         for e, se in zip(estimates, std_errors)

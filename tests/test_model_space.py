@@ -39,6 +39,12 @@ def test_partition_rejects_bad_inputs():
         Model(8, 1, 8)  # 2 coarse blocks of 4 cannot hold 8 fine blocks each
 
 
+@pytest.mark.parametrize("level", [1.0, 1.5, -0.0, math.log2(4)])
+def test_model_rejects_a_level_that_is_not_an_integer(level):
+    with pytest.raises(ValueError, match="level must be a nonnegative integer"):
+        Model(1024, level, 2)
+
+
 def test_model_dimension_formula():
     m = Model(1024, 2, 2)
     assert m.dim == 4 * 3 == 12
@@ -123,6 +129,12 @@ def test_all_models_is_built_once_per_n():
     assert isinstance(all_models(64), tuple)
     assert all_models(64) is all_models(64)
     assert all_models(1024) is all_models(1024)
+
+
+@pytest.mark.parametrize("n", [0, 1024.0])
+def test_all_models_rejects_a_size_that_is_not_a_power_of_two(n):
+    with pytest.raises(ValueError, match=f"n must be a power of two, got {n}"):
+        all_models(n)
 
 
 def test_build_collection_n16_single_model():

@@ -232,15 +232,13 @@ def test_variance_estimator_mean_equals_the_one_expression_formula(monkeypatch):
     reps = 5_003
     monkeypatch.setattr(simlab, "_BLOCK_POINTS", 2_000 * m.n)  # 2 full blocks and a 1,003-row tail
     stream = SeedPolicy(68).stream()
-    total = np.zeros(m.num_coarse)
-    total_sq = np.zeros(m.num_coarse)
+    sighats = []
     for done in range(0, reps, 2_000):
         y2 = truth.s + np.sqrt(truth.sigma) * stream.standard_normal((min(2_000, reps - done), m.n))
-        _, sighat, _ = _fit_rows(m, y2, y2)
-        total += sighat.sum(axis=0)
-        total_sq += (sighat**2).sum(axis=0)
-    empirical = total / reps
-    se = np.sqrt((total_sq - reps * empirical**2) / (reps - 1) / reps)
+        sighats.append(_fit_rows(m, y2, y2)[1])
+    per_block = np.concatenate(sighats).T.copy()  # one row of reps estimates per coarse block
+    empirical = per_block.mean(axis=-1)  # the two-pass mean and std of numpy
+    se = per_block.std(axis=-1, ddof=1) / math.sqrt(reps)
     res = variance_mean_check(truth, m, reps, SeedPolicy(68))
     assert np.array_equal(res.empirical, empirical)
     assert np.array_equal(res.std_error, se)

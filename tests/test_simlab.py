@@ -263,6 +263,36 @@ def test_aggregate_equals_one_reduction_per_column(reps):
     assert reports[1].std_error == 0.0
 
 
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("reps", [2, 3, 8192, 8193, 20000])
+@pytest.mark.parametrize("two_d", [False, True])
+def test_mean_and_se_equals_numpys_mean_and_std(reps, two_d):
+    rng = np.random.default_rng(reps)
+    rows = np.stack(
+        [
+            rng.exponential(size=reps),
+            np.full(reps, -0.0),  # constant: the standard error is exactly 0
+            np.full(reps, 2.0**996),  # ~1e300, summed exactly
+            rng.integers(-1000, 1000, size=reps) * 5e-324,  # subnormals
+            rng.normal(size=reps) * 1e150 + 1e152,  # squared deviations near 1e300
+            rng.normal(size=reps) * 1e6 + 3e9,
+        ]
+    )
+    std_errors = []
+    for x in [rows] if two_d else list(rows):
+        given = x.copy()
+        mean, se = simlab._mean_and_se(x)
+        assert _bits(mean) == _bits(given.mean(-1))
+        assert _bits(se) == _bits(given.std(-1, ddof=1) / math.sqrt(reps))
+        assert _bits(x) == _bits((given - given.mean(-1, keepdims=True)) ** 2)  # the squared deviations
+        std_errors.append(se)
+    std_errors = np.hstack(std_errors)
+    assert std_errors[1] == std_errors[2] == 0.0
+
+
 def test_convergence_guards():
     sc = lipschitz_scenario()
     seeds = SeedPolicy(29)
