@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .estimation import KAPPA, DegenerateVarianceError, Observations
-from .model_space import DELTA, EPSILON, THETA, CollectionConfig, build_collection
+from .model_space import DELTA, EPSILON, THETA, CollectionConfig, build_collection, check_reps
 from .oracle_checks import (
     InverseMomentCase,
     lemma10_battery,
@@ -48,7 +48,8 @@ VERIFY_MIN_REPS = 100_000
 
 class InputError(ValueError):
     """A problem with input data or flags that the library does not check itself, or one whose library
-    check the CLI repeats (`--reps`, `--kappa`) so that the message names the flag and fires before any work."""
+    check the CLI repeats (`--kappa`) so that the message names the flag and fires before any work.
+    `--reps` goes through the library's own `check_reps` under its flag name."""
 
 
 def _resolve_seed(args) -> int:
@@ -198,13 +199,6 @@ def _parse_list(text: str, kind=float) -> list:
         raise InputError(f"malformed numeric list {text!r}") from exc
 
 
-def _lab_reps(args) -> int:
-    """`table`'s and `convergence`'s `--reps`: a standard error needs two replications."""
-    if args.reps < 2:
-        raise InputError(f"--reps must be >= 2, got {args.reps}")
-    return args.reps
-
-
 def cmd_table(args) -> int:
     seed = _resolve_seed(args)
     if args.scenario.strip() == "all":
@@ -218,7 +212,7 @@ def cmd_table(args) -> int:
         scenarios,
         _parse_list(args.gamma_grid),
         n=args.n,
-        reps=_lab_reps(args),
+        reps=check_reps("--reps", args.reps, 2),
         seeds=SeedPolicy(seed),
         kind=args.kind,
         theta=args.theta,
@@ -235,7 +229,7 @@ def cmd_convergence(args) -> int:
     result = convergence_experiment(
         scenario,
         _parse_list(args.n_grid, int),
-        reps=_lab_reps(args),
+        reps=check_reps("--reps", args.reps, 2),
         seeds=SeedPolicy(seed),
         theta=args.theta,
         epsilon=args.epsilon,
@@ -263,8 +257,7 @@ def cmd_verify(args) -> int:
     sandwich_scenario = get_scenario("M1")
     # An n with no admissible sandwich model fails here, before any check runs.
     build_collection(CollectionConfig(args.n, sandwich_scenario.true_gamma, args.theta, args.epsilon, args.delta))
-    if args.reps < VERIFY_MIN_REPS:
-        raise InputError(f"--reps must be >= {VERIFY_MIN_REPS}, got {args.reps}")
+    check_reps("--reps", args.reps, VERIFY_MIN_REPS)
     if not (math.isfinite(kappa) and kappa > 0):
         raise InputError(f"--kappa must be finite and > 0, got {kappa}")
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .model_space import (
-    Model, _blocks, _dimension_bound_holds, block_means, check_constant, check_power_of_two, expand,
+    Model, _blocks, _dimension_bound_holds, block_means, check_constant, check_power_of_two, check_vector, expand,
 )
 
 KAPPA = 1.0 + 2.0 * math.exp(-1.0)
@@ -49,13 +49,11 @@ class Observations:
     y2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "y1", np.asarray(self.y1, dtype=float))
-        object.__setattr__(self, "y2", np.asarray(self.y2, dtype=float))
-        if self.y1.shape != self.y2.shape or self.y1.ndim != 1:
-            raise ValueError("replicates must be 1-d arrays of equal length")
+        object.__setattr__(self, "y1", check_vector("y1", self.y1))
+        object.__setattr__(self, "y2", check_vector("y2", self.y2))
+        if len(self.y1) != len(self.y2):
+            raise ValueError("replicates must have equal length")
         check_power_of_two("length", len(self.y1))
-        if not (np.isfinite(self.y1).all() and np.isfinite(self.y2).all()):
-            raise ValueError("replicates must be finite")
 
     @property
     def n(self) -> int:
@@ -88,14 +86,10 @@ class TruthSpec:
     sigma: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "s", np.asarray(self.s, dtype=float))
-        object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
-        if self.s.shape != self.sigma.shape or self.s.ndim != 1:
-            raise ValueError("s and sigma must be 1-d arrays of equal length")
-        if not (np.isfinite(self.s).all() and np.isfinite(self.sigma).all()):
-            raise ValueError("s and sigma must be finite")
-        if not np.all(self.sigma > 0):
-            raise ValueError("sigma must be strictly positive")
+        object.__setattr__(self, "s", check_vector("s", self.s))
+        object.__setattr__(self, "sigma", check_vector("sigma", self.sigma, positive=True))
+        if len(self.s) != len(self.sigma):
+            raise ValueError("s and sigma must have equal length")
 
     @property
     def n(self) -> int:
@@ -119,28 +113,20 @@ def _phi(u, out=None):
 
 def kl_divergence(truth: TruthSpec, mean: np.ndarray, variance: np.ndarray) -> float:
     """Kullback-Leibler divergence from the true Gaussian to the candidate one."""
-    mean = np.asarray(mean, dtype=float)
-    variance = np.asarray(variance, dtype=float)
-    if mean.shape != (truth.n,) or variance.shape != (truth.n,):
+    mean = check_vector("mean", mean)
+    variance = check_vector("variance", variance, positive=True)
+    if len(mean) != truth.n or len(variance) != truth.n:
         raise ValueError("mean/variance length mismatch with truth")
-    if not np.all(variance > 0):
-        raise ValueError("variance must be strictly positive")
-    if not (np.isfinite(mean).all() and np.isfinite(variance).all()):
-        raise ValueError("mean and variance must be finite")
     return float(_loss("kullback", truth, (truth.s - mean) ** 2, variance))
 
 
 def log_likelihood(y1: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float:
     """Negative log-likelihood of the first replicate, up to additive constants."""
-    y1 = np.asarray(y1, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    variance = np.asarray(variance, dtype=float)
-    if y1.shape != mean.shape or y1.shape != variance.shape:
+    y1 = check_vector("y1", y1)
+    mean = check_vector("mean", mean)
+    variance = check_vector("variance", variance, positive=True)
+    if len(y1) != len(mean) or len(y1) != len(variance):
         raise ValueError("length mismatch")
-    if not np.all(variance > 0):
-        raise ValueError("variance must be strictly positive")
-    if not (np.isfinite(y1).all() and np.isfinite(mean).all() and np.isfinite(variance).all()):
-        raise ValueError("y1, mean and variance must be finite")
     return float(_neg_log_likelihood(y1, mean, variance))
 
 

@@ -4,6 +4,8 @@ A model pairs a coarse dyadic partition (on which the variance estimate is
 constant) with a refinement of it (on which the mean estimate is constant).
 The admissible family is filtered by two dimension constraints tied to the
 sample size; everything downstream enumerates this family exhaustively.
+It also holds the one check of each kind of input: `check_power_of_two`,
+`check_constant`, `check_vector` (data vectors) and `check_reps` (rep counts).
 """
 
 from __future__ import annotations
@@ -26,14 +28,37 @@ def check_power_of_two(name: str, x: int) -> None:
         raise ValueError(f"{name} must be a power of two, got {x}")
 
 
+def check_vector(name: str, x, positive: bool = False) -> np.ndarray:
+    """x as a 1-d float array; raise ValueError unless every entry is finite (and > 0 if positive)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"{name} must be a 1-d array")
+    valid = (x > 0) & (x < np.inf) if positive else np.isfinite(x)
+    if not valid.all():
+        raise ValueError(f"{name} must be finite" + (" and strictly positive" if positive else ""))
+    return x
+
+
+def check_reps(name: str, reps: int, least: int) -> int:
+    """reps, after raising ValueError unless it is an integer (numpy's too) of at least `least`."""
+    if not isinstance(reps, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {reps!r}")
+    if reps < least:
+        raise ValueError(f"{name} must be >= {least}, got {reps}")
+    return reps
+
+
 def log_power(x: float, epsilon: float) -> float:
     """Natural log of x raised to the power 1 + epsilon, i.e. (log x)^(1+epsilon).
 
-    Requires x > 1 so the outer logarithm is defined.
+    Requires x > 1 so the outer logarithm is defined.  A value past the float range is inf.
     """
     if x <= 1.0:
         raise ValueError(f"log_power requires x > 1, got {x}")
-    return math.exp((1.0 + epsilon) * math.log(math.log(x)))
+    try:
+        return math.exp((1.0 + epsilon) * math.log(math.log(x)))
+    except OverflowError:
+        return math.inf
 
 
 def block_means(y: np.ndarray, blocks: int) -> np.ndarray:

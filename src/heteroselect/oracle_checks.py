@@ -15,7 +15,8 @@ import numpy as np
 
 from .estimation import KAPPA, TruthSpec, _fit_rows, best_approx, prop1_bounds
 from .model_space import (
-    DELTA, EPSILON, THETA, CollectionConfig, Model, all_models, block_means, build_collection,
+    DELTA, EPSILON, THETA, CollectionConfig, Model, all_models, block_means, build_collection, check_reps,
+    check_vector,
 )
 from .simlab import Scenario, SeedPolicy, _block_rows, _mean_and_se, risk_profile
 
@@ -28,16 +29,12 @@ class InverseMomentCase:
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        if self.a.shape != self.b.shape or self.a.ndim != 1:
-            raise ValueError("a and b must be 1-d arrays of equal length")
+        object.__setattr__(self, "a", check_vector("offsets a", self.a))
+        object.__setattr__(self, "b", check_vector("scales b", self.b, positive=True))
+        if len(self.a) != len(self.b):
+            raise ValueError("a and b must have equal length")
         if len(self.a) <= 2:
             raise ValueError("need n > 2 for the inverse moment to be finite")
-        if not np.isfinite(self.a).all():
-            raise ValueError("offsets a must be finite")
-        if not np.all((self.b > 0) & (self.b < np.inf)):
-            raise ValueError("scales b must be finite and strictly positive")
 
     @property
     def n(self) -> int:
@@ -83,8 +80,7 @@ def lemma11_check(
     kappa: float = KAPPA,
 ) -> InverseMomentResult:
     """Monte Carlo check of E[1/Z] <= (1/E[Z]) * (1 + 2*kappa*(b_max/b_min)^2 / (n-2))."""
-    if reps < 10_000:
-        raise ValueError(f"reps must be >= 10000, got {reps}")
+    check_reps("reps", reps, 10_000)
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be finite and > 0, got {kappa}")
     estimate, se = map(float, _mean_and_se(_inverse_forms(case, reps, seeds.stream())))
@@ -109,11 +105,9 @@ def lemma10_check(sigma_diag: np.ndarray, m: Model) -> CompressedSpectrumResult:
     For the blockwise-mean projection each fine block contributes one nonzero
     eigenvalue, the block-averaged variance; no eigensolver is needed.
     """
-    sigma_diag = np.asarray(sigma_diag, dtype=float)
-    if sigma_diag.shape != (m.n,):
+    sigma_diag = check_vector("sigma_diag", sigma_diag, positive=True)
+    if len(sigma_diag) != m.n:
         raise ValueError(f"sigma_diag must have length {m.n}")
-    if not np.all((sigma_diag > 0) & (sigma_diag < np.inf)):
-        raise ValueError("sigma_diag must be finite and strictly positive")
     tau = block_means(sigma_diag, m.num_fine)
     lo, hi = float(sigma_diag.min()), float(sigma_diag.max())
     slack = 1e-12 * max(1.0, hi)
@@ -142,8 +136,7 @@ def variance_mean_check(
     block's empirical mean is within 4 standard errors of the prediction.  The estimates of
     all draws are held for the reduction: one float per draw and coarse block.
     """
-    if reps < 2:
-        raise ValueError(f"reps must be >= 2, got {reps}")
+    check_reps("reps", reps, 2)
     sigma_m_blocks = best_approx(m, truth)[0].block_variance
     diag_sigma = truth.sigma * (m.num_fine / m.n)
     rho = block_means(diag_sigma, m.num_coarse) / sigma_m_blocks

@@ -30,7 +30,9 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .estimation import DegenerateVarianceError, Observations, TruthSpec, _fit_block
-from .model_space import DELTA, EPSILON, THETA, CollectionConfig, Model, build_collection, check_power_of_two
+from .model_space import (
+    DELTA, EPSILON, THETA, CollectionConfig, Model, build_collection, check_power_of_two, check_reps,
+)
 from .selector import _first_min, penalty
 
 RISK_KINDS = ("kullback", "quadratic_mean", "quadratic_variance")
@@ -320,8 +322,7 @@ def risk_profile(
             raise ValueError(f"{t} has one point per fine block, so its variance estimate is 0 on every draw")
     if kind not in RISK_KINDS:
         raise ValueError(f"kind must be one of {RISK_KINDS}, got {kind!r}")
-    if reps < 2:
-        raise ValueError(f"reps must be >= 2, got {reps}")
+    check_reps("reps", reps, 2)
 
     losses, _, degenerate = _run(scenario, sizes[0], seeds, reps, _scorer(targets, kind))
     return _aggregate(losses, kind, degenerate)
@@ -395,8 +396,7 @@ def selection_frequency(
 ) -> float:
     """Fraction of replications whose selected model satisfies the predicate, selecting
     with the scenario's true gamma and the default theta, epsilon and delta."""
-    if reps < 1000:
-        raise ValueError(f"reps must be >= 1000 for a meaningful frequency, got {reps}")
+    check_reps("reps", reps, 1000)
     cfg = CollectionConfig(n, scenario.true_gamma, THETA, EPSILON, DELTA)
     hit = np.array([1.0 if predicate(m) else 0.0 for m in build_collection(cfg)])
     _, picks, _ = _run(scenario, n, seeds, reps, _scorer([cfg], None))
@@ -417,13 +417,15 @@ class ConvergenceResult:
 
 
 def rate_threshold(scenario: HolderScenario, n: int, epsilon: float) -> float:
-    """Smallest admissible n for the rate experiment with this smooth scenario."""
+    """Smallest admissible n for the rate experiment with this smooth scenario: inf when
+    exp(4 (1+epsilon)^2) is past the float range."""
     sigma_star = float(scenario.truth(n).sigma.min())
     l1, l2 = scenario.const_mean, scenario.const_var
-    return max(
-        (2.0 * sigma_star**2 / (l1**2 * sigma_star + l2**2)) ** 2,
-        math.exp(4.0 * (1.0 + epsilon) ** 2),
-    )
+    try:
+        log_bound = math.exp(4.0 * (1.0 + epsilon) ** 2)
+    except OverflowError:
+        log_bound = math.inf
+    return max((2.0 * sigma_star**2 / (l1**2 * sigma_star + l2**2)) ** 2, log_bound)
 
 
 def convergence_experiment(

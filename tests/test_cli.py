@@ -402,6 +402,22 @@ def test_lab_commands_word_a_bad_reps_alike(argv, capsys):
     assert capsys.readouterr().err == "error: --reps must be >= 2, got 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "--epsilon", "1000", "--reps", "2", "--n", "64"], "no admissible model for n=64,"),
+        (["fit", "--input", "{csv}", "--epsilon", "1000"], "no admissible model for n=1024,"),
+        (["verify", "--epsilon", "1000"], "no admissible model for n=1024,"),
+        (["convergence", "--epsilon", "13", "--reps", "2"], "n_grid starts below the admissible threshold inf"),
+    ],
+    ids=["table", "fit", "verify", "convergence"],
+)
+def test_an_epsilon_past_the_float_range_is_one_error_line(argv, message, m1_csv, capsys):
+    assert main([a.format(csv=m1_csv) for a in argv]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_table_empty_oracle_collection_fails_before_any_replication(monkeypatch, capsys):
     def no_run(*args, **kwargs):
         raise AssertionError("table ran replications before building every collection")

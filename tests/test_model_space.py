@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from heteroselect import model_space
+from heteroselect import model_space, oracle_checks, simlab
+from heteroselect.estimation import Observations, TruthSpec, kl_divergence, log_likelihood
 from heteroselect.model_space import (
     CollectionConfig,
     EmptyCollectionError,
@@ -17,7 +20,10 @@ from heteroselect.model_space import (
     log_power,
     project,
 )
-from heteroselect.simlab import SeedPolicy, get_scenario, mc_risk
+from heteroselect.oracle_checks import InverseMomentCase, lemma10_check, lemma11_check, variance_mean_check
+from heteroselect.simlab import (
+    SeedPolicy, convergence_experiment, get_scenario, lipschitz_scenario, mc_risk, selection_frequency,
+)
 
 
 def test_partition_blocks_cover_and_are_equal_sized():
@@ -315,3 +321,115 @@ def test_log_power():
     assert log_power(2.0, 0.01) == pytest.approx(math.log(2.0) ** 1.01)
     with pytest.raises(ValueError):
         log_power(1.0, 0.01)
+
+
+@pytest.mark.parametrize("x, epsilon", [(1024, 1000.0), (2.0**1000, 1e300)])
+def test_log_power_past_the_float_range_is_inf(x, epsilon):
+    assert log_power(x, epsilon) == math.inf
+
+
+_TRUTH = TruthSpec(s=np.zeros(4), sigma=np.ones(4))
+
+
+def _refines_the_mean(m):
+    return m.per_block_dim > 1
+
+
+# Each entry point that takes a rep count: (call with reps, a valid count, the module and name of its draw).
+_REPS_CALLS = {
+    "mc_risk": (
+        lambda reps: mc_risk(get_scenario("M1"), Model(64, 1, 2), reps, SeedPolicy(71)),
+        10,
+        simlab,
+        "_draw",
+    ),
+    "selection_frequency": (
+        lambda reps: selection_frequency(get_scenario("M2"), 64, _refines_the_mean, reps, SeedPolicy(72)),
+        1000,
+        simlab,
+        "_draw",
+    ),
+    "lemma11_check": (
+        lambda reps: lemma11_check(InverseMomentCase(a=np.zeros(4), b=np.ones(4)), reps, SeedPolicy(73)),
+        20_000,
+        oracle_checks,
+        "_gaussian_blocks",
+    ),
+    "variance_mean_check": (
+        lambda reps: variance_mean_check(_TRUTH, Model(4, 0, 2), reps, SeedPolicy(74)),
+        10,
+        oracle_checks,
+        "_gaussian_blocks",
+    ),
+    "convergence_experiment": (
+        lambda reps: convergence_experiment(lipschitz_scenario(), [64, 128], reps, SeedPolicy(75)),
+        10,
+        simlab,
+        "_draw",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", _REPS_CALLS)
+@pytest.mark.parametrize("kind", [float, np.float64])
+def test_a_rep_count_that_is_not_an_integer_fails_before_any_draw(entry, kind, monkeypatch):
+    call, reps, module, draw = _REPS_CALLS[entry]
+
+    def no_draw(*args):
+        raise AssertionError(f"{entry} drew before checking reps")
+
+    monkeypatch.setattr(module, draw, no_draw)
+    with pytest.raises(ValueError, match=f"^reps must be an integer, got {re.escape(repr(kind(reps)))}$"):
+        call(kind(reps))
+
+
+@pytest.mark.parametrize("entry", _REPS_CALLS)
+def test_a_numpy_integer_rep_count_gives_the_same_report(entry):
+    call, reps, _, _ = _REPS_CALLS[entry]
+
+    def fields(result):
+        return dataclasses.astuple(result) if dataclasses.is_dataclass(result) else result
+
+    np.testing.assert_equal(fields(call(np.int64(reps))), fields(call(reps)))
+
+
+def test_check_reps_returns_the_count_and_names_it():
+    assert model_space.check_reps("--reps", np.int64(7), 2) == 7
+    with pytest.raises(ValueError, match="^--reps must be >= 2, got 1$"):
+        model_space.check_reps("--reps", 1, 2)
+    with pytest.raises(ValueError, match="^--reps must be an integer, got '2'$"):
+        model_space.check_reps("--reps", "2", 2)
+
+
+# Each vector argument of the six entry points that take one: (entry point, argument name, whether
+# it must be positive, the call with that argument replaced by v and every other one valid).
+_VECTOR_CALLS = [
+    ("Observations", "y1", False, lambda v: Observations(y1=v, y2=np.ones(4))),
+    ("Observations", "y2", False, lambda v: Observations(y1=np.ones(4), y2=v)),
+    ("TruthSpec", "s", False, lambda v: TruthSpec(s=v, sigma=np.ones(4))),
+    ("TruthSpec", "sigma", True, lambda v: TruthSpec(s=np.zeros(4), sigma=v)),
+    ("kl_divergence", "mean", False, lambda v: kl_divergence(_TRUTH, v, np.ones(4))),
+    ("kl_divergence", "variance", True, lambda v: kl_divergence(_TRUTH, np.zeros(4), v)),
+    ("log_likelihood", "y1", False, lambda v: log_likelihood(v, np.zeros(4), np.ones(4))),
+    ("log_likelihood", "mean", False, lambda v: log_likelihood(np.zeros(4), v, np.ones(4))),
+    ("log_likelihood", "variance", True, lambda v: log_likelihood(np.zeros(4), np.zeros(4), v)),
+    ("InverseMomentCase", "offsets a", False, lambda v: InverseMomentCase(a=v, b=np.ones(4))),
+    ("InverseMomentCase", "scales b", True, lambda v: InverseMomentCase(a=np.zeros(4), b=v)),
+    ("lemma10_check", "sigma_diag", True, lambda v: lemma10_check(v, Model(4, 0, 2))),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, name, positive, call", _VECTOR_CALLS, ids=[f"{e}-{a}" for e, a, *_ in _VECTOR_CALLS]
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, "2-d"])
+def test_a_bad_data_vector_is_rejected_by_name(entry, name, positive, call, bad):
+    if bad == "2-d":
+        v, fault = np.ones((1, 4)), "a 1-d array"
+    elif bad == 0.0 and not positive:
+        call(np.array([1.0, bad, 1.0, 1.0]))  # 0 is a valid mean or data value
+        return
+    else:
+        v, fault = np.array([1.0, bad, 1.0, 1.0]), "finite and strictly positive" if positive else "finite"
+    with pytest.raises(ValueError, match=f"^{name} must be {fault}$"):
+        call(v)

@@ -308,6 +308,11 @@ def test_convergence_guards():
         convergence_experiment(sc, [16, 32], 10, seeds)
 
 
+@pytest.mark.parametrize("epsilon", [13.0, 1e200])  # exp(4 (1+epsilon)^2) overflows; at 1e200 the square does
+def test_rate_threshold_past_the_float_range_is_inf(epsilon):
+    assert rate_threshold(lipschitz_scenario(), 256, epsilon) == math.inf
+
+
 def test_convergence_output_shape_and_normalization():
     sc = lipschitz_scenario()
     res = convergence_experiment(sc, [64, 128], 20, SeedPolicy(37))
