@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
 import sys
 import warnings
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -130,13 +132,22 @@ def _power_of_two_length(y1, y2, truncate: bool):
     return y1[:lower], y2[:lower]
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, pieces: Iterable[str]) -> None:
+    """Write the strings of `pieces` in turn to `path`, or to stdout when it is None or '-'."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # A reader that closes the pipe early (`fit ... | head`) is no error of the command: stop
+            # writing, and send what stdout still buffers to the null device, so the exit flush holds.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     else:
         try:
             with open(path, "w", newline="") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise InputError(f"cannot write {path}: {exc}") from exc
 
@@ -151,14 +162,33 @@ def _records_text(records, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_runs(blocks: np.ndarray, n: int) -> str:
-    """The length-n vector that repeats each of `blocks` n // len(blocks) times, as
-    `json.dumps(indent=2)` lays out a list inside the payload dict: each block is
-    formatted once."""
+#: About how many characters each piece of `_json_runs` holds: the output is written as it is
+#: formatted, never held whole, while small runs are batched into one write.
+_PIECE_CHARS = 1 << 16
+
+
+def _json_runs(blocks: np.ndarray, n: int) -> Iterator[str]:
+    """Pieces of about `_PIECE_CHARS` characters that join to the length-n vector repeating each
+    of `blocks` n // len(blocks) times, as `json.dumps(indent=2)` lays out a list inside the
+    payload dict.  Each block is formatted once, by `float.__repr__`: what `json.dumps` writes
+    for a finite float, and `select` only returns an estimate with a finite criterion."""
     sep = ",\n    "
     run = n // len(blocks)
-    items = "".join((json.dumps(float(v)) + sep) * run for v in blocks)
-    return "[\n    " + items[: -len(sep)] + "\n  ]"
+    values = blocks.tolist()
+    piece, room = ["[\n    "], _PIECE_CHARS
+    for i, v in enumerate(values):
+        item = float.__repr__(v) + sep
+        left = run - (i == len(values) - 1)  # the last value closes the list instead
+        while left:
+            count = min(left, max(room // len(item), 1))
+            piece.append(item * count)
+            left -= count
+            room -= count * len(item)
+            if room <= 0:
+                yield "".join(piece)
+                piece, room = [], _PIECE_CHARS
+    piece.append(float.__repr__(values[-1]) + "\n  ]")
+    yield "".join(piece)
 
 
 def cmd_fit(args) -> int:
@@ -169,8 +199,8 @@ def cmd_fit(args) -> int:
     result = select(build_collection(cfg), obs, cfg)
     chosen, est = result.chosen, result.estimate
     chosen_audit = next(a for a in result.per_model if a.model is chosen)
-    # The vectors are spliced into the text in place of these placeholders:
-    # the same bytes as dumping them whole, without formatting n floats.
+    # The vectors are written in place of these placeholders: the same bytes as
+    # dumping them whole, without formatting n floats or holding the document.
     payload = {
         "model": chosen.describe(),
         "mean": "@mean",
@@ -184,10 +214,12 @@ def cmd_fit(args) -> int:
             {**a.model.describe(), "likelihood": a.likelihood, "penalty": a.penalty, "criterion": a.criterion}
             for a in result.per_model
         ]
-    mean = _json_runs(est.block_mean, chosen.n)
-    variance = _json_runs(est.block_variance, chosen.n)
-    text = json.dumps(payload, indent=2).replace('"@mean"', mean, 1).replace('"@variance"', variance, 1)
-    _write_text(args.output, text + "\n")
+    head, rest = json.dumps(payload, indent=2).split('"@mean"', 1)
+    middle, tail = rest.split('"@variance"', 1)
+    pieces = itertools.chain(
+        [head], _json_runs(est.block_mean, chosen.n), [middle], _json_runs(est.block_variance, chosen.n), [tail, "\n"]
+    )
+    _write_text(args.output, pieces)
     return EXIT_OK
 
 
@@ -219,7 +251,7 @@ def cmd_table(args) -> int:
         epsilon=args.epsilon,
         delta=args.delta,
     )
-    _write_text(args.output, _records_text(cells, args.format))
+    _write_text(args.output, [_records_text(cells, args.format)])
     return EXIT_OK
 
 
@@ -239,7 +271,7 @@ def cmd_convergence(args) -> int:
         text = json.dumps(dataclasses.asdict(result), indent=2) + "\n"
     else:
         text = _records_text(result.points, "csv") + f"# slope,{result.slope!r}\n"
-    _write_text(args.output, text)
+    _write_text(args.output, [text])
     print(f"fitted log-log slope: {result.slope:.4f}", file=sys.stderr)
     return EXIT_OK
 
@@ -291,7 +323,7 @@ def cmd_verify(args) -> int:
         _count_check("risk_sandwich_m1", "models", entries),
     ]
     passed = all(c["passed"] for c in checks)
-    _write_text(args.output, json.dumps({"passed": passed, "checks": checks}, indent=2) + "\n")
+    _write_text(args.output, [json.dumps({"passed": passed, "checks": checks}, indent=2) + "\n"])
     if not passed:
         failed = ", ".join(c["name"] for c in checks if not c["passed"])
         print(f"verification failed: {failed} failed", file=sys.stderr)

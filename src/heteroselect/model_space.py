@@ -192,7 +192,10 @@ def build_collection(cfg: CollectionConfig) -> list[Model]:
     Both bound D from above, so the collection ends at the first model that fails either.
     """
     n = cfg.n
-    dim_cap_log = 5.0 * cfg.delta * cfg.gamma * n / log_power(n, cfg.epsilon) if n > 1 else 0.0
+    # (log n)^(1+epsilon) is 0 at n = 1, and at n = 2 (log log 2 < 0) it underflows to 0.0 for a
+    # large epsilon: the cap is then unbounded, its limit, as a subnormal divisor already gives.
+    log_n_power = log_power(n, cfg.epsilon) if n > 1 else 0.0
+    dim_cap_log = 5.0 * cfg.delta * cfg.gamma * n / log_n_power if log_n_power > 0.0 else math.inf
 
     def admissible(m: Model) -> bool:
         return _dimension_bound_holds(n, m.dim, cfg.gamma, cfg.theta) and m.dim <= dim_cap_log

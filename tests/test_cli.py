@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,12 +110,13 @@ def test_fit_malformed_csv(tmp_path):
 
 
 def _fit_data(name):
-    """1024 rows: a scenario draw, or 'blocks', a mean with 128 well-separated levels."""
+    """1024 rows, or the count after an '@': a scenario draw, or 'blocks', a mean with 128 well-separated levels."""
     if name == "blocks":
         rng = np.random.default_rng(105)
         s = np.repeat(np.tile([0.0, 10.0], 64), 8)
         return s + rng.normal(size=1024), s + rng.normal(size=1024)
-    obs = sample(get_scenario(name), 1024, SeedPolicy(106).stream(0))
+    name, _, rows = name.partition("@")
+    obs = sample(get_scenario(name), int(rows or 1024), SeedPolicy(106).stream(0))
     return obs.y1, obs.y2
 
 
@@ -147,6 +152,9 @@ def _reference_fit_text(y1, y2, gamma, quiet):
         ("M1", ["--quiet"]),
         ("M2", ["--truncate"]),
         ("M3", ["--output", "-"]),
+        # Each vector spans several of `_json_runs`' pieces.
+        ("M1@8192", []),
+        ("M1@8192", ["--output", "-"]),
     ],
 )
 def test_fit_output_is_byte_identical_to_reference_encoding(data, flags, tmp_path, capsys):
@@ -156,7 +164,7 @@ def test_fit_output_is_byte_identical_to_reference_encoding(data, flags, tmp_pat
     path = tmp_path / "in.csv"
     write_csv(path, y1, y2)
     gamma = float(flags[flags.index("--gamma") + 1]) if "--gamma" in flags else 2.0
-    n = 512 if "--truncate" in flags else 1024
+    n = 1 << (len(y1).bit_length() - 1)
     expected, chosen = _reference_fit_text(y1[:n], y2[:n], gamma, "--quiet" in flags)
     if data == "blocks":
         assert chosen.num_fine == 128
@@ -169,6 +177,42 @@ def test_fit_output_is_byte_identical_to_reference_encoding(data, flags, tmp_pat
     else:
         got = (tmp_path / "fit.json").read_bytes()
     assert got == expected.encode()
+
+
+_JSON_VALUES = [-0.0, 5e-324, 1e300, 0.1, 1 / 3, -2.5, 7.0, 1e-7]
+
+
+@pytest.mark.parametrize("piece_chars", [1, 7, 64, cli._PIECE_CHARS])
+@pytest.mark.parametrize("blocks", [[1 / 3], [5e-324, -0.0], _JSON_VALUES], ids=["1", "2", "n"])
+@pytest.mark.parametrize("n", [8, 64])
+def test_json_runs_join_to_the_whole_vector_encoding(n, blocks, piece_chars, monkeypatch):
+    monkeypatch.setattr(cli, "_PIECE_CHARS", piece_chars)
+    if len(blocks) == len(_JSON_VALUES):
+        blocks = _JSON_VALUES * (n // len(_JSON_VALUES))
+    blocks = np.array(blocks)
+    expected = json.dumps({"v": np.repeat(blocks, n // len(blocks)).tolist()}, indent=2)
+    pieces = list(cli._json_runs(blocks, n))
+    assert "".join(pieces) == expected[len('{\n  "v": ') : -len("\n}")]
+    # Runs split across pieces; at one character a piece ends just before the last value.
+    if piece_chars <= 64:
+        assert len(pieces) > 1
+    if piece_chars == 1:
+        assert pieces[-1] == repr(float(blocks[-1])) + "\n  ]"
+
+
+def test_fit_to_a_pipe_the_reader_closes_early_ends_quietly(tmp_path):
+    # ~800 KB of vectors cannot fit the pipe's buffer, so the writer meets the closed pipe.
+    y1, y2 = _fit_data("M1@16384")
+    path = tmp_path / "in.csv"
+    write_csv(path, y1, y2)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "heteroselect.cli", "fit", "--input", str(path), "--output", "-"]
+    with open(tmp_path / "err", "wb") as err:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=env)
+        assert proc.stdout.read(10) == b'{\n  "model'
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == EXIT_OK
+    assert (tmp_path / "err").read_bytes() == b""
 
 
 @pytest.mark.parametrize(
@@ -416,6 +460,15 @@ def test_an_epsilon_past_the_float_range_is_one_error_line(argv, message, m1_csv
     assert main([a.format(csv=m1_csv) for a in argv]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_fit_two_rows_with_an_underflowing_log_power_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "two-rows.csv"
+    write_csv(path, [0.5, 2.0], [1.5, -1.0])
+    assert main(["fit", "--input", str(path), "--epsilon", "3000"]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: no admissible model for n=2, gamma=2.0, theta=2.0: sample size too small for this configuration\n"
+    )
 
 
 def test_table_empty_oracle_collection_fails_before_any_replication(monkeypatch, capsys):

@@ -174,6 +174,14 @@ def test_build_collection_empty_is_an_error():
         build_collection(CollectionConfig(4, 1.0, 2.0, 0.01, 3.0))
 
 
+@pytest.mark.parametrize("epsilon", [0.01, 1000.0, 3000.0, 1e300])
+def test_build_collection_at_n2_is_empty_when_the_log_power_underflows(epsilon):
+    # log log 2 < 0, so (log 2)^(1+epsilon) reaches 0.0 from epsilon ~2,000 on: an unbounded cap.
+    assert (log_power(2, epsilon) == 0.0) == (epsilon > 2000)
+    with pytest.raises(EmptyCollectionError, match="^no admissible model for n=2,"):
+        build_collection(CollectionConfig(2, 2.0, 2.0, epsilon, 3.0))
+
+
 def test_build_collection_returns_a_new_list_each_call():
     cfg = CollectionConfig(1024, 2.0, 2.0, 0.01, 3.0)
     first = build_collection(cfg)
