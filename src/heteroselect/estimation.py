@@ -27,6 +27,9 @@ KAPPA = 1.0 + 2.0 * math.exp(-1.0)
 
 VARIANCE_FLOOR = 1e-12
 
+#: The losses of a fitted pair that `_loss` and the block kernel take.
+RISK_KINDS = ("kullback", "quadratic_mean", "quadratic_variance")
+
 
 class DegenerateVarianceError(RuntimeError):
     """A variance estimate collapsed to (numerical) zero.
@@ -217,9 +220,7 @@ def _variance_terms(kind: str, sigma, variance, out=(None, None)):
     terms, ratio = out
     if kind == "kullback":
         return _phi(np.divide(variance, sigma, out=ratio), out=terms)
-    if kind == "quadratic_variance":
-        return np.square(np.subtract(sigma, variance, out=terms), out=terms)
-    raise ValueError(f"unknown risk kind {kind!r}")
+    return np.square(np.subtract(sigma, variance, out=terms), out=terms)
 
 
 def _sigma_runs(sigma: np.ndarray, blocks: int):
@@ -335,7 +336,7 @@ def prop1_bounds(m: Model, truth: TruthSpec, gamma: float, theta: float) -> tupl
     """Lower and upper bounds sandwiching the Kullback risk of the fitted pair.
 
     lower = max(bias, D/(4*gamma)); upper = bias + kappa*gamma^2*theta^2*D with
-    kappa = 1 + 2/e.  Requires the dimension bound to hold for the model.
+    kappa = 1 + 2/e, inf past the float range.  Requires the dimension bound to hold for the model.
     """
     check_constant("gamma", gamma)
     check_constant("theta", theta)
@@ -345,5 +346,8 @@ def prop1_bounds(m: Model, truth: TruthSpec, gamma: float, theta: float) -> tupl
         )
     _, bias = best_approx(m, truth)
     lower = max(bias, m.dim / (4.0 * gamma))
-    upper = bias + KAPPA * gamma**2 * theta**2 * m.dim
+    try:
+        upper = bias + KAPPA * gamma**2 * theta**2 * m.dim
+    except OverflowError:  # a Python float's ** raises where * gives inf
+        upper = math.inf
     return lower, upper

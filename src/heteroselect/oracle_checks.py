@@ -79,14 +79,18 @@ def lemma11_check(
     seeds: SeedPolicy,
     kappa: float = KAPPA,
 ) -> InverseMomentResult:
-    """Monte Carlo check of E[1/Z] <= (1/E[Z]) * (1 + 2*kappa*(b_max/b_min)^2 / (n-2))."""
+    """Monte Carlo check of E[1/Z] <= (1/E[Z]) * (1 + 2*kappa*(b_max/b_min)^2 / (n-2)); the bound
+    is inf when (b_max/b_min)^2 is past the float range."""
     check_reps("reps", reps, 10_000)
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be finite and > 0, got {kappa}")
     estimate, se = map(float, _mean_and_se(_inverse_forms(case, reps, seeds.stream())))
     mean_z = float(np.sum(case.a**2 + case.b))
     ratio = float(case.b.max() / case.b.min())
-    bound = (1.0 + 2.0 * kappa * ratio**2 / (case.n - 2)) / mean_z
+    try:
+        bound = (1.0 + 2.0 * kappa * ratio**2 / (case.n - 2)) / mean_z
+    except OverflowError:
+        bound = math.inf
     return InverseMomentResult(
         mc_estimate=estimate, std_error=se, bound=bound, holds=estimate <= bound + 3.0 * se
     )

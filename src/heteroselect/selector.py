@@ -46,7 +46,7 @@ def select(collection: Sequence[Model], obs: Observations, cfg: CollectionConfig
     ties are broken in favor of the earliest, i.e. most parsimonious, model.
     Runs the simulation lab's block kernel on a one-row block.  Raises
     ValueError when no model has a finite criterion, as when sums of values
-    near the float limit overflow.
+    near the float limit or the penalty overflow.
     """
     if not collection:
         raise ValueError("empty model collection")
@@ -54,15 +54,13 @@ def select(collection: Sequence[Model], obs: Observations, cfg: CollectionConfig
     if wrong is not None:
         raise ValueError(f"observations have length {obs.n}, model expects {wrong}")
     pens = [penalty(m, cfg) for m in collection]
-    # Overflow yields inf/nan criteria, which never win; the check below reports it.
+    # Overflow yields inf/nan criteria, which never win; `_first_min` reports a row of them.
     with np.errstate(over="ignore", invalid="ignore"):
         lik, _, bad = _fit_block(collection, obs.y1[None], obs.y2[None], True)
         if bad[0]:
             raise DegenerateVarianceError
         crits = lik[0] + pens
         best = int(_first_min(crits))
-        if not np.isfinite(crits[best]):
-            raise ValueError("no model has a finite criterion: the data overflow floating-point arithmetic")
         estimate = fit(collection[best], obs)
     # Python floats, so that criterion == likelihood + penalty holds in the audit and in JSON.
     return SelectionResult(
@@ -74,5 +72,8 @@ def select(collection: Sequence[Model], obs: Observations, cfg: CollectionConfig
 
 
 def _first_min(criteria: np.ndarray) -> np.ndarray:
-    """Index of the smallest criterion along the last axis: the first on ties; NaN never wins."""
+    """The one pick rule, of `select`, the lab and the oracle: index of the smallest criterion
+    along the last axis, the first on ties; NaN never wins; no finite one is a ValueError."""
+    if not np.isfinite(criteria).any(axis=-1).all():
+        raise ValueError("no model has a finite criterion: the data or the penalty overflow floating-point arithmetic")
     return np.argmin(np.where(np.isnan(criteria), np.inf, criteria), axis=-1)

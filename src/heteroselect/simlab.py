@@ -29,13 +29,11 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .estimation import DegenerateVarianceError, Observations, TruthSpec, _fit_block
+from .estimation import RISK_KINDS, DegenerateVarianceError, Observations, TruthSpec, _fit_block
 from .model_space import (
     DELTA, EPSILON, THETA, CollectionConfig, Model, build_collection, check_power_of_two, check_reps,
 )
 from .selector import _first_min, penalty
-
-RISK_KINDS = ("kullback", "quadratic_mean", "quadratic_variance")
 
 #: Fraction of replications allowed to be redrawn due to degenerate variances.
 DEGENERATE_BUDGET = 1e-3
@@ -204,29 +202,28 @@ def sample(scenario: Scenario, n: int, rng: np.random.Generator) -> Observations
     return Observations(y1=y1[0], y2=y2[0])
 
 
-def _run(scenario, n, seeds, reps, score):
-    """The replication engine: score(y1, y2, truth) on blocks of the reps draws.
+def _run(scenario, targets, reps, seeds, kind):
+    """The replication engine: the `_scorer` of the targets on blocks of the reps draws.
 
-    A block stacks `_block_rows(n)` replications as rows of (R, n)
-    arrays; score is a `_scorer` and returns per-row losses, picks and a
-    degenerate mask.  Returns (the losses and the picks of all replications,
-    number of redraws).  Replication r draws from the stream (r,) and, while
-    its row is degenerate, redraws from (r, 1), (r, 2), ..., up to
-    _MAX_REDRAWS attempts in all.
+    A block stacks `_block_rows(n)` replications at the targets' sample size n
+    as rows of (R, n) arrays.  Returns the (reps, targets) losses and picks of
+    all replications and the number of redraws.  Replication r draws from the
+    stream (r,) and, while its row is degenerate, redraws from (r, 1), (r, 2),
+    ..., up to _MAX_REDRAWS attempts in all.
     """
-    truth = scenario.truth(n)
-    rows = _block_rows(n)
-    results = None
+    score = _scorer(targets, kind)
+    truth = scenario.truth(targets[0].n)
+    rows = _block_rows(truth.n)
+    losses = np.empty((reps, len(targets)))
+    picks = np.empty((reps, len(targets)), dtype=np.intp)
     degenerate = 0
     for start in range(0, reps, rows):
         pending = np.arange(start, min(start + rows, reps))
         for attempt in range(_MAX_REDRAWS):
             keys = [(r,) if attempt == 0 else (r, attempt) for r in pending.tolist()]
-            *values, bad = score(*_draw(truth, [seeds.stream(*key) for key in keys]), truth)
-            if results is None:
-                results = [np.empty((reps,) + v.shape[1:], v.dtype) for v in values]
-            for out, v in zip(results, values):
-                out[pending[~bad]] = v[~bad]
+            loss, pick, bad = score(*_draw(truth, [seeds.stream(*key) for key in keys]), truth)
+            losses[pending[~bad]] = loss[~bad]
+            picks[pending[~bad]] = pick[~bad]
             degenerate += int(bad.sum())
             pending = pending[bad]
             if not len(pending):
@@ -240,7 +237,7 @@ def _run(scenario, n, seeds, reps, score):
             f"{degenerate} degenerate replications out of {reps} exceed the "
             f"{DEGENERATE_BUDGET:.1%} budget"
         )
-    return (*results, degenerate)
+    return losses, picks, degenerate
 
 
 def _scorer(targets: Sequence[Target], kind: str | None):
@@ -251,8 +248,8 @@ def _scorer(targets: Sequence[Target], kind: str | None):
     Model), and bad[r] whether the row is degenerate for any model of any
     target.  Each distinct model is fitted once per block by the block
     kernel `estimation._fit_block`, of which `select` is the one-row case,
-    and a CollectionConfig picks by `selector`'s rule: the first minimum of
-    likelihood plus penalty, where NaN never wins.  Likelihoods are taken for
+    and a CollectionConfig picks by `selector`'s rule `_first_min`: the first minimum
+    of likelihood plus penalty, where NaN never wins.  Likelihoods are taken for
     every model when any target is a CollectionConfig.  Each configuration's
     collection and penalties are computed once, here.
     """
@@ -324,7 +321,7 @@ def risk_profile(
         raise ValueError(f"kind must be one of {RISK_KINDS}, got {kind!r}")
     check_reps("reps", reps, 2)
 
-    losses, _, degenerate = _run(scenario, sizes[0], seeds, reps, _scorer(targets, kind))
+    losses, _, degenerate = _run(scenario, targets, reps, seeds, kind)
     return _aggregate(losses, kind, degenerate)
 
 
@@ -335,9 +332,10 @@ def oracle_risk(
     seeds: SeedPolicy,
     kind: str = "kullback",
 ) -> tuple[Model, RiskReport]:
-    """The model with the smallest estimated risk on shared seeds, with its report."""
+    """The model with the smallest estimated risk on shared seeds, with its report, picked
+    by `selector`'s first-minimum rule."""
     reports = risk_profile(scenario, collection, reps, seeds, kind)
-    best = min(range(len(collection)), key=lambda j: (reports[j].estimate, j))
+    best = int(_first_min(np.array([r.estimate for r in reports])))
     return collection[best], reports[best]
 
 
@@ -377,7 +375,7 @@ def ratio_table(
     cells = []
     for i, (sc, oracle_coll) in enumerate(zip(scenarios, oracles)):
         reports = risk_profile(sc, oracle_coll + selections, reps, seeds.namespaced(i), kind)
-        oracle = min(reports[: len(oracle_coll)], key=lambda rep: rep.estimate)
+        oracle = reports[int(_first_min(np.array([r.estimate for r in reports[: len(oracle_coll)]])))]
         for g, rep in zip(gamma_grid, reports[len(oracle_coll) :]):
             ratio = rep.estimate / oracle.estimate
             se = abs(ratio) * math.sqrt(
@@ -399,7 +397,7 @@ def selection_frequency(
     check_reps("reps", reps, 1000)
     cfg = CollectionConfig(n, scenario.true_gamma, THETA, EPSILON, DELTA)
     hit = np.array([1.0 if predicate(m) else 0.0 for m in build_collection(cfg)])
-    _, picks, _ = _run(scenario, n, seeds, reps, _scorer([cfg], None))
+    _, picks, _ = _run(scenario, [cfg], reps, seeds, None)
     return float(hit[picks[:, 0]].mean())
 
 

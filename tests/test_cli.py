@@ -462,6 +462,29 @@ def test_an_epsilon_past_the_float_range_is_one_error_line(argv, message, m1_csv
     assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--input", "{csv}"],
+        ["table", "--n", "64", "--reps", "2"],
+        ["convergence", "--n-grid", "64,128", "--reps", "2"],
+    ],
+    ids=["fit", "table", "convergence"],
+)
+def test_an_overflowing_penalty_is_one_error_line(argv, m1_csv, capsys):
+    # theta = 1e308 makes every penalty inf, so no model has a finite criterion.
+    assert main([a.format(csv=m1_csv) for a in argv] + ["--theta", "1e308"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: no model has a finite criterion") and err.count("\n") == 1
+
+
+def test_verify_with_a_bound_past_the_float_range_writes_its_report(tmp_path):
+    # theta**2 overflows at 1.4e154: the sandwich's upper bound is inf, not an OverflowError.
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--theta", "1.4e154", "--n", "64", "--output", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["passed"] is True
+
+
 def test_fit_two_rows_with_an_underflowing_log_power_is_one_error_line(tmp_path, capsys):
     path = tmp_path / "two-rows.csv"
     write_csv(path, [0.5, 2.0], [1.5, -1.0])

@@ -15,7 +15,10 @@ from heteroselect.estimation import (
     phi,
     prop1_bounds,
 )
-from heteroselect.model_space import Model, expand
+from heteroselect.model_space import CollectionConfig, Model, expand
+from heteroselect.oracle_checks import InverseMomentCase, lemma10_check
+from heteroselect.selector import select
+from heteroselect.simlab import Scenario
 
 
 def test_phi_values():
@@ -198,6 +201,21 @@ def test_prop1_bounds_examples():
     assert upper == pytest.approx(333.266, abs=0.01)
 
 
+@pytest.mark.parametrize(
+    "theta, upper",
+    [
+        (1e150, KAPPA * 2.0**2 * 1e150**2 * 12),  # the bias is 0: s is in the model
+        (1e154, math.inf),  # the product overflows
+        (1.4e154, math.inf),  # theta**2 alone overflows
+        (1e300, math.inf),
+    ],
+)
+def test_prop1_upper_bound_past_the_float_range_is_inf(theta, upper):
+    m = Model(1024, 2, 2)  # D = 12
+    truth = TruthSpec(s=np.zeros(1024), sigma=np.ones(1024))
+    assert prop1_bounds(m, truth, 2.0, theta)[1] == upper
+
+
 def test_prop1_lower_bound_bias_dominates():
     m = Model(16, 0, 1)  # D = 2
     rng = np.random.default_rng(8)
@@ -249,3 +267,37 @@ def test_observations_reject_non_finite():
             Observations(y1=y, y2=np.ones(4))
         with pytest.raises(ValueError, match="finite"):
             Observations(y1=np.ones(4), y2=y)
+
+
+_TRUTH8 = TruthSpec(s=np.zeros(8), sigma=np.ones(8))
+_OBS8 = Observations(y1=np.arange(8.0), y2=np.arange(8.0) ** 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: TruthSpec(s=np.zeros(8), sigma=np.ones(4)), "s and sigma must have equal length"),
+        (lambda: kl_divergence(_TRUTH8, np.zeros(4), np.ones(8)), "mean/variance length mismatch with truth"),
+        (lambda: log_likelihood(np.zeros(8), np.zeros(8), np.ones(4)), "length mismatch"),
+        (lambda: InverseMomentCase(a=np.zeros(8), b=np.ones(4)), "a and b must have equal length"),
+        (lambda: fit(Model(16, 0, 1), _OBS8), "observations have length 8, model expects 16"),
+        (lambda: best_approx(Model(16, 0, 1), _TRUTH8), "truth has length 8, model expects 16"),
+        (
+            lambda: select([Model(16, 0, 1)], _OBS8, CollectionConfig(16, 1.0, 2.0, 0.01, 3.0)),
+            "observations have length 8, model expects 16",
+        ),
+        (lambda: lemma10_check(np.ones(8), Model(16, 0, 1)), "sigma_diag must have length 16"),
+        (
+            lambda: Scenario("wide", np.zeros_like, lambda x: 1.0 + 3.0 * x, true_gamma=2.0).truth(8),
+            "scenario wide: sampled variance ratio 2.9091 exceeds true_gamma=2.0",
+        ),
+    ],
+    ids=[
+        "truth-spec", "kl-divergence", "log-likelihood", "inverse-moment-case", "fit", "best-approx", "select",
+        "lemma10", "scenario-truth",
+    ],
+)
+def test_length_and_range_checks_name_the_mismatch(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

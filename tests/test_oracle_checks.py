@@ -132,6 +132,20 @@ def test_inverse_moment_holds_one_float_per_draw_beyond_the_draw_buffer():
     assert peak - 8 * _block_rows(n) * n < 10 * reps
 
 
+@pytest.mark.parametrize(
+    "b_max, bound",
+    [
+        (1e153, (1.0 + 2.0 * KAPPA * 1e153**2 / 2) / 1e153),  # E[Z] = 1e153 + 3 rounds to 1e153
+        (1e154, math.inf),  # the product with 2 kappa overflows
+        (1e155, math.inf),  # (b_max/b_min)^2 alone overflows
+    ],
+)
+def test_inverse_moment_bound_past_the_float_range_is_inf(b_max, bound):
+    res = lemma11_check(InverseMomentCase(np.zeros(4), np.array([1.0, 1.0, 1.0, b_max])), 10_000, SeedPolicy(0))
+    assert res.bound == bound
+    assert res.holds
+
+
 def test_inverse_moment_case_validation():
     with pytest.raises(ValueError):
         InverseMomentCase(a=np.zeros(2), b=np.ones(2))

@@ -122,12 +122,24 @@ def test_select_tie_break_prefers_smallest_dimension():
         ([3.0, 1.0, 2.0, 1.0], 1),  # an exact tie goes to the first index
         ([math.nan, 2.0, 1.0, 1.0], 2),  # NaN never wins
         ([math.inf, math.nan, 5.0], 2),
-        ([math.nan, math.nan, math.nan], 0),
     ],
 )
 def test_first_min(criteria, expected):
     assert _first_min(np.array(criteria)) == expected
     assert _first_min(np.array([criteria, criteria])).tolist() == [expected, expected]
+
+
+@pytest.mark.parametrize(
+    "criteria",
+    [
+        [math.nan, math.nan, math.nan],
+        [math.inf, math.nan, math.inf],
+        [[1.0, 2.0, 3.0], [math.inf, math.inf, math.inf]],  # one such row among finite ones
+    ],
+)
+def test_first_min_raises_on_a_row_with_no_finite_criterion(criteria):
+    with pytest.raises(ValueError, match="^no model has a finite criterion"):
+        _first_min(np.array(criteria))
 
 
 def test_select_empty_collection():

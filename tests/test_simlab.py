@@ -17,6 +17,7 @@ from heteroselect.estimation import (
 from heteroselect.model_space import CollectionConfig, Model, all_models, build_collection
 from heteroselect.selector import select
 from heteroselect.simlab import (
+    RiskReport,
     Scenario,
     SeedPolicy,
     builtin_scenarios,
@@ -173,6 +174,52 @@ def test_oracle_risk_minimizes_over_shared_seeds():
     reports = risk_profile(sc, coll, 80, seeds)
     assert report.estimate == min(r.estimate for r in reports)
     assert report.estimate <= min(r.estimate for r in reports) + 1e-15
+
+
+def test_the_oracle_is_the_first_minimum_of_the_estimates_and_never_nan(monkeypatch):
+    sc = get_scenario("M1")
+    coll = build_collection(CollectionConfig(256, 2.0, 2.0, 0.01, 3.0))
+    estimates = [math.nan, 2.0, 1.0, 1.0] + [5.0] * (len(coll) - 4)
+
+    selection = RiskReport(3.0, 0.5, 2, "kullback")
+
+    def stub(scenario, targets, reps, seeds, kind="kullback"):
+        # Model j reports estimates[j] with standard error (j + 1) / 100.
+        return [
+            RiskReport(estimates[j], (j + 1) / 100, reps, kind) if isinstance(t, Model) else selection
+            for j, t in enumerate(targets)
+        ]
+
+    monkeypatch.setattr(simlab, "risk_profile", stub)
+    best, report = oracle_risk(sc, coll, 2, SeedPolicy(0))
+    assert best is coll[2] and report.std_error == 0.03
+    [cell] = ratio_table([sc], [2.0], 256, 2, SeedPolicy(0))
+    assert (cell.ratio, cell.std_error) == (3.0, 3.0 * math.sqrt((0.5 / 3.0) ** 2 + 0.03**2))
+    estimates[:] = [math.nan] * len(coll)
+    for run in (
+        lambda: oracle_risk(sc, coll, 2, SeedPolicy(0)),
+        lambda: ratio_table([sc], [2.0], 256, 2, SeedPolicy(0)),
+    ):
+        with pytest.raises(ValueError, match="^no model has a finite criterion"):
+            run()
+
+
+def test_every_selection_path_raises_when_no_criterion_is_finite():
+    # theta = 1e308 makes every penalty inf, so no model has a finite criterion on any draw.
+    cfg = CollectionConfig(64, 2.0, 1e308, 0.01, 3.0)
+    sc = get_scenario("M1")
+    with pytest.raises(ValueError, match="^no model has a finite criterion") as expected:
+        select(build_collection(cfg), sample(sc, 64, SeedPolicy(0).stream(0)), cfg)
+    for run in (
+        lambda: mc_risk(sc, cfg, 2, SeedPolicy(0)),
+        lambda: risk_profile(sc, [Model(64, 0, 1), cfg], 2, SeedPolicy(0), "quadratic_mean"),
+        lambda: simlab._run(sc, [cfg], 2, SeedPolicy(0), None),  # the path of selection_frequency
+        lambda: ratio_table([sc], [2.0], 64, 2, SeedPolicy(0), theta=1e308),
+        lambda: convergence_experiment(lipschitz_scenario(), [64, 128], 2, SeedPolicy(0), theta=1e308),
+    ):
+        with pytest.raises(ValueError) as got:
+            run()
+        assert str(got.value) == str(expected.value)
 
 
 def test_oracle_model_for_m1():
