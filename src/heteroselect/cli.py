@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import itertools
 import json
 import math
@@ -75,9 +74,10 @@ def _read_pairs(path: str) -> tuple[np.ndarray, np.ndarray]:
     of the row loop's dialect, with bit-equal values.  Anything it rejects, or
     reads as other than at least one row of two finite columns, goes through
     the row loop, which defines the dialect and reports the offending line.
+    A UTF-8 byte-order mark before the header (Excel's "CSV UTF-8") is skipped.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip().lower() for h in header] != ["y1", "y2"]:
@@ -153,12 +153,12 @@ def _write_text(path: str | None, pieces: Iterable[str]) -> None:
 
 
 def _records_text(records, fmt: str) -> str:
-    """Dataclass records of one type as a JSON list of their fields, or as CSV: a header
+    """NamedTuple records of one type as a JSON list of their fields, or as CSV: a header
     of the field names, then one line per record, each value its `repr` (a str as is)."""
     if fmt == "json":
-        return json.dumps([dataclasses.asdict(r) for r in records], indent=2) + "\n"
-    lines = [",".join(f.name for f in dataclasses.fields(records[0]))]
-    lines += [",".join(v if isinstance(v, str) else repr(v) for v in dataclasses.astuple(r)) for r in records]
+        return json.dumps([r._asdict() for r in records], indent=2) + "\n"
+    lines = [",".join(records[0]._fields)]
+    lines += [",".join(v if isinstance(v, str) else repr(v) for v in r) for r in records]
     return "\n".join(lines) + "\n"
 
 
@@ -268,7 +268,7 @@ def cmd_convergence(args) -> int:
         delta=args.delta,
     )
     if args.format == "json":
-        text = json.dumps(dataclasses.asdict(result), indent=2) + "\n"
+        text = json.dumps({**result._asdict(), "points": [p._asdict() for p in result.points]}, indent=2) + "\n"
     else:
         text = _records_text(result.points, "csv") + f"# slope,{result.slope!r}\n"
     _write_text(args.output, [text])

@@ -14,8 +14,7 @@ per-point terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,27 +43,30 @@ class DegenerateVarianceError(RuntimeError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Observations:
-    """Two independent replicates of the same Gaussian vector."""
-
+class _ObservationsFields(NamedTuple):
     y1: np.ndarray
     y2: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "y1", check_vector("y1", self.y1))
-        object.__setattr__(self, "y2", check_vector("y2", self.y2))
-        if len(self.y1) != len(self.y2):
+
+class Observations(_ObservationsFields):
+    """Two independent replicates of the same Gaussian vector."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace`, which copies by `_make`, checks too
+
+    def __new__(cls, y1: np.ndarray, y2: np.ndarray):
+        y1, y2 = check_vector("y1", y1), check_vector("y2", y2)
+        if len(y1) != len(y2):
             raise ValueError("replicates must have equal length")
-        check_power_of_two("length", len(self.y1))
+        check_power_of_two("length", len(y1))
+        return super().__new__(cls, y1, y2)
 
     @property
     def n(self) -> int:
         return len(self.y1)
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """A fitted pair: the mean per fine block and the variance per coarse block of the
     model; `mean` and `variance` expand them to length-n vectors."""
 
@@ -81,18 +83,22 @@ class Estimate:
         return expand(self.block_variance, self.model.n)
 
 
-@dataclass(frozen=True)
-class TruthSpec:
-    """The true mean and variance vectors, for simulation and risk evaluation."""
-
+class _TruthSpecFields(NamedTuple):
     s: np.ndarray
     sigma: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", check_vector("s", self.s))
-        object.__setattr__(self, "sigma", check_vector("sigma", self.sigma, positive=True))
-        if len(self.s) != len(self.sigma):
+
+class TruthSpec(_TruthSpecFields):
+    """The true mean and variance vectors, for simulation and risk evaluation."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace`, which copies by `_make`, checks too
+
+    def __new__(cls, s: np.ndarray, sigma: np.ndarray):
+        s, sigma = check_vector("s", s), check_vector("sigma", sigma, positive=True)
+        if len(s) != len(sigma):
             raise ValueError("s and sigma must have equal length")
+        return super().__new__(cls, s, sigma)
 
     @property
     def n(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +81,13 @@ def expand(values: np.ndarray, n: int) -> np.ndarray:
     return np.repeat(values, n // values.shape[-1], axis=-1)
 
 
-@dataclass(frozen=True)
-class Model:
+class _ModelFields(NamedTuple):
+    n: int
+    level: int
+    per_block_dim: int
+
+
+class Model(_ModelFields):
     """The 2**level coarse blocks of {1, ..., n} for the variance, each split into
     per_block_dim fine blocks for the mean.
 
@@ -90,20 +95,19 @@ class Model:
     dyadic: it has 2**level * per_block_dim blocks.
     """
 
-    n: int
-    level: int
-    per_block_dim: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace`, which copies by `_make`, checks too
 
-    def __post_init__(self):
-        check_power_of_two("n", self.n)
-        if not (isinstance(self.level, (int, np.integer)) and self.level >= 0):
-            raise ValueError(f"level must be a nonnegative integer, got {self.level}")
-        if 2**self.level > self.n:
-            raise ValueError(f"2**{self.level} blocks exceed n={self.n}")
-        d = self.per_block_dim
-        check_power_of_two("per_block_dim", d)
-        if d * 2**self.level > self.n:
-            raise ValueError(f"per_block_dim {d} exceeds coarse block size {self.n >> self.level}")
+    def __new__(cls, n: int, level: int, per_block_dim: int):
+        check_power_of_two("n", n)
+        if not (isinstance(level, (int, np.integer)) and level >= 0):
+            raise ValueError(f"level must be a nonnegative integer, got {level}")
+        if 2**level > n:
+            raise ValueError(f"2**{level} blocks exceed n={n}")
+        check_power_of_two("per_block_dim", per_block_dim)
+        if per_block_dim * 2**level > n:
+            raise ValueError(f"per_block_dim {per_block_dim} exceeds coarse block size {n >> level}")
+        return super().__new__(cls, n, level, per_block_dim)
 
     @property
     def num_coarse(self) -> int:
@@ -136,8 +140,15 @@ _CONSTANT_RANGES = {
 }
 
 
-@dataclass(frozen=True)
-class CollectionConfig:
+class _CollectionConfigFields(NamedTuple):
+    n: int
+    gamma: float
+    theta: float
+    epsilon: float
+    delta: float
+
+
+class CollectionConfig(_CollectionConfigFields):
     """The constants of one selection procedure at a given sample size.
 
     gamma, theta and epsilon enter both the admissible family (see
@@ -145,16 +156,14 @@ class CollectionConfig:
     of `selector.penalty`; delta enters only the family.
     """
 
-    n: int
-    gamma: float
-    theta: float
-    epsilon: float
-    delta: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace`, which copies by `_make`, checks too
 
-    def __post_init__(self):
-        check_power_of_two("n", self.n)
-        for name in _CONSTANT_RANGES:
-            check_constant(name, getattr(self, name))
+    def __new__(cls, n: int, gamma: float, theta: float, epsilon: float, delta: float):
+        check_power_of_two("n", n)
+        for name, value in zip(_CONSTANT_RANGES, (gamma, theta, epsilon, delta)):
+            check_constant(name, value)
+        return super().__new__(cls, n, gamma, theta, epsilon, delta)
 
 
 def check_constant(name: str, value: float) -> None:

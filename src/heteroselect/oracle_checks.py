@@ -9,7 +9,7 @@ expectation of the blockwise variance estimator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,28 +21,31 @@ from .model_space import (
 from .simlab import Scenario, SeedPolicy, _block_rows, _mean_and_se, risk_profile
 
 
-@dataclass(frozen=True)
-class InverseMomentCase:
-    """Offsets a and scales b defining Z = sum_i (a_i + sqrt(b_i) * zeta_i)^2."""
-
+class _InverseMomentCaseFields(NamedTuple):
     a: np.ndarray
     b: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", check_vector("offsets a", self.a))
-        object.__setattr__(self, "b", check_vector("scales b", self.b, positive=True))
-        if len(self.a) != len(self.b):
+
+class InverseMomentCase(_InverseMomentCaseFields):
+    """Offsets a and scales b defining Z = sum_i (a_i + sqrt(b_i) * zeta_i)^2."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace`, which copies by `_make`, checks too
+
+    def __new__(cls, a: np.ndarray, b: np.ndarray):
+        a, b = check_vector("offsets a", a), check_vector("scales b", b, positive=True)
+        if len(a) != len(b):
             raise ValueError("a and b must have equal length")
-        if len(self.a) <= 2:
+        if len(a) <= 2:
             raise ValueError("need n > 2 for the inverse moment to be finite")
+        return super().__new__(cls, a, b)
 
     @property
     def n(self) -> int:
         return len(self.a)
 
 
-@dataclass(frozen=True)
-class InverseMomentResult:
+class InverseMomentResult(NamedTuple):
     mc_estimate: float
     std_error: float
     bound: float
@@ -80,7 +83,7 @@ def lemma11_check(
     kappa: float = KAPPA,
 ) -> InverseMomentResult:
     """Monte Carlo check of E[1/Z] <= (1/E[Z]) * (1 + 2*kappa*(b_max/b_min)^2 / (n-2)); the bound
-    is inf when (b_max/b_min)^2 is past the float range."""
+    is inf only when it is itself past the float range, not when (b_max/b_min)^2 alone is."""
     check_reps("reps", reps, 10_000)
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be finite and > 0, got {kappa}")
@@ -89,15 +92,16 @@ def lemma11_check(
     ratio = float(case.b.max() / case.b.min())
     try:
         bound = (1.0 + 2.0 * kappa * ratio**2 / (case.n - 2)) / mean_z
-    except OverflowError:
+    except OverflowError:  # a Python float's ** raises where * gives inf
         bound = math.inf
+    if bound == math.inf:  # some step passed the float range: the same bound, without squaring the ratio
+        bound = 1.0 / mean_z + 2.0 * kappa * ratio * (ratio / mean_z) / (case.n - 2)
     return InverseMomentResult(
         mc_estimate=estimate, std_error=se, bound=bound, holds=estimate <= bound + 3.0 * se
     )
 
 
-@dataclass(frozen=True)
-class CompressedSpectrumResult:
+class CompressedSpectrumResult(NamedTuple):
     tau_min: float
     tau_max: float
     holds: bool
@@ -119,8 +123,7 @@ def lemma10_check(sigma_diag: np.ndarray, m: Model) -> CompressedSpectrumResult:
     return CompressedSpectrumResult(tau_min=float(tau.min()), tau_max=float(tau.max()), holds=holds)
 
 
-@dataclass(frozen=True)
-class VarianceMeanResult:
+class VarianceMeanResult(NamedTuple):
     empirical: np.ndarray
     expected: np.ndarray
     std_error: np.ndarray
@@ -192,8 +195,7 @@ def lemma10_battery(num_cases: int, n: int, seeds: SeedPolicy) -> list[Compresse
     return results
 
 
-@dataclass(frozen=True)
-class SandwichEntry:
+class SandwichEntry(NamedTuple):
     model: Model
     lower: float
     upper: float

@@ -6,8 +6,7 @@ simulation lab applies to blocks of replications."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,8 +20,7 @@ def penalty(m: Model, cfg: CollectionConfig) -> float:
     return (cfg.gamma * cfg.theta + log_power(m.dim, cfg.epsilon)) * m.dim
 
 
-@dataclass(frozen=True)
-class ModelAudit:
+class ModelAudit(NamedTuple):
     """Per-model criterion breakdown retained for transparency."""
 
     model: Model
@@ -31,8 +29,7 @@ class ModelAudit:
     criterion: float
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(NamedTuple):
     chosen: Model
     estimate: Estimate
     criterion_value: float

@@ -24,8 +24,7 @@ that stands for its selection procedure, through one replication engine, `_run`:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -59,14 +58,19 @@ def _mean_and_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean[..., 0], np.sqrt(np.add.reduce(x, axis=-1) / (reps - 1)) / math.sqrt(reps)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A pair of functions on [0, 1] sampled at i/n, with its variance-ratio bound."""
+class Scenario(NamedTuple):
+    """A pair of functions on [0, 1] sampled at i/n, with its variance-ratio bound, and the
+    smoothness exponents and Hölder constants of the mean and the variance (the constants
+    set `rate_threshold`)."""
 
     name: str
     mean_fn: Callable[[np.ndarray], np.ndarray]
     var_fn: Callable[[np.ndarray], np.ndarray]
     true_gamma: float
+    alpha_mean: float = 1.0
+    alpha_var: float = 1.0
+    const_mean: float = 1.0
+    const_var: float = 1.0
 
     def truth(self, n: int) -> TruthSpec:
         check_power_of_two("n", n)
@@ -84,18 +88,7 @@ class Scenario:
         return TruthSpec(s=s, sigma=sigma)
 
 
-@dataclass(frozen=True)
-class HolderScenario(Scenario):
-    """A scenario with known smoothness exponents and Hölder constants."""
-
-    alpha_mean: float = 1.0
-    alpha_var: float = 1.0
-    const_mean: float = 1.0
-    const_var: float = 1.0
-
-
-@dataclass(frozen=True)
-class RiskReport:
+class RiskReport(NamedTuple):
     estimate: float
     std_error: float
     replications: int
@@ -103,8 +96,7 @@ class RiskReport:
     degenerate: int = 0
 
 
-@dataclass(frozen=True)
-class SeedPolicy:
+class SeedPolicy(NamedTuple):
     """Deterministic substream derivation from a master seed.
 
     Replication r draws from the stream keyed (prefix..., r); namespacing
@@ -118,7 +110,7 @@ class SeedPolicy:
         return np.random.default_rng(np.random.SeedSequence(self.master_seed, spawn_key=self.prefix + key))
 
     def namespaced(self, *key: int) -> "SeedPolicy":
-        return replace(self, prefix=self.prefix + key)
+        return self._replace(prefix=self.prefix + key)
 
 
 #: A fixed model, or a configuration that selects from its collection with its
@@ -158,9 +150,9 @@ def builtin_scenarios() -> list[Scenario]:
     ]
 
 
-def lipschitz_scenario() -> HolderScenario:
+def lipschitz_scenario() -> Scenario:
     """A smooth benchmark with Lipschitz mean and variance, for rate experiments."""
-    return HolderScenario(
+    return Scenario(
         name="lipschitz",
         mean_fn=lambda x: x,
         var_fn=lambda x: 1.0 + 0.5 * x,
@@ -339,8 +331,7 @@ def oracle_risk(
     return collection[best], reports[best]
 
 
-@dataclass(frozen=True)
-class RatioCell:
+class RatioCell(NamedTuple):
     scenario: str
     gamma: float
     ratio: float
@@ -401,20 +392,18 @@ def selection_frequency(
     return float(hit[picks[:, 0]].mean())
 
 
-@dataclass(frozen=True)
-class ConvergencePoint:
+class ConvergencePoint(NamedTuple):
     n: int
     normalized_risk: float
     std_error: float
 
 
-@dataclass(frozen=True)
-class ConvergenceResult:
+class ConvergenceResult(NamedTuple):
     points: tuple[ConvergencePoint, ...]
     slope: float
 
 
-def rate_threshold(scenario: HolderScenario, n: int, epsilon: float) -> float:
+def rate_threshold(scenario: Scenario, n: int, epsilon: float) -> float:
     """Smallest admissible n for the rate experiment with this smooth scenario: inf when
     exp(4 (1+epsilon)^2) is past the float range."""
     sigma_star = float(scenario.truth(n).sigma.min())
@@ -427,7 +416,7 @@ def rate_threshold(scenario: HolderScenario, n: int, epsilon: float) -> float:
 
 
 def convergence_experiment(
-    scenario: HolderScenario,
+    scenario: Scenario,
     n_grid: Sequence[int],
     reps: int,
     seeds: SeedPolicy,

@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import subprocess
@@ -215,39 +216,50 @@ def test_fit_to_a_pipe_the_reader_closes_early_ends_quietly(tmp_path):
     assert (tmp_path / "err").read_bytes() == b""
 
 
-@pytest.mark.parametrize(
-    "text, expected",
-    [
-        ("y1,y2\n1,2\n\n3,4\n", ([1.0, 3.0], [2.0, 4.0])),
-        ("y1,y2\n1,2\n   \n3,4\n", ([1.0, 3.0], [2.0, 4.0])),
-        ("y1,y2\r\n1.5,2\r\n3,4\r\n", ([1.5, 3.0], [2.0, 4.0])),
-        ("y1,y2\n 1.5 , 2 \n3,\t-4e-3\n", ([1.5, 3.0], [2.0, -4e-3])),
-        ("y1,y2\n-0.0,1e-320\n0.1,+2E2\n", ([-0.0, 0.1], [1e-320, 200.0])),
-        ("y1,y2\n7,8\n", ([7.0], [8.0])),
-        ('y1,y2\n"1.5","2"\n3,4\n', ([1.5, 3.0], [2.0, 4.0])),
-        ("y1,y2\n1_0,2\n3,4\n", ([10.0, 3.0], [2.0, 4.0])),
-        (" Y1 , Y2 \n1,2\n", ([1.0], [2.0])),
-        ("y1,y2\n1,2\n3,4\n5,6\nnan,7\n", "{path}:5: non-finite value"),
-        ("y1,y2\n1,2\n3,4\n5,6\n7,inf\n", "{path}:5: non-finite value"),
-        ("y1,y2\n1,2\n1e400,4\n", "{path}:3: non-finite value"),
-        ("y1,y2\n1,2\n3,4,5\n6,7\n", "{path}:3: expected two columns, got 3"),
-        ("y1,y2\n1,2,3\n4,5,6\n", "{path}:2: expected two columns, got 3"),
-        ("y1,y2\n1,2,\n", "{path}:2: expected two columns, got 3"),
-        ("y1,y2\n1\n2\n", "{path}:2: expected two columns, got 1"),
-        ("y1,y2\n# note\n1,2\n", "{path}:2: expected two columns, got 1"),
-        ("y1,y2\n1,2\n,3\n", "{path}:3: malformed number"),
-        ("y1,y2\n1,2\n1d5,3\n", "{path}:3: malformed number"),
-        ("y1,y2\n", "{path}: no data rows"),
-        ("y1,y2\n\n\n", "{path}: no data rows"),
-        ("a,b\n1,2\n", "{path}: expected CSV header 'y1,y2', got ['a', 'b']"),
-        ('y1,y2\n"1\n",2\nnan,3\n', "{path}:4: non-finite value"),
-        ('y1,y2\n"1\n",2\n3,4,5\n', "{path}:4: expected two columns, got 3"),
-    ],
-)
+_DIALECT = [
+    ("y1,y2\n1,2\n\n3,4\n", ([1.0, 3.0], [2.0, 4.0])),
+    ("y1,y2\n1,2\n   \n3,4\n", ([1.0, 3.0], [2.0, 4.0])),
+    ("y1,y2\r\n1.5,2\r\n3,4\r\n", ([1.5, 3.0], [2.0, 4.0])),
+    ("y1,y2\n 1.5 , 2 \n3,\t-4e-3\n", ([1.5, 3.0], [2.0, -4e-3])),
+    ("y1,y2\n-0.0,1e-320\n0.1,+2E2\n", ([-0.0, 0.1], [1e-320, 200.0])),
+    ("y1,y2\n7,8\n", ([7.0], [8.0])),
+    ('y1,y2\n"1.5","2"\n3,4\n', ([1.5, 3.0], [2.0, 4.0])),
+    ("y1,y2\n1_0,2\n3,4\n", ([10.0, 3.0], [2.0, 4.0])),
+    (" Y1 , Y2 \n1,2\n", ([1.0], [2.0])),
+    ("y1,y2\n1,2\n3,4\n5,6\nnan,7\n", "{path}:5: non-finite value"),
+    ("y1,y2\n1,2\n3,4\n5,6\n7,inf\n", "{path}:5: non-finite value"),
+    ("y1,y2\n1,2\n1e400,4\n", "{path}:3: non-finite value"),
+    ("y1,y2\n1,2\n3,4,5\n6,7\n", "{path}:3: expected two columns, got 3"),
+    ("y1,y2\n1,2,3\n4,5,6\n", "{path}:2: expected two columns, got 3"),
+    ("y1,y2\n1,2,\n", "{path}:2: expected two columns, got 3"),
+    ("y1,y2\n1\n2\n", "{path}:2: expected two columns, got 1"),
+    ("y1,y2\n# note\n1,2\n", "{path}:2: expected two columns, got 1"),
+    ("y1,y2\n1,2\n,3\n", "{path}:3: malformed number"),
+    ("y1,y2\n1,2\n1d5,3\n", "{path}:3: malformed number"),
+    ("y1,y2\n", "{path}: no data rows"),
+    ("y1,y2\n\n\n", "{path}: no data rows"),
+    ("a,b\n1,2\n", "{path}: expected CSV header 'y1,y2', got ['a', 'b']"),
+    ('y1,y2\n"1\n",2\nnan,3\n', "{path}:4: non-finite value"),
+    ('y1,y2\n"1\n",2\n3,4,5\n', "{path}:4: expected two columns, got 3"),
+]
+
+
+@pytest.mark.parametrize("text, expected", _DIALECT)
 @pytest.mark.filterwarnings("error")  # parsing prints nothing but the error it raises
 def test_read_pairs_dialect(text, expected, tmp_path):
+    _check_read_pairs(text.encode(), expected, tmp_path)
+
+
+@pytest.mark.parametrize("text, expected", _DIALECT)
+@pytest.mark.filterwarnings("error")
+def test_read_pairs_skips_a_byte_order_mark(text, expected, tmp_path):
+    # Excel's "CSV UTF-8" starts the file with one; errors still name the row's own line.
+    _check_read_pairs(codecs.BOM_UTF8 + text.encode(), expected, tmp_path)
+
+
+def _check_read_pairs(data, expected, tmp_path):
     path = tmp_path / "in.csv"
-    path.write_bytes(text.encode())
+    path.write_bytes(data)
     if isinstance(expected, str):
         with pytest.raises(cli.InputError) as info:
             cli._read_pairs(str(path))
@@ -404,6 +416,23 @@ def test_fit_non_utf8_input_is_an_input_error(tmp_path, capsys, data):
     path.write_bytes(data)
     assert main(["fit", "--input", str(path)]) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+
+def test_fit_reads_a_byte_order_mark_file_through_loadtxt(m1_csv, tmp_path, monkeypatch):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(codecs.BOM_UTF8 + m1_csv.read_bytes())
+    loadtxt, shapes = np.loadtxt, []
+
+    def recording_loadtxt(*args, **kwargs):
+        data = loadtxt(*args, **kwargs)
+        shapes.append(data.shape)
+        return data
+
+    monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
+    for path in (m1_csv, bom):
+        assert main(["fit", "--input", str(path), "--output", str(path.with_suffix(".json"))]) == EXIT_OK
+    assert shapes == [(1024, 2), (1024, 2)]  # both parsed by `np.loadtxt`, not the row loop
+    assert bom.with_suffix(".json").read_bytes() == m1_csv.with_suffix(".json").read_bytes()
 
 
 def test_table_unknown_scenario(capsys):

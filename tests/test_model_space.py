@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import re
@@ -394,11 +393,7 @@ def test_a_rep_count_that_is_not_an_integer_fails_before_any_draw(entry, kind, m
 @pytest.mark.parametrize("entry", _REPS_CALLS)
 def test_a_numpy_integer_rep_count_gives_the_same_report(entry):
     call, reps, _, _ = _REPS_CALLS[entry]
-
-    def fields(result):
-        return dataclasses.astuple(result) if dataclasses.is_dataclass(result) else result
-
-    np.testing.assert_equal(fields(call(np.int64(reps))), fields(call(reps)))
+    np.testing.assert_equal(call(np.int64(reps)), call(reps))
 
 
 def test_check_reps_returns_the_count_and_names_it():

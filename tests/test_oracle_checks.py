@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,14 +138,27 @@ def test_inverse_moment_holds_one_float_per_draw_beyond_the_draw_buffer():
     "b_max, bound",
     [
         (1e153, (1.0 + 2.0 * KAPPA * 1e153**2 / 2) / 1e153),  # E[Z] = 1e153 + 3 rounds to 1e153
-        (1e154, math.inf),  # the product with 2 kappa overflows
-        (1e155, math.inf),  # (b_max/b_min)^2 alone overflows
+        # Where a step of that formula passes the float range, the same bound without squaring the ratio:
+        (1e154, 1.0 / 1e154 + 2.0 * KAPPA * 1e154 * (1e154 / 1e154) / 2),  # the product with 2 kappa overflows
+        (1e155, 1.0 / 1e155 + 2.0 * KAPPA * 1e155 * (1e155 / 1e155) / 2),  # (b_max/b_min)^2 alone overflows
     ],
 )
 def test_inverse_moment_bound_past_the_float_range_is_inf(b_max, bound):
     res = lemma11_check(InverseMomentCase(np.zeros(4), np.array([1.0, 1.0, 1.0, b_max])), 10_000, SeedPolicy(0))
     assert res.bound == bound
     assert res.holds
+
+
+@pytest.mark.parametrize("b_max", [1e154, 1e155, 1e300])
+@pytest.mark.parametrize("kappa", [KAPPA, 1e100, 1e160])
+def test_inverse_moment_bound_is_inf_only_where_the_bound_itself_is(b_max, kappa):
+    case = InverseMomentCase(np.zeros(4), np.array([1.0, 1.0, 1.0, b_max]))
+    exact = (1 + 2 * Fraction(kappa) * Fraction(b_max) ** 2 / 2) / sum(map(Fraction, case.b))
+    res = lemma11_check(case, 10_000, SeedPolicy(0), kappa=kappa)
+    if exact > sys.float_info.max:
+        assert res.bound == math.inf
+    else:
+        assert res.bound == pytest.approx(float(exact), rel=1e-15)
 
 
 def test_inverse_moment_case_validation():
