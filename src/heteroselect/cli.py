@@ -110,6 +110,8 @@ def _read_pairs(path: str) -> tuple[np.ndarray, np.ndarray]:
                 y2.append(b)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:  # a field past csv.field_size_limit(); on Python 3.10, a NUL byte
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not y1:
@@ -196,7 +198,7 @@ def cmd_fit(args) -> int:
     y1, y2 = _power_of_two_length(y1, y2, args.truncate)
     obs = Observations(y1=y1, y2=y2)
     cfg = CollectionConfig(obs.n, args.gamma, args.theta, args.epsilon, args.delta)
-    result = select(build_collection(cfg), obs, cfg)
+    result = select(cfg, obs)
     chosen, est = result.chosen, result.estimate
     chosen_audit = next(a for a in result.per_model if a.model is chosen)
     # The vectors are written in place of these placeholders: the same bytes as

@@ -5,7 +5,7 @@ the second replicate by averaging squared projection residuals over each coarse
 block.  Splitting the data keeps the two estimators independent.
 
 All fit arithmetic lives here, including the block kernel `_fit_block` that
-scores a model collection on an (R, n) block for `select` and the simulation lab.
+scores a model collection on an (R, n) block for the lab and for `select(cfg, obs)`.
 The kernel takes the loss terms that depend only on the variance once per run
 of equal true variance within a coarse block, bit-identical to `kl_divergence`'s
 per-point terms.

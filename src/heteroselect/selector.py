@@ -1,17 +1,17 @@
 """Penalty, penalized criterion and the selection rule.
 
-`select` scores every model with the block kernel `estimation._fit_block` on a
-one-row block and picks the first minimum with `_first_min`, the rule the
-simulation lab applies to blocks of replications."""
+`select(cfg, obs)` scores the family `build_collection(cfg)` with the block
+kernel `estimation._fit_block` on a one-row block and picks the first minimum
+with `_first_min`, the rule the simulation lab applies to blocks of replications."""
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .estimation import DegenerateVarianceError, Estimate, Observations, _fit_block, fit
-from .model_space import CollectionConfig, Model, log_power
+from .model_space import CollectionConfig, Model, build_collection, log_power
 
 
 def penalty(m: Model, cfg: CollectionConfig) -> float:
@@ -36,20 +36,18 @@ class SelectionResult(NamedTuple):
     per_model: tuple[ModelAudit, ...]
 
 
-def select(collection: Sequence[Model], obs: Observations, cfg: CollectionConfig) -> SelectionResult:
-    """Minimize likelihood + penalty over the collection, with the penalty constants of cfg.
+def select(cfg: CollectionConfig, obs: Observations) -> SelectionResult:
+    """Minimize likelihood + penalty over `build_collection(cfg)`, with the penalty constants of cfg.
 
     The collection is scanned in `all_models`' order (ascending dimension) and
     ties are broken in favor of the earliest, i.e. most parsimonious, model.
-    Runs the simulation lab's block kernel on a one-row block.  Raises
-    ValueError when no model has a finite criterion, as when sums of values
-    near the float limit or the penalty overflow.
+    Raises ValueError when cfg.n is not the data's length, or when no model has
+    a finite criterion, as when sums of values near the float limit or the
+    penalty overflow; EmptyCollectionError when cfg admits no model.
     """
-    if not collection:
-        raise ValueError("empty model collection")
-    wrong = next((m.n for m in collection if m.n != obs.n), None)
-    if wrong is not None:
-        raise ValueError(f"observations have length {obs.n}, model expects {wrong}")
+    if cfg.n != obs.n:
+        raise ValueError(f"observations have length {obs.n}, config expects {cfg.n}")
+    collection = build_collection(cfg)
     pens = [penalty(m, cfg) for m in collection]
     # Overflow yields inf/nan criteria, which never win; `_first_min` reports a row of them.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -159,7 +159,7 @@ def test_criterion_6_exact_analytic_suite():
     cfg = CollectionConfig(N, 2.0, 2.0, 0.01, 3.0)
     coll = build_collection(cfg)
     obs = sample(get_scenario("M1"), N, SeedPolicy(SEED).stream(0))
-    res = select(coll, obs, cfg)
+    res = select(cfg, obs)
     crits = [
         log_likelihood(obs.y1, fit(m, obs).mean, fit(m, obs).variance) + penalty(m, cfg)
         for m in coll

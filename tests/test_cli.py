@@ -11,7 +11,7 @@ import pytest
 from heteroselect import cli, simlab
 from heteroselect.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from heteroselect.estimation import KAPPA, Observations, log_likelihood
-from heteroselect.model_space import CollectionConfig, Model, build_collection
+from heteroselect.model_space import CollectionConfig, Model
 from heteroselect.oracle_checks import (
     InverseMomentCase,
     lemma10_battery,
@@ -124,7 +124,7 @@ def _fit_data(name):
 def _reference_fit_text(y1, y2, gamma, quiet):
     """`fit`'s output, encoded by dumping the whole payload with the full mean/variance vectors."""
     cfg = CollectionConfig(len(y1), gamma, 2.0, 0.01, 3.0)
-    result = select(build_collection(cfg), Observations(y1=y1, y2=y2), cfg)
+    result = select(cfg, Observations(y1=y1, y2=y2))
     chosen_audit = next(a for a in result.per_model if a.model is result.chosen)
     payload = {
         "model": result.chosen.describe(),
@@ -241,6 +241,14 @@ _DIALECT = [
     ("a,b\n1,2\n", "{path}: expected CSV header 'y1,y2', got ['a', 'b']"),
     ('y1,y2\n"1\n",2\nnan,3\n', "{path}:4: non-finite value"),
     ('y1,y2\n"1\n",2\n3,4,5\n', "{path}:4: expected two columns, got 3"),
+    # Fields past the csv module's 131,072-character limit, which is kept.  The data row's digits
+    # overflow to inf, so `np.loadtxt` hands the file to the row loop.
+    pytest.param(
+        "y1,y2\n1,2\n" + "1" * 200_000 + ",2\n", "{path}:3: field larger than field limit (131072)", id="long-field",
+    ),
+    pytest.param(
+        "y" * 200_000 + ",y2\n1,2\n", "{path}:1: field larger than field limit (131072)", id="long-header-field",
+    ),
 ]
 
 
@@ -408,6 +416,15 @@ def test_fit_unreadable_input(tmp_path, capsys):
     assert main(["fit", "--input", str(missing)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {missing}: ") and err.count("\n") == 1
+
+
+def test_fit_a_nul_byte_is_an_input_error_naming_its_line(tmp_path, capsys):
+    # Python 3.10's csv module rejects the byte itself, later versions read a malformed number.
+    path = tmp_path / "nul.csv"
+    path.write_bytes(b"y1,y2\n1,2\n1\x00,2\n")
+    assert main(["fit", "--input", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:3: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("data", [b"y1,y2\n1.0,2.0\n\xff\xfe,3\n", b"\xff\xfe1,y2\n1.0,2.0\n"])

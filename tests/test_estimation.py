@@ -283,8 +283,8 @@ _OBS8 = Observations(y1=np.arange(8.0), y2=np.arange(8.0) ** 2)
         (lambda: fit(Model(16, 0, 1), _OBS8), "observations have length 8, model expects 16"),
         (lambda: best_approx(Model(16, 0, 1), _TRUTH8), "truth has length 8, model expects 16"),
         (
-            lambda: select([Model(16, 0, 1)], _OBS8, CollectionConfig(16, 1.0, 2.0, 0.01, 3.0)),
-            "observations have length 8, model expects 16",
+            lambda: select(CollectionConfig(16, 1.0, 2.0, 0.01, 3.0), _OBS8),
+            "observations have length 8, config expects 16",
         ),
         (lambda: lemma10_check(np.ones(8), Model(16, 0, 1)), "sigma_diag must have length 16"),
         (

@@ -16,9 +16,11 @@ from heteroselect.estimation import (
     fit,
     log_likelihood,
 )
-from heteroselect.model_space import CollectionConfig, Model, all_models, build_collection, expand, log_power
+from heteroselect.model_space import (
+    CollectionConfig, EmptyCollectionError, Model, all_models, build_collection, expand, log_power,
+)
 from heteroselect.selector import _first_min, penalty, select
-from heteroselect.simlab import RISK_KINDS, get_scenario
+from heteroselect.simlab import RISK_KINDS, SeedPolicy, get_scenario, sample
 
 
 def test_penalty_hand_values():
@@ -46,11 +48,9 @@ def test_penalty_strictly_increasing_in_dimension():
 
 @pytest.fixture
 def m1_setup():
-    from heteroselect.simlab import SeedPolicy, get_scenario, sample
-
     cfg = CollectionConfig(1024, 2.0, 2.0, 0.01, 3.0)
     obs = sample(get_scenario("M1"), 1024, SeedPolicy(11).stream(0))
-    return build_collection(cfg), obs, cfg
+    return cfg, obs
 
 
 def test_select_singleton():
@@ -59,26 +59,34 @@ def test_select_singleton():
     assert len(coll) == 1
     rng = np.random.default_rng(9)
     obs = Observations(y1=rng.normal(size=16), y2=rng.normal(size=16))
-    res = select(coll, obs, cfg)
+    res = select(cfg, obs)
     assert res.chosen is coll[0]
 
 
 def test_select_matches_exhaustive_recomputation(m1_setup):
-    coll, obs, cfg = m1_setup
-    res = select(coll, obs, cfg)
-    crits = []
-    for m in coll:
-        est = fit(m, obs)
-        crits.append(log_likelihood(obs.y1, est.mean, est.variance) + penalty(m, cfg))
-    assert res.criterion_value == min(crits)
-    assert res.chosen is coll[int(np.argmin(crits))]
-    assert [a.criterion for a in res.per_model] == crits
+    # The family is build_collection(cfg), whatever gamma, theta and n the config holds.
+    cases = [m1_setup] + [
+        (CollectionConfig(n, gamma, 5.0, 0.01, 3.0), sample(get_scenario("M1"), n, SeedPolicy(12).stream(n)))
+        for n in (16, 64)
+        for gamma in (1.0, 3.0)
+    ]
+    for cfg, obs in cases:
+        coll = build_collection(cfg)
+        res = select(cfg, obs)
+        assert [a.model for a in res.per_model] == coll
+        crits = []
+        for m in coll:
+            est = fit(m, obs)
+            crits.append(log_likelihood(obs.y1, est.mean, est.variance) + penalty(m, cfg))
+        assert res.criterion_value == min(crits)
+        assert res.chosen is coll[int(np.argmin(crits))]
+        assert [a.criterion for a in res.per_model] == crits
 
 
 def test_select_audit_consistency(m1_setup):
-    coll, obs, cfg = m1_setup
-    res = select(coll, obs, cfg)
-    assert len(res.per_model) == len(coll)
+    cfg, obs = m1_setup
+    res = select(cfg, obs)
+    assert len(res.per_model) == len(build_collection(cfg))
     for a in res.per_model:
         assert a.criterion == a.likelihood + a.penalty
         assert all(type(v) is float for v in (a.likelihood, a.penalty, a.criterion))
@@ -87,9 +95,9 @@ def test_select_audit_consistency(m1_setup):
 
 
 def test_select_deterministic(m1_setup):
-    coll, obs, cfg = m1_setup
-    r1 = select(coll, obs, cfg)
-    r2 = select(coll, obs, cfg)
+    cfg, obs = m1_setup
+    r1 = select(cfg, obs)
+    r2 = select(cfg, obs)
     assert r1.chosen is r2.chosen
     assert r1.criterion_value == r2.criterion_value
     np.testing.assert_array_equal(r1.estimate.mean, r2.estimate.mean)
@@ -97,10 +105,10 @@ def test_select_deterministic(m1_setup):
 
 
 def test_select_invariant_under_constant_penalty_shift(m1_setup):
-    coll, obs, cfg = m1_setup
-    res = select(coll, obs, cfg)
+    cfg, obs = m1_setup
+    res = select(cfg, obs)
     shifted = np.array([a.likelihood + (a.penalty + 100.0) for a in res.per_model])
-    assert coll[int(_first_min(shifted))] is res.chosen
+    assert build_collection(cfg)[int(_first_min(shifted))] is res.chosen
 
 
 def test_select_tie_break_prefers_smallest_dimension():
@@ -108,7 +116,7 @@ def test_select_tie_break_prefers_smallest_dimension():
     coll = build_collection(cfg)
     rng = np.random.default_rng(10)
     obs = Observations(y1=rng.normal(size=64), y2=rng.normal(size=64))
-    res = select(coll, obs, cfg)
+    res = select(cfg, obs)
     # a penalty constant across models makes many criteria close; equal criteria
     # must resolve to the earliest (smallest-D) model of the canonical order
     for crits in ([a.criterion for a in res.per_model], [a.likelihood + 50.0 for a in res.per_model]):
@@ -143,10 +151,11 @@ def test_first_min_raises_on_a_row_with_no_finite_criterion(criteria):
 
 
 def test_select_empty_collection():
+    # At n = 2 no model meets the sample-size bound: the config admits no model.
     rng = np.random.default_rng(12)
-    obs = Observations(y1=rng.normal(size=16), y2=rng.normal(size=16))
-    with pytest.raises(ValueError):
-        select([], obs, CollectionConfig(16, 1.0, 2.0, 0.01, 3.0))
+    obs = Observations(y1=rng.normal(size=2), y2=rng.normal(size=2))
+    with pytest.raises(EmptyCollectionError, match="^no admissible model for n=2"):
+        select(CollectionConfig(2, 1.0, 2.0, 0.01, 3.0), obs)
 
 
 def test_select_raises_when_any_model_is_degenerate():
@@ -160,7 +169,7 @@ def test_select_raises_when_any_model_is_degenerate():
     coll = build_collection(cfg)
     assert len(coll) == 8 and sum(m.num_coarse > 1 for m in coll) == 4
     with pytest.raises(DegenerateVarianceError, match="zero residual variance"):
-        select(coll, obs, cfg)
+        select(cfg, obs)
 
 
 def test_select_raises_when_no_criterion_is_finite():
@@ -170,7 +179,7 @@ def test_select_raises_when_no_criterion_is_finite():
     obs = Observations(y1=y[0], y2=y[1])
     cfg = CollectionConfig(64, 2.0, 2.0, 0.01, 3.0)
     with pytest.raises(ValueError, match="no model has a finite criterion"):
-        select(build_collection(cfg), obs, cfg)
+        select(cfg, obs)
 
 
 @pytest.mark.parametrize("name, n, rows", [

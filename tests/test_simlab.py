@@ -209,7 +209,7 @@ def test_every_selection_path_raises_when_no_criterion_is_finite():
     cfg = CollectionConfig(64, 2.0, 1e308, 0.01, 3.0)
     sc = get_scenario("M1")
     with pytest.raises(ValueError, match="^no model has a finite criterion") as expected:
-        select(build_collection(cfg), sample(sc, 64, SeedPolicy(0).stream(0)), cfg)
+        select(cfg, sample(sc, 64, SeedPolicy(0).stream(0)))
     for run in (
         lambda: mc_risk(sc, cfg, 2, SeedPolicy(0)),
         lambda: risk_profile(sc, [Model(64, 0, 1), cfg], 2, SeedPolicy(0), "quadratic_mean"),
@@ -454,7 +454,7 @@ def _targets(sc, n, grid):
 
 def _scalar_estimate(target, obs):
     if isinstance(target, CollectionConfig):
-        return select(build_collection(target), obs, target).estimate
+        return select(target, obs).estimate
     return fit(target, obs)
 
 
@@ -480,7 +480,7 @@ def test_batched_scoring_equals_scalar_path(master):
             obs = Observations(y1[r], y2[r])
             for i, t in enumerate(targets):
                 if isinstance(t, CollectionConfig):
-                    result = select(build_collection(t), obs, t)
+                    result = select(t, obs)
                     for _, picks, _ in scored.values():
                         assert build_collection(t)[picks[r, i]] == result.chosen
                     est = result.estimate
