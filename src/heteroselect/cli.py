@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .estimation import KAPPA, DegenerateVarianceError, Observations
-from .model_space import DELTA, EPSILON, THETA, CollectionConfig, build_collection, check_reps
+from .model_space import DELTA, EPSILON, THETA, CollectionConfig, check_reps
 from .oracle_checks import (
     InverseMomentCase,
     lemma10_battery,
@@ -67,14 +67,25 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _lines_within_field_limit(path: str) -> bool:
+    """Whether no line of the file is past `csv.field_size_limit()` characters, which `np.loadtxt`
+    does not check: true when each whole block of half that many bytes holds a line break, as a
+    longer line covers one (so a line between half the limit and the limit fails too)."""
+    size = max(csv.field_size_limit() // 2, 1)
+    with open(path, "rb") as fh:
+        return all(len(b) < size or b"\n" in b or b"\r" in b for b in iter(lambda: fh.read(size), b""))
+
+
 def _read_pairs(path: str) -> tuple[np.ndarray, np.ndarray]:
     """The two columns of a `y1,y2` CSV file, as contiguous float arrays.
 
-    `np.loadtxt` parses the data rows when it can: it accepts a strict subset
-    of the row loop's dialect, with bit-equal values.  Anything it rejects, or
-    reads as other than at least one row of two finite columns, goes through
-    the row loop, which defines the dialect and reports the offending line.
-    A UTF-8 byte-order mark before the header (Excel's "CSV UTF-8") is skipped.
+    `np.loadtxt` parses the data rows when it can.  On a file with no line past
+    the csv module's field size limit, it accepts a strict subset of the row
+    loop's dialect, with bit-equal values.  Anything it rejects or reads as
+    other than at least one row of two finite columns, and any file that may
+    hold a longer line, goes through the row loop, which defines the dialect
+    and reports the offending line.  A UTF-8 byte-order mark before the header
+    (Excel's "CSV UTF-8") is skipped.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -88,7 +99,8 @@ def _read_pairs(path: str) -> tuple[np.ndarray, np.ndarray]:
                     data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, dtype=float)
             except ValueError:
                 data = None
-            if data is not None and data.shape[0] > 0 and data.shape[1] == 2 and np.isfinite(data).all():
+            parsed = data is not None and data.shape[0] > 0 and data.shape[1] == 2 and np.isfinite(data).all()
+            if parsed and _lines_within_field_limit(path):
                 y1, y2 = data.T.copy()
                 return y1, y2
             fh.seek(0)
@@ -288,13 +300,20 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     seeds = SeedPolicy(seed)
     kappa = args.kappa
-    sandwich_scenario = get_scenario("M1")
-    # An n with no admissible sandwich model fails here, before any check runs.
-    build_collection(CollectionConfig(args.n, sandwich_scenario.true_gamma, args.theta, args.epsilon, args.delta))
     check_reps("--reps", args.reps, VERIFY_MIN_REPS)
     if not (math.isfinite(kappa) and kappa > 0):
         raise InputError(f"--kappa must be finite and > 0, got {kappa}")
 
+    # First: constants that admit no sandwich model fail in its collection, before any draw.
+    entries = prop1_sandwich_check(
+        get_scenario("M1"),
+        n=args.n,
+        reps=args.reps // 50,
+        seeds=seeds.namespaced(3),
+        theta=args.theta,
+        epsilon=args.epsilon,
+        delta=args.delta,
+    )
     exact = lemma11_check(
         InverseMomentCase(a=np.zeros(4), b=np.ones(4)),
         reps=args.reps,
@@ -303,15 +322,6 @@ def cmd_verify(args) -> int:
     )
     battery = lemma11_battery(50, reps=args.reps // 10, seeds=seeds.namespaced(1), kappa=kappa)
     spectrum = lemma10_battery(100, n=64, seeds=seeds.namespaced(2))
-    entries = prop1_sandwich_check(
-        sandwich_scenario,
-        n=args.n,
-        reps=args.reps // 50,
-        seeds=seeds.namespaced(3),
-        theta=args.theta,
-        epsilon=args.epsilon,
-        delta=args.delta,
-    )
     checks = [
         {
             "name": "inverse_moment_exact_chi_square",

@@ -405,14 +405,19 @@ class ConvergenceResult(NamedTuple):
 
 def rate_threshold(scenario: Scenario, n: int, epsilon: float) -> float:
     """Smallest admissible n for the rate experiment with this smooth scenario: inf when
-    exp(4 (1+epsilon)^2) is past the float range."""
+    exp(4 (1+epsilon)^2) or the constants' bound (2 s^2 / (l1^2 s + l2^2))^2, s the least
+    sigma, is past the float range, as that bound is when both constants are 0."""
     sigma_star = float(scenario.truth(n).sigma.min())
     l1, l2 = scenario.const_mean, scenario.const_var
+    if not (math.isfinite(l1) and math.isfinite(l2)):
+        raise ValueError(f"Hölder constants must be finite, got const_mean={l1}, const_var={l2}")
     try:
         log_bound = math.exp(4.0 * (1.0 + epsilon) ** 2)
     except OverflowError:
         log_bound = math.inf
-    return max((2.0 * sigma_star**2 / (l1**2 * sigma_star + l2**2)) ** 2, log_bound)
+    scale = l1 * l1 * sigma_star + l2 * l2
+    ratio = 2.0 * sigma_star**2 / scale if scale > 0.0 else math.inf
+    return max(ratio * ratio, log_bound)
 
 
 def convergence_experiment(

@@ -249,6 +249,14 @@ _DIALECT = [
     pytest.param(
         "y" * 200_000 + ",y2\n1,2\n", "{path}:1: field larger than field limit (131072)", id="long-header-field",
     ),
+    # A finite over-long field, which `np.loadtxt` alone would read as 1.0; and one inside the limit,
+    # on a line long enough to take the row loop, which reads it.
+    pytest.param(
+        "y1,y2\n1,2\n" + "0" * 199_999 + "1,2\n",
+        "{path}:3: field larger than field limit (131072)",
+        id="long-finite-field",
+    ),
+    pytest.param("y1,y2\n1,2\n" + "0" * 99_999 + "1,2\n", ([1.0, 1.0], [2.0, 2.0]), id="long-field-in-limit"),
 ]
 
 
@@ -576,9 +584,11 @@ def test_verify_bad_n_fails_before_any_check(monkeypatch):
     def no_battery(*args, **kwargs):
         raise AssertionError("verify ran a check before validating its flags")
 
-    monkeypatch.setattr(cli, "lemma11_check", no_battery)
-    for n in ["1000", "4"]:  # 4 is a power of two with no admissible sandwich model
-        assert main(["verify", "--n", n]) == EXIT_INPUT
+    for name in ("lemma11_check", "lemma11_battery", "lemma10_battery"):
+        monkeypatch.setattr(cli, name, no_battery)
+    # 4 is a power of two with no admissible sandwich model; at epsilon = 1000 its penalty overflows.
+    for flags in (["--n", "1000"], ["--n", "4"], ["--epsilon", "1000"]):
+        assert main(["verify"] + flags) == EXIT_INPUT
 
 
 @pytest.mark.parametrize(
@@ -596,7 +606,8 @@ def test_verify_bad_reps_or_kappa_fails_before_any_check(flags, message, monkeyp
     def no_battery(*args, **kwargs):
         raise AssertionError("verify ran a check before validating its flags")
 
-    monkeypatch.setattr(cli, "lemma11_check", no_battery)
+    for name in ("lemma11_check", "prop1_sandwich_check"):
+        monkeypatch.setattr(cli, name, no_battery)
     assert main(["verify", "--n", "256"] + flags) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {message}\n"
 

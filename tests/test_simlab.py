@@ -360,6 +360,26 @@ def test_rate_threshold_past_the_float_range_is_inf(epsilon):
     assert rate_threshold(lipschitz_scenario(), 256, epsilon) == math.inf
 
 
+@pytest.mark.parametrize("const", [0.0, 1e-100])  # the bound divides by 0; its square overflows
+def test_rate_threshold_vanishing_constants_are_inf(const):
+    assert rate_threshold(lipschitz_scenario()._replace(const_mean=const, const_var=const), 256, 0.01) == math.inf
+
+
+def test_rate_threshold_huge_constants_leave_the_log_bound():
+    sc = lipschitz_scenario()._replace(const_mean=1e200, const_var=1e200)
+    assert rate_threshold(sc, 256, 0.01) == math.exp(4.0 * 1.01**2)
+
+
+@pytest.mark.parametrize("field", ["const_mean", "const_var"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_rate_threshold_rejects_a_non_finite_constant(field, value):
+    sc = lipschitz_scenario()._replace(**{field: value})
+    with pytest.raises(ValueError, match=f"{field}={value}"):
+        rate_threshold(sc, 256, 0.01)
+    with pytest.raises(ValueError, match=f"{field}={value}"):
+        convergence_experiment(sc, [16, 32], 10, SeedPolicy(29))
+
+
 def test_convergence_output_shape_and_normalization():
     sc = lipschitz_scenario()
     res = convergence_experiment(sc, [64, 128], 20, SeedPolicy(37))
