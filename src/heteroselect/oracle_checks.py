@@ -18,7 +18,7 @@ from .model_space import (
     DELTA, EPSILON, THETA, CollectionConfig, Model, all_models, block_means, build_collection, check_reps,
     check_vector,
 )
-from .simlab import Scenario, SeedPolicy, _block_rows, _mean_and_se, risk_profile
+from .simlab import Scenario, SeedPolicy, _block_rows, _map, _mean_and_se, risk_profile
 
 
 class _InverseMomentCaseFields(NamedTuple):
@@ -107,19 +107,34 @@ class CompressedSpectrumResult(NamedTuple):
     holds: bool
 
 
+#: Largest gap, relative to max sigma, allowed between the eigensolver's spectrum and the closed
+#: form; backward-stable `eigvalsh` errs by about |J| * 2.2e-16 of it on a fine block J.
+SPECTRUM_RTOL = 1e-9
+
+
 def lemma10_check(sigma_diag: np.ndarray, m: Model) -> CompressedSpectrumResult:
     """Check that the nonzero eigenvalues of P*diag(sigma)*P stay inside [min sigma, max sigma].
 
-    For the blockwise-mean projection each fine block contributes one nonzero
-    eigenvalue, the block-averaged variance; no eigensolver is needed.
+    P is the blockwise-mean projection onto the fine blocks, so the matrix is block-diagonal:
+    on a fine block J it is (1/|J|^2) * sum(sigma_J) * ones((|J|, |J|)).  Its spectrum is taken
+    by `np.linalg.eigvalsh` of those blocks and must equal, within SPECTRUM_RTOL * max sigma,
+    the closed form: one nonzero eigenvalue per fine block, the block's mean of sigma, and
+    |J| - 1 zeros.  tau_min and tau_max span the eigensolver's nonzero eigenvalues.  The blocks
+    take n * |J| floats, so the check is cheap for any n whose fine blocks are small.
     """
     sigma_diag = check_vector("sigma_diag", sigma_diag, positive=True)
     if len(sigma_diag) != m.n:
         raise ValueError(f"sigma_diag must have length {m.n}")
-    tau = block_means(sigma_diag, m.num_fine)
+    size = m.n // m.num_fine
+    proj = np.full((m.num_fine, size, size), 1.0 / size)
+    spectrum = np.linalg.eigvalsh(proj @ (sigma_diag.reshape(m.num_fine, size, 1) * proj))  # ascending rows
+    closed = np.zeros_like(spectrum)
+    closed[:, -1] = block_means(sigma_diag, m.num_fine)
+    tau = spectrum[:, -1]
     lo, hi = float(sigma_diag.min()), float(sigma_diag.max())
-    slack = 1e-12 * max(1.0, hi)
-    holds = bool(tau.min() >= lo - slack and tau.max() <= hi + slack)
+    tol = SPECTRUM_RTOL * hi
+    agrees = bool(np.all(np.abs(spectrum - closed) <= tol))
+    holds = agrees and bool(tau.min() >= lo - tol and tau.max() <= hi + tol)
     return CompressedSpectrumResult(tau_min=float(tau.min()), tau_max=float(tau.max()), holds=holds)
 
 
@@ -176,11 +191,9 @@ def lemma11_battery(
     seeds: SeedPolicy,
     kappa: float = KAPPA,
 ) -> list[InverseMomentResult]:
+    """`lemma11_check` on random cases, each on its own seed namespace, the cases run through `_map`."""
     cases = random_inverse_moment_cases(num_cases, seeds.namespaced(0))
-    return [
-        lemma11_check(case, reps, seeds.namespaced(1 + i), kappa=kappa)
-        for i, case in enumerate(cases)
-    ]
+    return _map(lambda i: lemma11_check(cases[i], reps, seeds.namespaced(1 + i), kappa=kappa), range(len(cases)))
 
 
 def lemma10_battery(num_cases: int, n: int, seeds: SeedPolicy) -> list[CompressedSpectrumResult]:

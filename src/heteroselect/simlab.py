@@ -19,11 +19,17 @@ that stands for its selection procedure, through one replication engine, `_run`:
   numbers that reduce ratio variance.  A draw degenerate for any of them is
   redrawn for all of them.
 - At most DEGENERATE_BUDGET (0.1%) of the replications may be redrawn.
+- The blocks of a run are scored on `_WORKERS` threads, one per CPU of the
+  process's affinity (`taskset -c 0` gives one), which overlap where numpy
+  releases the GIL: its (R, n) loops and `standard_normal`.  Each block writes
+  only its own rows, so the results are the same bytes for any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -41,11 +47,66 @@ _MAX_REDRAWS = 8
 
 _BLOCK_POINTS = 2**16
 
+#: Threads that `_map` runs on: the CPUs this process may run on.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
 
 def _block_rows(n: int) -> int:
     """Draws of n points per block, in the lab and the oracle checks alike: each (R, n)
     float temporary of a block takes 512 KiB for n <= _BLOCK_POINTS."""
     return max(1, _BLOCK_POINTS // n)
+
+
+def _map(fn, items) -> list:
+    """[fn(item) for item in items] on up to `_WORKERS` threads, this one among them.
+
+    Items are handed out in order and the results come back in item order.  Of the items
+    that raise an `Exception`, the lowest one's error is raised, as a serial loop raises it:
+    every item below it runs, and only items above the lowest failure so far are skipped.
+    Any other `BaseException`, such as an interrupt, stops every thread and is raised.
+    Each thread runs under the caller's `np.geterr()`, since a new thread starts with
+    numpy's defaults.  One item, or one worker, is a plain loop.
+    """
+    items = list(items)
+    threads = min(_WORKERS, len(items))
+    if threads <= 1:
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+    lock = threading.Lock()
+    taken, failed, error = 0, len(items), None  # items handed out; the lowest failing index, its error
+    errstate = np.geterr()
+
+    def work():
+        nonlocal taken, failed, error
+        with np.errstate(**errstate):
+            while True:
+                with lock:
+                    i = taken
+                    if i >= failed:
+                        return
+                    taken += 1
+                try:
+                    results[i] = fn(items[i])
+                except Exception as exc:
+                    with lock:
+                        if i < failed:
+                            failed, error = i, exc
+                except BaseException as exc:  # an interrupt or an exit: every thread stops
+                    with lock:
+                        failed, error = -1, exc
+                    return
+
+    helpers = [threading.Thread(target=work, daemon=True) for _ in range(threads - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in helpers:
+            t.join()
+    if error is not None:
+        raise error
+    return results
 
 
 def _mean_and_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,29 +262,32 @@ def _run(scenario, targets, reps, seeds, kind):
     as rows of (R, n) arrays.  Returns the (reps, targets) losses and picks of
     all replications and the number of redraws.  Replication r draws from the
     stream (r,) and, while its row is degenerate, redraws from (r, 1), (r, 2),
-    ..., up to _MAX_REDRAWS attempts in all.
+    ..., up to _MAX_REDRAWS attempts in all.  The blocks run through `_map`.
     """
     score = _scorer(targets, kind)
     truth = scenario.truth(targets[0].n)
     rows = _block_rows(truth.n)
     losses = np.empty((reps, len(targets)))
     picks = np.empty((reps, len(targets)), dtype=np.intp)
-    degenerate = 0
-    for start in range(0, reps, rows):
+
+    def block(start):
+        """Score the block of rows from start into its rows of losses and picks; return its redraws."""
         pending = np.arange(start, min(start + rows, reps))
+        redrawn = 0
         for attempt in range(_MAX_REDRAWS):
             keys = [(r,) if attempt == 0 else (r, attempt) for r in pending.tolist()]
             loss, pick, bad = score(*_draw(truth, [seeds.stream(*key) for key in keys]), truth)
             losses[pending[~bad]] = loss[~bad]
             picks[pending[~bad]] = pick[~bad]
-            degenerate += int(bad.sum())
+            redrawn += int(bad.sum())
             pending = pending[bad]
             if not len(pending):
-                break
-        else:
-            raise DegenerateVarianceError(
-                f"replication {pending[0]}: degenerate variance persisted across {_MAX_REDRAWS} redraws"
-            )
+                return redrawn
+        raise DegenerateVarianceError(
+            f"replication {pending[0]}: degenerate variance persisted across {_MAX_REDRAWS} redraws"
+        )
+
+    degenerate = sum(_map(block, range(0, reps, rows)))
     if degenerate > DEGENERATE_BUDGET * reps:
         raise DegenerateVarianceError(
             f"{degenerate} degenerate replications out of {reps} exceed the "

@@ -223,6 +223,34 @@ def test_compressed_spectrum_battery():
     assert all(r.holds for r in results)
 
 
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda y, blocks: y.reshape(blocks, -1).max(axis=1),  # inside [min sigma, max sigma], as the means are
+        lambda y, blocks: block_means(y, blocks) * (1.0 + 1e-6),
+    ],
+    ids=["block-maxima", "means-off-by-1e-6"],
+)
+def test_compressed_spectrum_catches_a_wrong_closed_form(wrong, monkeypatch):
+    sigma = np.exp(np.random.default_rng(71).normal(size=64))
+    m = Model(64, 1, 2)  # 4 fine blocks of 16
+    assert lemma10_check(sigma, m).holds
+    monkeypatch.setattr(oracle_checks, "block_means", wrong)
+    assert not lemma10_check(sigma, m).holds
+    # The battery's models with one point per fine block have block maxima equal to block means.
+    assert sum(r.holds for r in lemma10_battery(100, n=64, seeds=SeedPolicy(57))) < 100
+
+
+def test_compressed_spectrum_is_the_eigensolvers():
+    # The identity projection's spectrum is sigma itself; eigvalsh of a 1 x 1 block is exact.
+    sigma = np.exp(np.random.default_rng(72).normal(size=16))
+    res = lemma10_check(sigma, Model(16, 4, 1))
+    assert (res.tau_min, res.tau_max) == (sigma.min(), sigma.max())
+    # One fine block of 64 points: one nonzero eigenvalue, the mean of sigma.
+    res = lemma10_check(np.exp(np.random.default_rng(73).normal(size=64)), Model(64, 0, 1))
+    assert res.holds and res.tau_min == res.tau_max
+
+
 def test_compressed_spectrum_trace_identity():
     rng = np.random.default_rng(58)
     for _ in range(20):

@@ -1,5 +1,8 @@
 import itertools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from heteroselect.estimation import (
     kl_divergence,
 )
 from heteroselect.model_space import CollectionConfig, Model, all_models, build_collection
+from heteroselect.oracle_checks import lemma11_battery, prop1_sandwich_check
 from heteroselect.selector import select
 from heteroselect.simlab import (
     RiskReport,
@@ -554,6 +558,143 @@ def test_results_do_not_depend_on_block_size(monkeypatch):
     assert runs[1] == runs[3] == runs[5000]
     degenerate = [rep.degenerate for rep in runs[1][1][1]]
     assert degenerate == [1] * len(degenerate)
+
+
+def test_results_do_not_depend_on_worker_count(monkeypatch):
+    n = 32
+
+    def results(seeds):
+        scenarios = [get_scenario("M1"), get_scenario("M3")]
+        tables = [ratio_table(scenarios, [1.0, 2.0], n, 20, seeds, kind=k) for k in simlab.RISK_KINDS]
+        coll = build_collection(CollectionConfig(n, 2.0, 2.0, 0.01, 3.0))
+        profile = risk_profile(get_scenario("M4"), coll, 1000, seeds.namespaced(7))
+        freq = selection_frequency(get_scenario("M1"), n, lambda m: m.num_coarse == 2, 1000, seeds.namespaced(8))
+        rate = convergence_experiment(lipschitz_scenario(), [64, 128], 20, seeds.namespaced(9))
+        battery = lemma11_battery(5, 10_000, seeds.namespaced(10))
+        sandwich = prop1_sandwich_check(get_scenario("M1"), n, 20, seeds.namespaced(11))
+        return tables, profile, freq, rate, battery, sandwich
+
+    seeds = SeedPolicy(5)
+    # 7-row blocks at n = 32: 3 blocks of each 20-rep run and 143 of each 1000-rep one.  Draw 500
+    # sits in the middle of block 71 of the profile's run and is degenerate there.
+    monkeypatch.setattr(simlab, "_BLOCK_POINTS", 7 * n)
+    _recording_fit(monkeypatch, [sample(get_scenario("M4"), n, seeds.namespaced(7).stream(500)).y1])
+    runs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simlab, "_WORKERS", workers)
+        runs[workers] = results(seeds)
+    assert runs[1] == runs[2] == runs[3]
+    assert [rep.degenerate for rep in runs[1][1]] == [1] * len(runs[1][1])
+    assert runs[1][5] and all(e.holds for e in runs[1][5])
+
+
+def test_two_persistently_degenerate_blocks_raise_the_serial_message(monkeypatch):
+    # Replications 4 and 10 are degenerate on every redraw, in blocks 1 and 3 of four 3-row
+    # blocks.  Block 1 is slowed down, so that block 3 fails first in time on 2 or 3 workers.
+    sc, n, seeds = get_scenario("M2"), 16, SeedPolicy(13)
+    model = build_collection(CollectionConfig(n, 1.0, 2.0, 0.01, 3.0))[0]
+    keys = lambda r: [(r,)] + [(r, k) for k in range(1, simlab._MAX_REDRAWS)]
+    slow = {sample(sc, n, seeds.stream(*key)).y1.tobytes() for key in keys(4)}
+    bad = slow | {sample(sc, n, seeds.stream(*key)).y1.tobytes() for key in keys(10)}
+
+    def fit_rows(m, y1, y2, fine=None):
+        mean, block_var, degenerate = _fit_rows(m, y1, y2, fine)
+        rows = [row.tobytes() for row in np.atleast_2d(y1)]
+        if any(row in slow for row in rows):
+            time.sleep(0.02)
+        forced = np.array([row in bad for row in rows])
+        return mean, block_var, degenerate | forced.reshape(np.shape(degenerate))
+
+    monkeypatch.setattr(estimation, "_fit_rows", fit_rows)
+    monkeypatch.setattr(simlab, "_BLOCK_POINTS", 3 * n)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simlab, "_WORKERS", workers)
+        with pytest.raises(DegenerateVarianceError) as err:
+            mc_risk(sc, model, 12, seeds)
+        assert str(err.value) == (
+            f"replication 4: degenerate variance persisted across {simlab._MAX_REDRAWS} redraws"
+        )
+
+
+def test_map_runs_items_on_helper_threads_and_returns_them_in_order(monkeypatch):
+    monkeypatch.setattr(simlab, "_WORKERS", 3)
+    barrier = threading.Barrier(3, timeout=10)
+
+    def fn(x):
+        if x < 3:
+            barrier.wait()  # the first three items run at once, so on three threads
+        return x * x, threading.get_ident()
+
+    out = simlab._map(fn, range(10))
+    assert [y for y, _ in out] == [x * x for x in range(10)]
+    assert len({ident for _, ident in out[:3]}) == 3
+    assert simlab._map(fn, []) == []
+
+
+def test_map_hands_out_each_item_once_under_frequent_thread_switches(monkeypatch):
+    monkeypatch.setattr(simlab, "_WORKERS", 8)  # more threads than CPUs
+    ran = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = simlab._map(lambda x: ran.append(x) or x + 1, range(5000))
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == list(range(1, 5001))
+    assert sorted(ran) == list(range(5000))
+
+
+def test_map_raises_the_lowest_failing_items_error(monkeypatch):
+    monkeypatch.setattr(simlab, "_WORKERS", 3)
+    ran = []
+
+    def fn(x):
+        ran.append(x)
+        if x == 2:
+            time.sleep(0.05)  # item 5 fails first in time
+        if x in (2, 5):
+            raise ValueError(f"item {x}")
+        return x
+
+    with pytest.raises(ValueError, match="^item 2$"):
+        simlab._map(fn, range(40))
+    assert set(range(3)) <= set(ran) and max(ran) < 40
+
+
+def test_map_stops_every_worker_on_an_interrupt(monkeypatch):
+    monkeypatch.setattr(simlab, "_WORKERS", 3)
+    ran = []
+
+    def fn(x):
+        ran.append(x)
+        if x == 0:
+            time.sleep(0.05)
+            raise ValueError("item 0")
+        if x == 2:
+            raise KeyboardInterrupt
+        return x
+
+    with pytest.raises(KeyboardInterrupt):  # not item 0's error, though its index is lower
+        simlab._map(fn, range(1000))
+    assert len(ran) < 1000
+
+
+def test_a_callers_errstate_holds_in_helper_threads(monkeypatch):
+    monkeypatch.setattr(simlab, "_WORKERS", 2)
+    barrier = threading.Barrier(2, timeout=10)
+    threads = set()
+
+    def fn(_):
+        barrier.wait()  # both items run at once, one on a helper thread
+        threads.add(threading.get_ident())
+        return np.divide(np.ones(1), np.zeros(1))
+
+    with np.errstate(all="raise"):
+        with pytest.raises(FloatingPointError):
+            simlab._map(fn, range(2))
+    assert len(threads) == 2 and threading.get_ident() in threads
+    with np.errstate(all="raise", divide="ignore"):
+        assert [float(x[0]) for x in simlab._map(fn, range(2))] == [math.inf, math.inf]
 
 
 def test_draw_degenerate_for_one_target_is_redrawn_for_all(monkeypatch):
