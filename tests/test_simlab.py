@@ -593,9 +593,13 @@ def test_two_persistently_degenerate_blocks_raise_the_serial_message(monkeypatch
     # blocks.  Block 1 is slowed down, so that block 3 fails first in time on 2 or 3 workers.
     sc, n, seeds = get_scenario("M2"), 16, SeedPolicy(13)
     model = build_collection(CollectionConfig(n, 1.0, 2.0, 0.01, 3.0))[0]
-    keys = lambda r: [(r,)] + [(r, k) for k in range(1, simlab._MAX_REDRAWS)]
-    slow = {sample(sc, n, seeds.stream(*key)).y1.tobytes() for key in keys(4)}
-    bad = slow | {sample(sc, n, seeds.stream(*key)).y1.tobytes() for key in keys(10)}
+
+    def every_draw(r):
+        keys = [(r,)] + [(r, k) for k in range(1, simlab._MAX_REDRAWS)]
+        return {sample(sc, n, seeds.stream(*key)).y1.tobytes() for key in keys}
+
+    slow = every_draw(4)
+    bad = slow | every_draw(10)
 
     def fit_rows(m, y1, y2, fine=None):
         mean, block_var, degenerate = _fit_rows(m, y1, y2, fine)
