@@ -191,7 +191,9 @@ def lemma11_battery(
     seeds: SeedPolicy,
     kappa: float = KAPPA,
 ) -> list[InverseMomentResult]:
-    """`lemma11_check` on random cases, each on its own seed namespace, the cases run through `_map`."""
+    """`lemma11_check` on random cases, each on its own seed namespace, the cases run through
+    `_map` at any n: a case draws a whole block per `standard_normal` call, so its
+    GIL-holding Python is per block, not per draw."""
     cases = random_inverse_moment_cases(num_cases, seeds.namespaced(0))
     return _map(lambda i: lemma11_check(cases[i], reps, seeds.namespaced(1 + i), kappa=kappa), range(len(cases)))
 

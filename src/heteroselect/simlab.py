@@ -19,17 +19,19 @@ that stands for its selection procedure, through one replication engine, `_run`:
   numbers that reduce ratio variance.  A draw degenerate for any of them is
   redrawn for all of them.
 - At most DEGENERATE_BUDGET (0.1%) of the replications may be redrawn.
-- The blocks of a run are scored on `_WORKERS` threads, one per CPU of the
-  process's affinity (`taskset -c 0` gives one), which overlap where numpy
-  releases the GIL: its (R, n) loops and `standard_normal`.  Each block writes
-  only its own rows, so the results are the same bytes for any worker count.
+- At n >= _MIN_THREADED_N the blocks of a run are scored on `_WORKERS` threads,
+  one per CPU of the process's affinity up to 2 (`taskset -c 0` gives one),
+  which overlap where numpy releases the GIL: its (R, n) loops and
+  `standard_normal`.  Below it a block is mostly per-row Python (a generator
+  per row) that holds the GIL, and runs on the calling thread.  Each block
+  writes only its own rows, so the results are the same bytes for any worker
+  count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -47,8 +49,14 @@ _MAX_REDRAWS = 8
 
 _BLOCK_POINTS = 2**16
 
-#: Threads that `_map` runs on: the CPUs this process may run on.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+#: Threads that `_map` runs on: the CPUs this process may run on, at most 2, the most that
+#: its speed and memory were measured on.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+
+#: The least sample size at which `_run` scores its blocks through `_map`.  On 2 CPUs, two
+#: threads ran 8-block lab runs 12-27% slower than one at n = 16, 0.83-1.06 times as long at
+#: n = 64 and 128, and 17-37% faster from n = 256 on.
+_MIN_THREADED_N = 256
 
 
 def _block_rows(n: int) -> int:
@@ -58,12 +66,9 @@ def _block_rows(n: int) -> int:
 
 
 def _map(fn, items) -> list:
-    """[fn(item) for item in items] on up to `_WORKERS` threads, this one among them.
+    """[fn(item) for item in items] on up to `_WORKERS` threads, the results in item order.
 
-    Items are handed out in order and the results come back in item order.  Of the items
-    that raise an `Exception`, the lowest one's error is raised, as a serial loop raises it:
-    every item below it runs, and only items above the lowest failure so far are skipped.
-    Any other `BaseException`, such as an interrupt, stops every thread and is raised.
+    Of the items that raise, the lowest one's error is raised, as a serial loop raises it.
     Each thread runs under the caller's `np.geterr()`, since a new thread starts with
     numpy's defaults.  One item, or one worker, is a plain loop.
     """
@@ -71,42 +76,16 @@ def _map(fn, items) -> list:
     threads = min(_WORKERS, len(items))
     if threads <= 1:
         return [fn(item) for item in items]
-    results = [None] * len(items)
-    lock = threading.Lock()
-    taken, failed, error = 0, len(items), None  # items handed out; the lowest failing index, its error
-    errstate = np.geterr()
+    from concurrent.futures import ThreadPoolExecutor  # it imports logging: only when threaded
 
-    def work():
-        nonlocal taken, failed, error
-        with np.errstate(**errstate):
-            while True:
-                with lock:
-                    i = taken
-                    if i >= failed:
-                        return
-                    taken += 1
-                try:
-                    results[i] = fn(items[i])
-                except Exception as exc:
-                    with lock:
-                        if i < failed:
-                            failed, error = i, exc
-                except BaseException as exc:  # an interrupt or an exit: every thread stops
-                    with lock:
-                        failed, error = -1, exc
-                    return
+    saved = np.geterr()
 
-    helpers = [threading.Thread(target=work, daemon=True) for _ in range(threads - 1)]
-    for t in helpers:
-        t.start()
-    try:
-        work()
-    finally:
-        for t in helpers:
-            t.join()
-    if error is not None:
-        raise error
-    return results
+    def run(item):
+        with np.errstate(**saved):
+            return fn(item)
+
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(run, items))
 
 
 def _mean_and_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +241,8 @@ def _run(scenario, targets, reps, seeds, kind):
     as rows of (R, n) arrays.  Returns the (reps, targets) losses and picks of
     all replications and the number of redraws.  Replication r draws from the
     stream (r,) and, while its row is degenerate, redraws from (r, 1), (r, 2),
-    ..., up to _MAX_REDRAWS attempts in all.  The blocks run through `_map`.
+    ..., up to _MAX_REDRAWS attempts in all.  From n = _MIN_THREADED_N on, the blocks
+    run through `_map`.
     """
     score = _scorer(targets, kind)
     truth = scenario.truth(targets[0].n)
@@ -287,7 +267,8 @@ def _run(scenario, targets, reps, seeds, kind):
             f"replication {pending[0]}: degenerate variance persisted across {_MAX_REDRAWS} redraws"
         )
 
-    degenerate = sum(_map(block, range(0, reps, rows)))
+    starts = range(0, reps, rows)
+    degenerate = sum(_map(block, starts) if truth.n >= _MIN_THREADED_N else map(block, starts))
     if degenerate > DEGENERATE_BUDGET * reps:
         raise DegenerateVarianceError(
             f"{degenerate} degenerate replications out of {reps} exceed the "
