@@ -4,11 +4,12 @@ The mean is estimated from the first replicate by projection, the variance from
 the second replicate by averaging squared projection residuals over each coarse
 block.  Splitting the data keeps the two estimators independent.
 
-All fit arithmetic lives here, including the block kernel `_fit_block` that
-scores a model collection on an (R, n) block for the lab and for `select(cfg, obs)`.
-The kernel takes the loss terms that depend only on the variance once per run
-of equal true variance within a coarse block, bit-identical to `kl_divergence`'s
-per-point terms.
+All fit arithmetic lives here, including the block kernel that the lab and
+`select(cfg, obs)` share, in three passes over an (R, n) block: `_fit_block` fits
+a model collection, `_block_likelihoods` ranks the fits and `_block_losses`
+scores those that are read.  The loss pass takes the terms that depend only on
+the variance once per run of equal true variance within a coarse block,
+bit-identical to `kl_divergence`'s per-point terms.
 """
 
 from __future__ import annotations
@@ -43,12 +44,7 @@ class DegenerateVarianceError(RuntimeError):
         super().__init__(message)
 
 
-class _ObservationsFields(NamedTuple):
-    y1: np.ndarray
-    y2: np.ndarray
-
-
-class Observations(_ObservationsFields):
+class Observations(NamedTuple("Observations", [("y1", np.ndarray), ("y2", np.ndarray)])):
     """Two independent replicates of the same Gaussian vector."""
 
     __slots__ = ()
@@ -83,12 +79,7 @@ class Estimate(NamedTuple):
         return expand(self.block_variance, self.model.n)
 
 
-class _TruthSpecFields(NamedTuple):
-    s: np.ndarray
-    sigma: np.ndarray
-
-
-class TruthSpec(_TruthSpecFields):
+class TruthSpec(NamedTuple("TruthSpec", [("s", np.ndarray), ("sigma", np.ndarray)])):
     """The true mean and variance vectors, for simulation and risk evaluation."""
 
     __slots__ = ()
@@ -276,51 +267,67 @@ def _run_loss(kind: str, sigma, runs, sq_err, block_var, out):
     return 0.5 * np.add.reduce(np.add(terms, var_terms, out=terms), axis=-1)
 
 
-def _fit_block(models: Sequence[Model], y1: np.ndarray, y2: np.ndarray, rank: bool, truth=None, kind=None):
-    """Fit every model to each row of an (R, n) block with `fit`'s arithmetic: (lik, losses, bad).
+def _fit_block(models: Sequence[Model], y1: np.ndarray, y2: np.ndarray):
+    """Fit every model to each row of an (R, n) block with `fit`'s arithmetic: (fits, bad).
 
-    lik[r, j] is `log_likelihood` of model j on row r if rank, losses[r, j]
-    is the loss `kind` against truth if a kind is given (both 0 otherwise), and
-    bad[r] whether row r is degenerate for any model.  Nothing is kept between
-    calls.
-
-    The y1 block means and the squared residuals of a fine partition are computed
-    once for each stretch of consecutive models on it; in `all_models`' order
-    each fine partition is one stretch.  The loss terms that depend only on the
-    variance are taken once per run of `_sigma_runs(truth.sigma, blocks)`
-    (`_run_loss`), found once per coarse level as the levels come up.  Every
-    (R, n) temporary is written into buffers allocated once per call.
+    fits[j] is model j's (y1 block means (R, fine), variance per coarse block (R, coarse)),
+    and bad[r] whether row r is degenerate for any model; from the first model that finds
+    it so, its variances read 1.0, to keep finite the arithmetic of callers, who discard or
+    redraw it.  Each stretch of models on one fine partition (in `all_models`' order, one per
+    partition) shares one means array.  Nothing is kept between calls.
     """
-    size, n = y1.shape
-    bad = np.zeros(size, dtype=bool)
-    lik = np.zeros((size, len(models)))
-    losses = np.zeros((size, len(models)))
-    runs = {}
-    # Squared errors of y1 and of the true mean from the y1 block means, y2's squared
-    # projection residuals, and the scratch of the sums.
-    y1_err, s_err, r2, terms, scratch = np.empty((5, size, n))
+    bad = np.zeros(len(y1), dtype=bool)
+    fits = []
+    r2 = np.empty(y1.shape)
     num_fine = None
-    for j, m in enumerate(models):
+    for m in models:
         if m.num_fine != num_fine:
             num_fine = m.num_fine
             fine = _fine_fit(num_fine, y1, y2, out=r2)
-            if rank:
-                _squared_residuals(y1, fine[0], out=y1_err)
-            if kind is not None:
-                _squared_residuals(truth.s, fine[0], out=s_err)
-        _, block_var, degenerate = _fit_rows(m, y1, y2, fine)
+        block_mean, block_var, degenerate = _fit_rows(m, y1, y2, fine)
         bad |= degenerate
-        if bad.any():  # callers discard or redraw those rows; keep their arithmetic finite
+        if bad.any():
             block_var = np.where(bad[:, None], 1.0, block_var)
-        if rank:
-            lik[:, j] = _block_log_likelihood(y1_err, block_var, out=terms)
+        fits.append((block_mean, block_var))
+    return fits, bad
+
+
+def _block_likelihoods(y1: np.ndarray, fits) -> np.ndarray:
+    """lik[r, j], `log_likelihood` of row r of y1 under fits[j] of `_fit_block`, the squared
+    errors taken once for each stretch of fits that share a means array."""
+    lik = np.empty((len(y1), len(fits)))
+    y1_err, terms = np.empty((2,) + y1.shape)
+    means = None
+    for j, (block_mean, block_var) in enumerate(fits):
+        if block_mean is not means:
+            means = block_mean
+            _squared_residuals(y1, means, out=y1_err)
+        lik[:, j] = _block_log_likelihood(y1_err, block_var, out=terms)
+    return lik
+
+
+def _block_losses(fits, truth: TruthSpec, kind: str) -> np.ndarray:
+    """losses[r, j], the loss `kind` against truth of row r of fits[j] of `_fit_block`.
+
+    The squared errors of truth.s are taken once for each stretch of fits that share a
+    means array, and the variance terms once per run of `_sigma_runs(truth.sigma, blocks)`
+    (`_run_loss`), found once per coarse level.  Every (R, n) temporary is written into
+    three buffers allocated once per call.
+    """
+    size = len(fits[0][0])
+    losses = np.empty((size, len(fits)))
+    s_err, terms, scratch = np.empty((3, size, truth.n))
+    runs = {blocks: _sigma_runs(truth.sigma, blocks) for blocks in {v.shape[-1] for _, v in fits}}
+    means = None
+    for j, (block_mean, block_var) in enumerate(fits):
+        if block_mean is not means:
+            means = block_mean
+            _squared_residuals(truth.s, means, out=s_err)
         if kind == "quadratic_mean":
             losses[:, j] = _loss(kind, truth, s_err, None)
-        elif kind is not None:
-            if m.num_coarse not in runs:
-                runs[m.num_coarse] = _sigma_runs(truth.sigma, m.num_coarse)
-            losses[:, j] = _run_loss(kind, truth.sigma, runs[m.num_coarse], s_err, block_var, (terms, scratch))
-    return lik, losses, bad
+        else:
+            losses[:, j] = _run_loss(kind, truth.sigma, runs[block_var.shape[-1]], s_err, block_var, (terms, scratch))
+    return losses
 
 
 def best_approx(m: Model, truth: TruthSpec) -> tuple[Estimate, float]:

@@ -81,13 +81,7 @@ def expand(values: np.ndarray, n: int) -> np.ndarray:
     return np.repeat(values, n // values.shape[-1], axis=-1)
 
 
-class _ModelFields(NamedTuple):
-    n: int
-    level: int
-    per_block_dim: int
-
-
-class Model(_ModelFields):
+class Model(NamedTuple("Model", [("n", int), ("level", int), ("per_block_dim", int)])):
     """The 2**level coarse blocks of {1, ..., n} for the variance, each split into
     per_block_dim fine blocks for the mean.
 
@@ -140,15 +134,9 @@ _CONSTANT_RANGES = {
 }
 
 
-class _CollectionConfigFields(NamedTuple):
-    n: int
-    gamma: float
-    theta: float
-    epsilon: float
-    delta: float
-
-
-class CollectionConfig(_CollectionConfigFields):
+class CollectionConfig(NamedTuple(
+    "CollectionConfig", [("n", int), ("gamma", float), ("theta", float), ("epsilon", float), ("delta", float)]
+)):
     """The constants of one selection procedure at a given sample size.
 
     gamma, theta and epsilon enter both the admissible family (see

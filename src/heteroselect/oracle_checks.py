@@ -21,12 +21,7 @@ from .model_space import (
 from .simlab import Scenario, SeedPolicy, _block_rows, _map, _mean_and_se, risk_profile
 
 
-class _InverseMomentCaseFields(NamedTuple):
-    a: np.ndarray
-    b: np.ndarray
-
-
-class InverseMomentCase(_InverseMomentCaseFields):
+class InverseMomentCase(NamedTuple("InverseMomentCase", [("a", np.ndarray), ("b", np.ndarray)])):
     """Offsets a and scales b defining Z = sum_i (a_i + sqrt(b_i) * zeta_i)^2."""
 
     __slots__ = ()

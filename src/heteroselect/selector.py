@@ -1,8 +1,8 @@
 """Penalty, penalized criterion and the selection rule.
 
-`select(cfg, obs)` scores the family `build_collection(cfg)` with the block
-kernel `estimation._fit_block` on a one-row block and picks the first minimum
-with `_first_min`, the rule the simulation lab applies to blocks of replications."""
+`select(cfg, obs)` fits the family `build_collection(cfg)` once with the block
+kernel of `estimation` on a one-row block, ranks the fits and returns the first
+minimum by `_first_min`, the rule the simulation lab applies to blocks of replications."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimation import DegenerateVarianceError, Estimate, Observations, _fit_block, fit
+from .estimation import DegenerateVarianceError, Estimate, Observations, _block_likelihoods, _fit_block
 from .model_space import CollectionConfig, Model, build_collection, log_power
 
 
@@ -51,16 +51,17 @@ def select(cfg: CollectionConfig, obs: Observations) -> SelectionResult:
     pens = [penalty(m, cfg) for m in collection]
     # Overflow yields inf/nan criteria, which never win; `_first_min` reports a row of them.
     with np.errstate(over="ignore", invalid="ignore"):
-        lik, _, bad = _fit_block(collection, obs.y1[None], obs.y2[None], True)
+        fits, bad = _fit_block(collection, obs.y1[None], obs.y2[None])
         if bad[0]:
             raise DegenerateVarianceError
+        lik = _block_likelihoods(obs.y1[None], fits)
         crits = lik[0] + pens
         best = int(_first_min(crits))
-        estimate = fit(collection[best], obs)
+    block_mean, block_var = fits[best]
     # Python floats, so that criterion == likelihood + penalty holds in the audit and in JSON.
     return SelectionResult(
         chosen=collection[best],
-        estimate=estimate,
+        estimate=Estimate(collection[best], block_mean[0], block_var[0]),
         criterion_value=float(crits[best]),
         per_model=tuple(map(ModelAudit, collection, lik[0].tolist(), pens, crits.tolist())),
     )

@@ -8,12 +8,12 @@ that stands for its selection procedure, through one replication engine, `_run`:
   results are reproducible bit-for-bit, independent of execution order and
   of the block size.  A degenerate draw (a variance estimate collapses) is
   redrawn; its k-th redraw comes from the substream (r, k).
-- A block is scored by the block kernel `estimation._fit_block`, which fits
-  each distinct model once over all its rows.  `select` is the one-row case
-  of the same kernel, and both pick by `selector`'s penalty and its
-  first-minimum rule (ties to the earliest model, NaN never wins), so each
-  row's chosen model and loss equal those of the scalar
-  `select`/`fit`/`kl_divergence` path bit for bit.
+- A block is scored by `estimation`'s block kernel, which fits each distinct
+  model once over all its rows and scores only the fits that are read.
+  `select` is the one-row case of the same kernel, and both pick by
+  `selector`'s penalty and its first-minimum rule (ties to the earliest
+  model, NaN never wins), so each row's chosen model and loss equal those of
+  the scalar `select`/`fit`/`kl_divergence` path bit for bit.
 - All compared runs of one scenario (the models of a collection; the oracle
   and every gamma of a table row) share one set of draws, common random
   numbers that reduce ratio variance.  A draw degenerate for any of them is
@@ -36,7 +36,9 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .estimation import RISK_KINDS, DegenerateVarianceError, Observations, TruthSpec, _fit_block
+from .estimation import (
+    RISK_KINDS, DegenerateVarianceError, Observations, TruthSpec, _block_likelihoods, _block_losses, _fit_block,
+)
 from .model_space import (
     DELTA, EPSILON, THETA, CollectionConfig, Model, build_collection, check_power_of_two, check_reps,
 )
@@ -283,11 +285,12 @@ def _scorer(targets: Sequence[Target], kind: str | None):
     For R rows, losses[r, i] is the loss of target i (0 when kind is None),
     picks[r, i] the index of its chosen model in its collection (0 for a
     Model), and bad[r] whether the row is degenerate for any model of any
-    target.  Each distinct model is fitted once per block by the block
-    kernel `estimation._fit_block`, of which `select` is the one-row case,
-    and a CollectionConfig picks by `selector`'s rule `_first_min`: the first minimum
-    of likelihood plus penalty, where NaN never wins.  Likelihoods are taken for
-    every model when any target is a CollectionConfig.  Each configuration's
+    target.  Each distinct model is fitted once per block by `_fit_block`, of
+    which `select` is the one-row case.  When some target is a CollectionConfig,
+    every fit is ranked by `_block_likelihoods` and the config picks by
+    `selector`'s rule `_first_min`: the first minimum of likelihood plus penalty,
+    where NaN never wins.  `_block_losses` scores, on every row, only the fits
+    that some row reads: each fixed Model's and each pick.  Each configuration's
     collection and penalties are computed once, here.
     """
     collections = {t: build_collection(t) for t in targets if isinstance(t, CollectionConfig)}
@@ -298,15 +301,20 @@ def _scorer(targets: Sequence[Target], kind: str | None):
     pens = [np.array([penalty(m, t) for m in collections[t]]) if t in collections else None for t in targets]
 
     def score(y1, y2, truth):
-        lik, loss, bad = _fit_block(models, y1, y2, bool(collections), truth, kind)
-        size = len(y1)
-        picks = np.zeros((size, len(targets)), dtype=np.intp)
-        losses = np.empty((size, len(targets)))
-        for i, (c, p) in enumerate(zip(cols, pens)):
-            if p is not None:
-                picks[:, i] = _first_min(lik[:, c] + p)
-            losses[:, i] = loss[np.arange(size), c[picks[:, i]]]
-        return losses, picks, bad
+        fits, bad = _fit_block(models, y1, y2)
+        picks = np.zeros((len(y1), len(targets)), dtype=np.intp)
+        if collections:
+            lik = _block_likelihoods(y1, fits)
+            for i, (c, p) in enumerate(zip(cols, pens)):
+                if p is not None:
+                    picks[:, i] = _first_min(lik[:, c] + p)
+        if kind is None:
+            return np.zeros(picks.shape), picks, bad
+        # The column of the fit that each row reads for each target.
+        chosen = np.stack([c[picks[:, i]] for i, c in enumerate(cols)], axis=-1)
+        read, where = np.unique(chosen, return_inverse=True)
+        losses = _block_losses([fits[j] for j in read], truth, kind)
+        return np.take_along_axis(losses, where.reshape(chosen.shape), axis=-1), picks, bad
 
     return score
 

@@ -9,6 +9,8 @@ from heteroselect.estimation import (
     DegenerateVarianceError,
     Observations,
     TruthSpec,
+    _block_likelihoods,
+    _block_losses,
     _fit_block,
     _fit_rows,
     _loss,
@@ -193,8 +195,8 @@ def test_shared_kernel_equals_per_model_formulas(name, n, rows):
     # broadcasts block values into buffers; per model, on expanded vectors, the formulas
     # must give the same bits.  The order is shuffled, so fine partitions recur
     # non-consecutively, and in a multi-row block the middle row has y2 constant on its
-    # first half: it turns degenerate partway through the collection.  With rank the kernel
-    # takes every model's likelihood, without it none, and the losses are the same.
+    # first half: it turns degenerate partway through the collection.  The fit pass gives
+    # every model's block values, which the likelihood and loss passes score.
     rng = np.random.default_rng(n)
     levels = n.bit_length() - 1
     # Every model whose fine blocks hold at least two points; the others fit y2 exactly.
@@ -216,14 +218,11 @@ def test_shared_kernel_equals_per_model_formulas(name, n, rows):
         for kind in RISK_KINDS:
             expected[kind][:, j] = _loss(kind, truth, (truth.s - mean) ** 2, variance)
     assert bad.tolist() == [rows > 1 and r == rows // 2 for r in range(rows)]
+    fits, got_bad = _fit_block(models, y1, y2)
+    assert got_bad.tolist() == bad.tolist()
+    assert (_block_likelihoods(y1, fits)[~bad] == expected[None][~bad]).all()
     for kind in RISK_KINDS:
-        for rank in (True, False):
-            lik, losses, got_bad = _fit_block(models, y1, y2, rank, truth, kind)
-            assert got_bad.tolist() == bad.tolist()
-            assert (lik[~bad] == expected[None][~bad]).all() if rank else not lik.any()
-            assert (losses[~bad] == expected[kind][~bad]).all()
-    lik, losses, _ = _fit_block(models, y1, y2, True)
-    assert (lik[~bad] == expected[None][~bad]).all() and not losses.any()
+        assert (_block_losses(fits, truth, kind)[~bad] == expected[kind][~bad]).all()
 
 
 @st.composite
@@ -272,7 +271,7 @@ def test_losses_per_run_equal_per_point_losses(case):
         mean, variance = expand(block_mean, n), expand(np.where(bad[:, None], 1.0, block_var), n)
         for kind in RISK_KINDS:
             expected[kind][:, j] = _loss(kind, truth, (truth.s - mean) ** 2, variance)
+    fits, got_bad = _fit_block(models, y1, y2)
+    assert got_bad.tolist() == bad.tolist()
     for kind in RISK_KINDS:
-        _, losses, got_bad = _fit_block(models, y1, y2, False, truth, kind)
-        assert got_bad.tolist() == bad.tolist()
-        assert (losses == expected[kind]).all()
+        assert (_block_losses(fits, truth, kind) == expected[kind]).all()

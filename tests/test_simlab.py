@@ -12,13 +12,16 @@ from heteroselect import estimation, simlab
 from heteroselect.estimation import (
     DegenerateVarianceError,
     Observations,
+    _block_likelihoods,
+    _block_losses,
+    _fit_block,
     _fit_rows,
     fit,
     kl_divergence,
 )
 from heteroselect.model_space import CollectionConfig, Model, all_models, build_collection
 from heteroselect.oracle_checks import lemma11_battery, prop1_sandwich_check
-from heteroselect.selector import select
+from heteroselect.selector import _first_min, penalty, select
 from heteroselect.simlab import (
     RiskReport,
     Scenario,
@@ -512,6 +515,52 @@ def test_batched_scoring_equals_scalar_path(master):
                 for kind, (losses, _, bad) in scored.items():
                     assert not bad[r]
                     assert losses[r, i] == _scalar_loss(kind, truth, est)
+
+
+def test_the_lab_scores_only_the_fits_it_reads_and_exactly(monkeypatch):
+    # One block with a degenerate row (y2 constant on its first half).  Two fixed models and two
+    # configs, whose picks include models that no fixed target holds.  The scorer must pick
+    # by the likelihoods of every fit plus the penalties, hand `_block_losses` only the fits
+    # that some row reads, and gather to each row the loss that scoring every fit gives.
+    n, rows = 64, 6
+    truth = get_scenario("M1").truth(n)
+    y1, y2 = simlab._draw(truth, [SeedPolicy(83).stream(r) for r in range(rows)])
+    y2[2, : n // 2] = 0.5
+    fixed = [Model(n, 0, 1), Model(n, 1, 2)]
+    configs = [CollectionConfig(n, g, 2.0, 0.01, 3.0) for g in (1.0, 2.0)]
+    targets = fixed[:1] + configs[:1] + fixed[1:] + configs[1:]
+    members = [build_collection(t) if isinstance(t, CollectionConfig) else [t] for t in targets]
+    models = list(dict.fromkeys(m for ms in members for m in ms))
+    fits, bad = _fit_block(models, y1, y2)
+    assert bad.tolist() == [r == 2 for r in range(rows)]
+    lik = _block_likelihoods(y1, fits)
+    scored = []
+
+    def recorded_losses(fits, *args):
+        scored.append(fits)
+        return _block_losses(fits, *args)
+
+    monkeypatch.setattr(simlab, "_block_losses", recorded_losses)
+    for kind in simlab.RISK_KINDS:
+        every = _block_losses(fits, truth, kind)
+        losses, picks, got_bad = simlab._scorer(targets, kind)(y1, y2, truth)
+        assert got_bad.tolist() == bad.tolist()
+        read = set()
+        for i, (t, ms) in enumerate(zip(targets, members)):
+            cols = np.array([models.index(m) for m in ms])
+            if isinstance(t, CollectionConfig):
+                pens = np.array([penalty(m, t) for m in ms])
+                assert (picks[:, i] == _first_min(lik[:, cols] + pens)).all()
+            else:
+                assert not picks[:, i].any()
+            chosen = cols[picks[:, i]]
+            read |= set(chosen.tolist())
+            assert (losses[:, i] == every[np.arange(rows), chosen]).all()
+        assert read - {models.index(m) for m in fixed}, "some pick is a model no fixed target holds"
+        passed = scored.pop()
+        assert len(passed) == len(read) < len(models)
+        for (mean, var), j in zip(passed, sorted(read)):
+            assert (mean == fits[j][0]).all() and (var == fits[j][1]).all()
 
 
 def test_a_reused_scorer_equals_a_fresh_one_on_every_truth():
