@@ -4,12 +4,13 @@ The mean is estimated from the first replicate by projection, the variance from
 the second replicate by averaging squared projection residuals over each coarse
 block.  Splitting the data keeps the two estimators independent.
 
-All fit arithmetic lives here, including the block kernel that the lab and
-`select(cfg, obs)` share, in three passes over an (R, n) block: `_fit_block` fits
-a model collection, `_block_likelihoods` ranks the fits and `_block_losses`
-scores those that are read.  The loss pass takes the terms that depend only on
-the variance once per run of equal true variance within a coarse block,
-bit-identical to `kl_divergence`'s per-point terms.
+All fit arithmetic lives here, in the block kernel's three passes over an (R, n)
+block: `_fit_block` fits a model collection, and is the only code that fits (`fit`,
+`select(cfg, obs)`, the lab and `variance_mean_check` are its cases);
+`_block_likelihoods` ranks the fits and `_block_losses` scores those that are read.
+The loss pass takes the terms that depend only on the variance once per run of
+equal true variance within a coarse block, bit-identical to `kl_divergence`'s
+per-point terms.
 """
 
 from __future__ import annotations
@@ -127,60 +128,36 @@ def log_likelihood(y1: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> fl
     variance = check_vector("variance", variance, positive=True)
     if len(y1) != len(mean) or len(y1) != len(variance):
         raise ValueError("length mismatch")
-    return float(_neg_log_likelihood(y1, mean, variance))
+    return float(_block_log_likelihood((y1 - mean) ** 2, variance))
 
 
 def fit(m: Model, obs: Observations) -> Estimate:
     """Fit the model: projected first replicate for the mean, blockwise residual
-    variance of the second replicate for the variance."""
+    variance of the second replicate for the variance.  The one-model, one-row case of `_fit_block`."""
     if obs.n != m.n:
         raise ValueError(f"observations have length {obs.n}, model expects {m.n}")
-    block_mean, block_var, degenerate = _fit_rows(m, obs.y1, obs.y2)
-    if degenerate:
+    [(block_mean, block_var)], bad = _fit_block([m], obs.y1[None], obs.y2[None])
+    if bad[0]:
         raise DegenerateVarianceError
-    return Estimate(m, block_mean, block_var)
+    return Estimate(m, block_mean[0], block_var[0])
 
 
 # Unchecked kernels along the last axis.  The public functions above call them on
-# one vector and the block kernel `_fit_block` on an (R, n) block of replications, so
-# each quantity has one formula and a batched row equals the scalar value bit for bit.
+# one vector or one row and the block passes below on an (R, n) block of replications,
+# so each quantity has one formula and a batched row equals the scalar value bit for bit.
 
 
-def _fit_rows(m: Model, y1: np.ndarray, y2: np.ndarray, fine=None):
-    """`fit`: mean per fine block, variance per coarse block, and whether any fell below VARIANCE_FLOOR.
-
-    `fine` is `_fine_fit(m.num_fine, y1, y2)` when the caller already has it: every
-    model on one fine partition shares it.
-    """
-    block_mean, r2 = _fine_fit(m.num_fine, y1, y2) if fine is None else fine
-    block_var = block_means(r2, m.num_coarse)
-    return block_mean, block_var, np.any(block_var < VARIANCE_FLOOR, axis=-1)
-
-
-def _fine_fit(num_fine: int, y1: np.ndarray, y2: np.ndarray, out=None):
-    """The part of `fit` that depends only on the fine partition: the block means of y1
-    and the squared projection residuals of y2, written into out when given."""
-    return block_means(y1, num_fine), _squared_residuals(y2, block_means(y2, num_fine), out)
-
-
-def _squared_residuals(y: np.ndarray, block_values: np.ndarray, out=None):
-    """(y - expand(block_values, n)) ** 2 along the last axis, written into out when given.
+def _squared_residuals(y: np.ndarray, block_values: np.ndarray, out: np.ndarray):
+    """(y - expand(block_values, n)) ** 2 along the last axis, written into out.
 
     The block values are broadcast over their blocks, not expanded; y may be one
     vector and block_values rows.
     """
     blocks = block_values.shape[-1]
-    if out is None:
-        out = np.empty(block_values.shape[:-1] + y.shape[-1:])
     view = _blocks(out, blocks)
     np.subtract(_blocks(y, blocks), block_values[..., None], out=view)
     np.square(view, out=view)
     return out
-
-
-def _neg_log_likelihood(y1, mean, variance):
-    """`log_likelihood`."""
-    return _block_log_likelihood((y1 - mean) ** 2, variance)
 
 
 def _block_log_likelihood(sq_err, block_var, out=None):
@@ -268,13 +245,13 @@ def _run_loss(kind: str, sigma, runs, sq_err, block_var, out):
 
 
 def _fit_block(models: Sequence[Model], y1: np.ndarray, y2: np.ndarray):
-    """Fit every model to each row of an (R, n) block with `fit`'s arithmetic: (fits, bad).
+    """Fit every model to each row of an (R, n) block, the only code that fits: (fits, bad).
 
-    fits[j] is model j's (y1 block means (R, fine), variance per coarse block (R, coarse)),
-    and bad[r] whether row r is degenerate for any model; from the first model that finds
-    it so, its variances read 1.0, to keep finite the arithmetic of callers, who discard or
-    redraw it.  Each stretch of models on one fine partition (in `all_models`' order, one per
-    partition) shares one means array.  Nothing is kept between calls.
+    fits[j] is model j's (y1 block means (R, fine), variance per coarse block (R, coarse)), and bad[r]
+    whether row r is degenerate for any model; from the first model that finds it so, its variances
+    read 1.0, to keep finite the arithmetic of callers, who raise, discard or redraw it.  Each stretch
+    of models on one fine partition (in `all_models`' order, one per partition) shares one means array
+    and one fill of the (R, n) buffer r2.  Nothing is kept between calls.
     """
     bad = np.zeros(len(y1), dtype=bool)
     fits = []
@@ -283,9 +260,10 @@ def _fit_block(models: Sequence[Model], y1: np.ndarray, y2: np.ndarray):
     for m in models:
         if m.num_fine != num_fine:
             num_fine = m.num_fine
-            fine = _fine_fit(num_fine, y1, y2, out=r2)
-        block_mean, block_var, degenerate = _fit_rows(m, y1, y2, fine)
-        bad |= degenerate
+            block_mean = block_means(y1, num_fine)
+            _squared_residuals(y2, block_means(y2, num_fine), out=r2)
+        block_var = block_means(r2, m.num_coarse)
+        bad |= (block_var < VARIANCE_FLOOR).any(axis=-1)
         if bad.any():
             block_var = np.where(bad[:, None], 1.0, block_var)
         fits.append((block_mean, block_var))

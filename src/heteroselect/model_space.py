@@ -23,8 +23,8 @@ class EmptyCollectionError(ValueError):
 
 
 def check_power_of_two(name: str, x: int) -> None:
-    """Raise ValueError unless x is an integer (numpy's too) among 1, 2, 4, 8, ..."""
-    if not (isinstance(x, (int, np.integer)) and x >= 1 and (x & (x - 1)) == 0):
+    """Raise ValueError unless x is an integer (numpy's too, not a bool) among 1, 2, 4, 8, ..."""
+    if not (isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1 and (x & (x - 1)) == 0):
         raise ValueError(f"{name} must be a power of two, got {x}")
 
 
@@ -40,8 +40,8 @@ def check_vector(name: str, x, positive: bool = False) -> np.ndarray:
 
 
 def check_reps(name: str, reps: int, least: int) -> int:
-    """reps, after raising ValueError unless it is an integer (numpy's too) of at least `least`."""
-    if not isinstance(reps, (int, np.integer)):
+    """reps, after raising ValueError unless it is an integer (numpy's too, not a bool) of at least `least`."""
+    if not isinstance(reps, (int, np.integer)) or isinstance(reps, bool):
         raise ValueError(f"{name} must be an integer, got {reps!r}")
     if reps < least:
         raise ValueError(f"{name} must be >= {least}, got {reps}")
@@ -94,7 +94,7 @@ class Model(NamedTuple("Model", [("n", int), ("level", int), ("per_block_dim", i
 
     def __new__(cls, n: int, level: int, per_block_dim: int):
         check_power_of_two("n", n)
-        if not (isinstance(level, (int, np.integer)) and level >= 0):
+        if not (isinstance(level, (int, np.integer)) and not isinstance(level, bool) and level >= 0):
             raise ValueError(f"level must be a nonnegative integer, got {level}")
         if 2**level > n:
             raise ValueError(f"2**{level} blocks exceed n={n}")
@@ -157,7 +157,7 @@ class CollectionConfig(NamedTuple(
 def check_constant(name: str, value: float) -> None:
     """Raise ValueError unless the constant `name` (gamma, theta, epsilon or delta) is finite and in range."""
     bound, holds = _CONSTANT_RANGES[name]
-    if not math.isfinite(value):
+    if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     if not holds(value):
         raise ValueError(f"{name} must be {bound}, got {value}")

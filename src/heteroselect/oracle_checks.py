@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimation import KAPPA, TruthSpec, _fit_rows, best_approx, prop1_bounds
+from .estimation import KAPPA, DegenerateVarianceError, TruthSpec, _fit_block, best_approx, prop1_bounds
 from .model_space import (
     DELTA, EPSILON, THETA, CollectionConfig, Model, all_models, block_means, build_collection, check_reps,
     check_vector,
@@ -148,10 +148,10 @@ def variance_mean_check(
 ) -> VarianceMeanResult:
     """Monte Carlo check of E[sigma_hat_I] = sigma_{m,I} * (1 - rho_I) on every coarse block.
 
-    rho_I averages the projection diagonal (1/|J| on each fine block J) weighted by the true
-    variances over the block, normalized by the best in-model variance.  Passes when every
-    block's empirical mean is within 4 standard errors of the prediction.  The estimates of
-    all draws are held for the reduction: one float per draw and coarse block.
+    rho_I averages the projection diagonal (1/|J| on each fine block J) weighted by the true variances
+    over the block, normalized by the best in-model variance.  Passes when every block's empirical mean
+    is within 4 standard errors of the prediction.  The estimates of all draws are held for the
+    reduction: one float per draw and coarse block.  A draw that `fit` refuses raises its error.
     """
     check_reps("reps", reps, 2)
     sigma_m_blocks = best_approx(m, truth)[0].block_variance
@@ -161,7 +161,10 @@ def variance_mean_check(
 
     sighats = np.empty((m.num_coarse, reps))
     for first, y2 in _gaussian_blocks(seeds.stream(), reps, truth.s, np.sqrt(truth.sigma)):
-        sighats[:, first : first + len(y2)] = _fit_rows(m, y2, y2)[1].T
+        [(_, sighat)], bad = _fit_block([m], y2, y2)
+        if bad.any():
+            raise DegenerateVarianceError
+        sighats[:, first : first + len(y2)] = sighat.T
     empirical, se = _mean_and_se(sighats)
     holds = bool(np.all(np.abs(empirical - expected) <= 4.0 * se))
     return VarianceMeanResult(empirical=empirical, expected=expected, std_error=se, holds=holds)

@@ -84,6 +84,31 @@ def test_float_sizes_are_not_powers_of_two(make, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Model(8, True, 2), "level must be a nonnegative integer, got True"),
+        (lambda: Model(8, False, 2), "level must be a nonnegative integer, got False"),
+        (lambda: Model(True, 0, 1), "n must be a power of two, got True"),
+        (lambda: Model(8, 0, True), "per_block_dim must be a power of two, got True"),
+        (lambda: CollectionConfig(True, 2.0, 2.0, 0.01, 3.0), "n must be a power of two, got True"),
+        (lambda: CollectionConfig(8, True, 2.0, 0.01, 3.0), "gamma must be finite, got True"),
+        (lambda: CollectionConfig(8, 2.0, 2.0, 0.01, np.True_), "delta must be finite, got True"),
+        (lambda: all_models(True), "n must be a power of two, got True"),
+        (lambda: model_space.check_reps("reps", True, 1), "reps must be an integer, got True"),
+        (lambda: model_space.check_reps("reps", False, 0), "reps must be an integer, got False"),
+    ],
+    ids=[
+        "model-level", "model-level-false", "model-n", "model-per_block_dim", "config-n", "config-gamma",
+        "config-numpy-delta", "all_models", "reps", "reps-false",
+    ],
+)
+def test_bools_are_not_integers_or_constants(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_fine_blocks_nest_in_coarse_blocks():
     m = Model(32, 2, 4)
     coarse = expand(np.arange(m.num_coarse), m.n)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from heteroselect import oracle_checks, simlab
-from heteroselect.estimation import KAPPA, TruthSpec, _fit_rows
-from heteroselect.model_space import Model, block_means
+from heteroselect.estimation import KAPPA, DegenerateVarianceError, TruthSpec
+from heteroselect.model_space import Model, block_means, expand
 from heteroselect.oracle_checks import (
     InverseMomentCase,
     lemma10_battery,
@@ -292,13 +292,21 @@ def test_variance_estimator_mean_equals_the_one_expression_formula(monkeypatch):
     sighats = []
     for done in range(0, reps, 2_000):
         y2 = truth.s + np.sqrt(truth.sigma) * stream.standard_normal((min(2_000, reps - done), m.n))
-        sighats.append(_fit_rows(m, y2, y2)[1])
+        sighats.append(block_means((y2 - expand(block_means(y2, m.num_fine), m.n)) ** 2, m.num_coarse))
     per_block = np.concatenate(sighats).T.copy()  # one row of reps estimates per coarse block
     empirical = per_block.mean(axis=-1)  # the two-pass mean and std of numpy
     se = per_block.std(axis=-1, ddof=1) / math.sqrt(reps)
     res = variance_mean_check(truth, m, reps, SeedPolicy(68))
     assert np.array_equal(res.empirical, empirical)
     assert np.array_equal(res.std_error, se)
+
+
+def test_variance_estimator_check_raises_on_estimates_that_fit_refuses():
+    # Every draw's variance estimate is about 1e-14, below VARIANCE_FLOOR: `fit` refuses each
+    # of them, and the check, whose estimates are `fit`'s, refuses to average them.
+    truth = TruthSpec(s=np.zeros(16), sigma=np.full(16, 1e-14))
+    with pytest.raises(DegenerateVarianceError):
+        variance_mean_check(truth, Model(16, 1, 2), 100, SeedPolicy(70))
 
 
 def test_prop1_sandwich_small_case():

@@ -6,20 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heteroselect.estimation import (
+    VARIANCE_FLOOR,
     DegenerateVarianceError,
     Observations,
     TruthSpec,
     _block_likelihoods,
     _block_losses,
     _fit_block,
-    _fit_rows,
     _loss,
-    _neg_log_likelihood,
     fit,
     log_likelihood,
 )
 from heteroselect.model_space import (
-    CollectionConfig, EmptyCollectionError, Model, all_models, build_collection, expand, log_power,
+    CollectionConfig, EmptyCollectionError, Model, all_models, block_means, build_collection, expand, log_power,
 )
 from heteroselect.selector import _first_min, penalty, select
 from heteroselect.simlab import RISK_KINDS, SeedPolicy, get_scenario, sample
@@ -184,6 +183,16 @@ def test_select_raises_when_no_criterion_is_finite():
         select(cfg, obs)
 
 
+def _expanded_fit(m, y1, y2, bad):
+    """Model m's fit of each row, spelled per model on expanded vectors: the y1 fine block means
+    and the coarse block means of y2's squared residuals.  Marks in bad the rows with a variance
+    below VARIANCE_FLOOR; from then on, their variances read 1.0."""
+    mean = expand(block_means(y1, m.num_fine), m.n)
+    block_var = block_means((y2 - expand(block_means(y2, m.num_fine), m.n)) ** 2, m.num_coarse)
+    bad |= (block_var < VARIANCE_FLOOR).any(axis=-1)
+    return mean, expand(np.where(bad[:, None], 1.0, block_var), m.n)
+
+
 @pytest.mark.parametrize("name, n, rows", [
     # M3's ids stay n-rows, so records of earlier runs still name the same tests.
     pytest.param(name, n, rows, id=f"{n}-{rows}" if name == "M3" else f"{name}-{n}-{rows}")
@@ -211,10 +220,8 @@ def test_shared_kernel_equals_per_model_formulas(name, n, rows):
     bad = np.zeros(rows, dtype=bool)
     expected = {kind: np.zeros((rows, len(models))) for kind in (None,) + RISK_KINDS}
     for j, m in enumerate(models):
-        block_mean, block_var, degenerate = _fit_rows(m, y1, y2)
-        bad |= degenerate
-        mean, variance = expand(block_mean, n), expand(np.where(bad[:, None], 1.0, block_var), n)
-        expected[None][:, j] = _neg_log_likelihood(y1, mean, variance)
+        mean, variance = _expanded_fit(m, y1, y2, bad)
+        expected[None][:, j] = [log_likelihood(*row) for row in zip(y1, mean, variance)]
         for kind in RISK_KINDS:
             expected[kind][:, j] = _loss(kind, truth, (truth.s - mean) ** 2, variance)
     assert bad.tolist() == [rows > 1 and r == rows // 2 for r in range(rows)]
@@ -266,9 +273,7 @@ def test_losses_per_run_equal_per_point_losses(case):
     bad = np.zeros(rows, dtype=bool)
     expected = {kind: np.zeros((rows, len(models))) for kind in RISK_KINDS}
     for j, m in enumerate(models):
-        block_mean, block_var, degenerate = _fit_rows(m, y1, y2)
-        bad |= degenerate
-        mean, variance = expand(block_mean, n), expand(np.where(bad[:, None], 1.0, block_var), n)
+        mean, variance = _expanded_fit(m, y1, y2, bad)
         for kind in RISK_KINDS:
             expected[kind][:, j] = _loss(kind, truth, (truth.s - mean) ** 2, variance)
     fits, got_bad = _fit_block(models, y1, y2)

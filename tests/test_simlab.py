@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heteroselect import estimation, simlab
+from heteroselect import simlab
 from heteroselect.estimation import (
     DegenerateVarianceError,
     Observations,
     _block_likelihoods,
     _block_losses,
     _fit_block,
-    _fit_rows,
     fit,
     kl_divergence,
 )
@@ -407,27 +406,36 @@ def _tiny_variance_scenario():
     return Scenario("tiny", lambda x: np.zeros_like(x), lambda x: np.full_like(x, 1e-14), true_gamma=1.0)
 
 
-def _recording_fit(monkeypatch, bad_draws=()):
-    """Patch the shared per-model fit to record each block of y1 draws and to flag
-    the rows holding the given y1 draws as degenerate."""
-    seen = []
-    bad = {y1.tobytes() for y1 in bad_draws}
+def _hooked_fit(monkeypatch, bad_draws=(), only_with=None, slow_draws=(), barrier=None):
+    """Wrap the lab's fit pass `simlab._fit_block`: record each block of y1 draws and the thread
+    that fits it, and flag as degenerate the rows holding the given y1 draws (only in calls that
+    fit the model only_with, when given).  A block holding one of slow_draws sleeps first; every
+    block waits on barrier, when given.  Returns the lists of blocks and threads."""
+    seen, threads = [], []
+    bad, slow = ({y1.tobytes() for y1 in draws} for draws in (bad_draws, slow_draws))
 
-    def fake_fit_rows(m, y1, y2, fine=None):
+    def fit_block(models, y1, y2):
         seen.append(y1.copy())
-        mean, block_var, degenerate = _fit_rows(m, y1, y2, fine)
-        forced = np.array([row.tobytes() in bad for row in np.atleast_2d(y1)])
-        return mean, block_var, degenerate | forced.reshape(np.shape(degenerate))
+        threads.append(threading.get_ident())
+        rows = [row.tobytes() for row in y1]
+        if slow.intersection(rows):
+            time.sleep(0.02)
+        if barrier:
+            barrier.wait()
+        fits, degenerate = _fit_block(models, y1, y2)
+        if only_with is None or only_with in models:
+            degenerate = degenerate | np.array([row in bad for row in rows], dtype=bool)
+        return fits, degenerate
 
-    monkeypatch.setattr(estimation, "_fit_rows", fake_fit_rows)
-    return seen
+    monkeypatch.setattr(simlab, "_fit_block", fit_block)
+    return seen, threads
 
 
 def test_persistent_degenerate_draws_raise_after_max_redraws(monkeypatch):
     sc = _tiny_variance_scenario()
     coll = build_collection(CollectionConfig(16, 1.0, 2.0, 0.01, 3.0))
     seeds = SeedPolicy(1)
-    seen = _recording_fit(monkeypatch)
+    seen, _ = _hooked_fit(monkeypatch)
     with pytest.raises(DegenerateVarianceError, match="persisted"):
         mc_risk(sc, coll[0], 10, seeds)
     keys = [(0,)] + [(0, k) for k in range(1, simlab._MAX_REDRAWS)]
@@ -445,7 +453,7 @@ def test_degenerate_draw_is_redrawn_from_its_substream(monkeypatch):
     model = build_collection(CollectionConfig(16, 1.0, 2.0, 0.01, 3.0))[0]
     seeds = SeedPolicy(11)
     reps = 1000
-    _recording_fit(monkeypatch, [sample(sc, 16, seeds.stream(3)).y1])
+    _hooked_fit(monkeypatch, [sample(sc, 16, seeds.stream(3)).y1])
     rep = mc_risk(sc, model, reps, seeds)
     assert rep.degenerate == 1
     truth = sc.truth(16)
@@ -461,7 +469,7 @@ def test_second_degenerate_draw_exceeds_budget(monkeypatch, bad_keys):
     sc = get_scenario("M2")
     model = build_collection(CollectionConfig(16, 1.0, 2.0, 0.01, 3.0))[0]
     seeds = SeedPolicy(11)
-    _recording_fit(monkeypatch, [sample(sc, 16, seeds.stream(*key)).y1 for key in bad_keys])
+    _hooked_fit(monkeypatch, [sample(sc, 16, seeds.stream(*key)).y1 for key in bad_keys])
     with pytest.raises(DegenerateVarianceError, match="budget"):
         mc_risk(sc, model, 1000, seeds)
 
@@ -594,7 +602,7 @@ def test_results_do_not_depend_on_block_size(monkeypatch):
     n, seeds = 32, SeedPolicy(3)
     # Draw 4 sits in the middle of a 3-row block and is degenerate in the 1000-rep
     # run (the 20-rep run has other seeds); both counts leave an uneven tail.
-    _recording_fit(monkeypatch, [
+    _hooked_fit(monkeypatch, [
         sample(get_scenario("M1"), n, seeds.namespaced(0).stream(4)).y1,
         sample(get_scenario("M4"), n, seeds.namespaced(7).stream(4)).y1,
         sample(get_scenario("M1"), n, seeds.namespaced(8).stream(4)).y1,
@@ -627,7 +635,7 @@ def test_results_do_not_depend_on_worker_count(monkeypatch):
     # sits in the middle of block 71 of the profile's run and is degenerate there.
     monkeypatch.setattr(simlab, "_BLOCK_POINTS", 7 * n)
     monkeypatch.setattr(simlab, "_MIN_THREADED_N", 1)  # the lab's blocks on threads at every n
-    _recording_fit(monkeypatch, [sample(get_scenario("M4"), n, seeds.namespaced(7).stream(500)).y1])
+    _hooked_fit(monkeypatch, [sample(get_scenario("M4"), n, seeds.namespaced(7).stream(500)).y1])
     runs = {}
     for workers in (1, 2, 3):
         monkeypatch.setattr(simlab, "_WORKERS", workers)
@@ -645,20 +653,10 @@ def test_two_persistently_degenerate_blocks_raise_the_serial_message(monkeypatch
 
     def every_draw(r):
         keys = [(r,)] + [(r, k) for k in range(1, simlab._MAX_REDRAWS)]
-        return {sample(sc, n, seeds.stream(*key)).y1.tobytes() for key in keys}
+        return [sample(sc, n, seeds.stream(*key)).y1 for key in keys]
 
     slow = every_draw(4)
-    bad = slow | every_draw(10)
-
-    def fit_rows(m, y1, y2, fine=None):
-        mean, block_var, degenerate = _fit_rows(m, y1, y2, fine)
-        rows = [row.tobytes() for row in np.atleast_2d(y1)]
-        if any(row in slow for row in rows):
-            time.sleep(0.02)
-        forced = np.array([row in bad for row in rows])
-        return mean, block_var, degenerate | forced.reshape(np.shape(degenerate))
-
-    monkeypatch.setattr(estimation, "_fit_rows", fit_rows)
+    _hooked_fit(monkeypatch, slow + every_draw(10), slow_draws=slow)
     monkeypatch.setattr(simlab, "_BLOCK_POINTS", 3 * n)
     monkeypatch.setattr(simlab, "_MIN_THREADED_N", 1)
     for workers in (1, 2, 3):
@@ -725,16 +723,9 @@ def test_blocks_run_on_threads_from_the_threaded_sample_size_on(monkeypatch):
     # calling thread; at it, the blocks are scored two at a time, which a 2-party barrier
     # in the fit needs to pass at all.
     monkeypatch.setattr(simlab, "_WORKERS", 2)
-    threads, barrier = [], None
-
-    def fit_rows(m, y1, y2, fine=None):
-        threads.append(threading.get_ident())
-        if barrier:
-            barrier.wait()
-        return _fit_rows(m, y1, y2, fine)
-
-    monkeypatch.setattr(estimation, "_fit_rows", fit_rows)
+    barrier = None
     for n in (simlab._MIN_THREADED_N // 2, simlab._MIN_THREADED_N):
+        _, threads = _hooked_fit(monkeypatch, barrier=barrier)
         monkeypatch.setattr(simlab, "_BLOCK_POINTS", 2 * n)
         mc_risk(get_scenario("M1"), Model(n, 2, 4), 8, SeedPolicy(3))
         assert len(threads) == 4
@@ -742,7 +733,7 @@ def test_blocks_run_on_threads_from_the_threaded_sample_size_on(monkeypatch):
             assert len(set(threads)) == 2
         else:
             assert set(threads) == {threading.get_ident()}
-        threads, barrier = [], threading.Barrier(2, timeout=10)
+        barrier = threading.Barrier(2, timeout=10)
 
 
 def test_draw_degenerate_for_one_target_is_redrawn_for_all(monkeypatch):
@@ -760,16 +751,7 @@ def test_draw_degenerate_for_one_target_is_redrawn_for_all(monkeypatch):
         _scalar_loss("kullback", truth, _scalar_estimate(t, redrawn)) for t in targets
     ]
 
-    bad_y1 = sample(sc, n, seeds.stream(3)).y1.tobytes()
-
-    def fit_rows(m, y1, y2, fine=None):
-        mean, block_var, degenerate = _fit_rows(m, y1, y2, fine)
-        if m == only_g1:
-            forced = np.array([row.tobytes() == bad_y1 for row in np.atleast_2d(y1)])
-            degenerate = degenerate | forced.reshape(np.shape(degenerate))
-        return mean, block_var, degenerate
-
-    monkeypatch.setattr(estimation, "_fit_rows", fit_rows)
+    _hooked_fit(monkeypatch, [sample(sc, n, seeds.stream(3)).y1], only_with=only_g1)
     reports = risk_profile(sc, targets, reps, seeds, "kullback")
     assert [rep.degenerate for rep in reports] == [1] * len(targets)
     assert [rep.estimate for rep in reports] == [expected[:, j].mean() for j in range(len(targets))]
