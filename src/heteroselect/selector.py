@@ -1,8 +1,9 @@
 """Penalty, penalized criterion and the selection rule.
 
 `select(cfg, obs)` fits the family `build_collection(cfg)` once with the block
-kernel of `estimation` on a one-row block, ranks the fits and returns the first
-minimum by `_first_min`, the rule the simulation lab applies to blocks of replications."""
+kernel of `estimation` on a one-row block, ranks the fits exactly and returns the first
+minimum by `_first_min`.  The simulation lab picks the same first minimum on blocks of
+replications by `_screened_pick`, from `_block_screen`'s bounded approximations."""
 
 from __future__ import annotations
 
@@ -65,6 +66,34 @@ def select(cfg: CollectionConfig, obs: Observations) -> SelectionResult:
         criterion_value=float(crits[best]),
         per_model=tuple(map(ModelAudit, collection, lik[0].tolist(), pens, crits.tolist())),
     )
+
+
+def _screened_pick(y1: np.ndarray, fits, approx: np.ndarray, slack: np.ndarray, pens: np.ndarray) -> np.ndarray:
+    """The lab's picks, `_first_min(_block_likelihoods(y1, fits) + pens)`, from the screen
+    (approx, slack) of `_block_screen` over the same fits.
+
+    The exact criterion lik + pens lies within 2 * (slack + 2**-52 * |approx + pens|) of
+    approx + pens: the slack, one rounding of the penalty's addition on each side, and a factor 2
+    for the rounding of these sums themselves.  A model is a candidate when its criterion's lower end is at most
+    the row's least upper end; every other model's criterion exceeds a candidate's, so the first
+    minimum is a candidate.  A row with one candidate and only finite ends takes it: it is the
+    strict minimum.  The other rows take `_first_min` of exact criteria from `_block_likelihoods`,
+    on the candidates of any of them, or on every fit when an end is not finite, so that ties,
+    NaN and a row with no finite criterion go as in `_first_min`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        crit = approx + pens
+        margin = 2.0 * (slack + 2.0**-52 * np.abs(crit))
+        lo, hi = crit - margin, crit + margin
+        candidate = lo <= hi.min(axis=-1, keepdims=True)
+        finite = np.isfinite(lo).all(axis=-1) & np.isfinite(hi).all(axis=-1)
+    picks = np.argmax(candidate, axis=-1)
+    rest = np.flatnonzero((candidate.sum(axis=-1) != 1) | ~finite)
+    if len(rest):
+        cols = np.flatnonzero(candidate[rest].any(axis=0) | ~finite[rest].all())
+        lik = _block_likelihoods(y1[rest], [(fits[j][0][rest], fits[j][1][rest]) for j in cols])
+        picks[rest] = cols[_first_min(lik + pens[cols])]
+    return picks
 
 
 def _first_min(criteria: np.ndarray) -> np.ndarray:

@@ -10,10 +10,12 @@ that stands for its selection procedure, through one replication engine, `_run`:
   redrawn; its k-th redraw comes from the substream (r, k).
 - A block is scored by `estimation`'s block kernel, which fits each distinct
   model once over all its rows and scores only the fits that are read.
-  `select` is the one-row case of the same kernel, and both pick by
-  `selector`'s penalty and its first-minimum rule (ties to the earliest
-  model, NaN never wins), so each row's chosen model and loss equal those of
-  the scalar `select`/`fit`/`kl_divergence` path bit for bit.
+  `select` is the one-row case of the same kernel and ranks every fit exactly.
+  The lab ranks through `_block_screen` and takes exact likelihoods only for
+  rows whose pick its rounding bound cannot decide (`selector._screened_pick`).
+  Both pick by `selector`'s penalty and its first-minimum rule (ties to the
+  earliest model, NaN never wins), so each row's chosen model and loss equal
+  those of the scalar `select`/`fit`/`kl_divergence` path bit for bit.
 - All compared runs of one scenario (the models of a collection; the oracle
   and every gamma of a table row) share one set of draws, common random
   numbers that reduce ratio variance.  A draw degenerate for any of them is
@@ -37,12 +39,12 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 
 from .estimation import (
-    RISK_KINDS, DegenerateVarianceError, Observations, TruthSpec, _block_likelihoods, _block_losses, _fit_block,
+    RISK_KINDS, DegenerateVarianceError, Observations, TruthSpec, _block_losses, _block_screen, _fit_block,
 )
 from .model_space import (
     DELTA, EPSILON, THETA, CollectionConfig, Model, build_collection, check_power_of_two, check_reps,
 )
-from .selector import _first_min, penalty
+from .selector import _first_min, _screened_pick, penalty
 
 #: Fraction of replications allowed to be redrawn due to degenerate variances.
 DEGENERATE_BUDGET = 1e-3
@@ -287,11 +289,13 @@ def _scorer(targets: Sequence[Target], kind: str | None):
     Model), and bad[r] whether the row is degenerate for any model of any
     target.  Each distinct model is fitted once per block by `_fit_block`, of
     which `select` is the one-row case.  When some target is a CollectionConfig,
-    every fit is ranked by `_block_likelihoods` and the config picks by
-    `selector`'s rule `_first_min`: the first minimum of likelihood plus penalty,
-    where NaN never wins.  `_block_losses` scores, on every row, only the fits
-    that some row reads: each fixed Model's and each pick.  Each configuration's
-    collection and penalties are computed once, here.
+    every fit is ranked by `_block_screen` and the config picks by
+    `selector._screened_pick`: `_first_min`, the first minimum of likelihood plus
+    penalty, where NaN never wins, taken from the screen's approximations where
+    their slack decides it and from `_block_likelihoods` on the rows where it does
+    not.  `_block_losses` scores, on every row, only the fits that some row
+    reads: each fixed Model's and each pick.  Each configuration's collection and
+    penalties are computed once, here.
     """
     collections = {t: build_collection(t) for t in targets if isinstance(t, CollectionConfig)}
     members = [collections.get(t, [t]) for t in targets]
@@ -304,10 +308,10 @@ def _scorer(targets: Sequence[Target], kind: str | None):
         fits, bad = _fit_block(models, y1, y2)
         picks = np.zeros((len(y1), len(targets)), dtype=np.intp)
         if collections:
-            lik = _block_likelihoods(y1, fits)
+            approx, slack = _block_screen(y1, fits)
             for i, (c, p) in enumerate(zip(cols, pens)):
                 if p is not None:
-                    picks[:, i] = _first_min(lik[:, c] + p)
+                    picks[:, i] = _screened_pick(y1, [fits[j] for j in c], approx[:, c], slack[:, c], p)
         if kind is None:
             return np.zeros(picks.shape), picks, bad
         # The column of the fit that each row reads for each target.

@@ -12,6 +12,7 @@ from heteroselect.estimation import (
     TruthSpec,
     _block_likelihoods,
     _block_losses,
+    _block_screen,
     _fit_block,
     _loss,
     fit,
@@ -20,7 +21,7 @@ from heteroselect.estimation import (
 from heteroselect.model_space import (
     CollectionConfig, EmptyCollectionError, Model, all_models, block_means, build_collection, expand, log_power,
 )
-from heteroselect.selector import _first_min, penalty, select
+from heteroselect.selector import _first_min, _screened_pick, penalty, select
 from heteroselect.simlab import RISK_KINDS, SeedPolicy, get_scenario, sample
 
 
@@ -149,6 +150,28 @@ def test_first_min(criteria, expected):
 def test_first_min_raises_on_a_row_with_no_finite_criterion(criteria):
     with pytest.raises(ValueError, match="^no model has a finite criterion"):
         _first_min(np.array(criteria))
+
+
+def test_a_screened_row_that_the_slack_cannot_decide_takes_the_exact_first_minimum():
+    # Penalties set so that two criteria lie within the slack: the screen cannot order them, and
+    # the row takes `_first_min` of its exact criteria.  That is the later model where its exact
+    # criterion is lower by a few ulps, and the earlier one on an exact tie (one fit, twice).
+    n = 256
+    for r in range(4):
+        obs = sample(get_scenario("M3"), n, SeedPolicy(29).stream(r))
+        y1 = obs.y1[None]
+        first, later = _fit_block([Model(n, 1, 2), Model(n, 2, 4)], y1, obs.y2[None])[0]
+        for fits, tie in (([first, later], False), ([first, first], True)):
+            lik = _block_likelihoods(y1, fits)[0]
+            approx, slack = _block_screen(y1, fits)
+            gap = lik[0] - lik[1]
+            while not lik[1] + gap < lik[0] and not tie:
+                gap = np.nextafter(gap, -np.inf)
+            pens = np.array([0.0, gap])
+            crit = lik + pens
+            assert (crit[1] == crit[0]) if tie else (crit[1] < crit[0])
+            assert abs((approx[0, 0] + pens[0]) - (approx[0, 1] + pens[1])) < slack[0].min()
+            assert _screened_pick(y1, fits, approx, slack, pens).tolist() == [_first_min(crit)] == [int(not tie)]
 
 
 def test_select_empty_collection():

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heteroselect import simlab
@@ -14,6 +14,7 @@ from heteroselect.estimation import (
     Observations,
     _block_likelihoods,
     _block_losses,
+    _block_screen,
     _fit_block,
     fit,
     kl_divergence,
@@ -210,21 +211,25 @@ def test_the_oracle_is_the_first_minimum_of_the_estimates_and_never_nan(monkeypa
 
 
 def test_every_selection_path_raises_when_no_criterion_is_finite():
-    # theta = 1e308 makes every penalty inf, so no model has a finite criterion on any draw.
-    cfg = CollectionConfig(64, 2.0, 1e308, 0.01, 3.0)
+    # theta = 1e308 makes every penalty inf, so no model has a finite criterion on any draw: the
+    # lab's screen cannot pick, and its exact criteria raise, on the calling thread (one block at
+    # n = 64) or on `_map`'s (two blocks at the least threaded n).
     sc = get_scenario("M1")
-    with pytest.raises(ValueError, match="^no model has a finite criterion") as expected:
-        select(cfg, sample(sc, 64, SeedPolicy(0).stream(0)))
-    for run in (
-        lambda: mc_risk(sc, cfg, 2, SeedPolicy(0)),
-        lambda: risk_profile(sc, [Model(64, 0, 1), cfg], 2, SeedPolicy(0), "quadratic_mean"),
-        lambda: simlab._run(sc, [cfg], 2, SeedPolicy(0), None),  # the path of selection_frequency
-        lambda: ratio_table([sc], [2.0], 64, 2, SeedPolicy(0), theta=1e308),
-        lambda: convergence_experiment(lipschitz_scenario(), [64, 128], 2, SeedPolicy(0), theta=1e308),
-    ):
-        with pytest.raises(ValueError) as got:
-            run()
-        assert str(got.value) == str(expected.value)
+    threaded = simlab._MIN_THREADED_N
+    for n, reps in ((64, 2), (threaded, simlab._block_rows(threaded) + 1)):
+        cfg = CollectionConfig(n, 2.0, 1e308, 0.01, 3.0)
+        with pytest.raises(ValueError, match="^no model has a finite criterion") as expected:
+            select(cfg, sample(sc, n, SeedPolicy(0).stream(0)))
+        for run in (
+            lambda: mc_risk(sc, cfg, reps, SeedPolicy(0)),
+            lambda: risk_profile(sc, [Model(n, 0, 1), cfg], reps, SeedPolicy(0), "quadratic_mean"),
+            lambda: simlab._run(sc, [cfg], reps, SeedPolicy(0), None),  # the path of selection_frequency
+            lambda: ratio_table([sc], [2.0], n, reps, SeedPolicy(0), theta=1e308),
+            lambda: convergence_experiment(lipschitz_scenario(), [n, 2 * n], reps, SeedPolicy(0), theta=1e308),
+        ):
+            with pytest.raises(ValueError) as got:
+                run()
+            assert str(got.value) == str(expected.value)
 
 
 def test_oracle_model_for_m1():
@@ -569,6 +574,43 @@ def test_the_lab_scores_only_the_fits_it_reads_and_exactly(monkeypatch):
         assert len(passed) == len(read) < len(models)
         for (mean, var), j in zip(passed, sorted(read)):
             assert (mean == fits[j][0]).all() and (var == fits[j][1]).all()
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    name=st.sampled_from(["M1", "M2", "M3", "M4", "lipschitz"]),
+    n=st.sampled_from([64, 256, 1024]),
+    log_scale=st.floats(-8.0, 8.0),
+    offset=st.floats(-1e8, 1e8),
+    master=st.integers(0, 2**63 - 1),
+)
+@example(name="M3", n=1024, log_scale=-8.0, offset=1e8, master=0)
+@example(name="M1", n=64, log_scale=8.0, offset=-1e8, master=0)
+def test_screened_picks_equal_the_first_minimum_of_exact_criteria(name, n, log_scale, offset, master):
+    # The lab picks from `_block_screen`'s approximate likelihoods and takes exact ones only where
+    # their slack cannot decide.  On draws mapped to a * y + b, every fit's approximation is within
+    # its slack of the exact likelihood, and every pick of every gamma of the table's grid is
+    # `_first_min` of the exact criteria, on every row: a degenerate one (y2 constant on its
+    # first half; its variances read 1.0) and those that a small scale makes degenerate too.
+    rows = 8
+    truth = get_scenario(name).truth(n)
+    y1, y2 = simlab._draw(truth, [SeedPolicy(master).stream(r) for r in range(rows)])
+    y1, y2 = 10.0**log_scale * y1 + offset, 10.0**log_scale * y2 + offset
+    y2[0, : n // 2] = offset
+    configs = [CollectionConfig(n, g, 2.0, 0.01, 3.0) for g in GRID]
+    collections = [build_collection(cfg) for cfg in configs]
+    models = list(dict.fromkeys(m for ms in collections for m in ms))
+    fits, bad = _fit_block(models, y1, y2)
+    assert bad[0]
+    lik = _block_likelihoods(y1, fits)
+    approx, slack = _block_screen(y1, fits)
+    assert (np.abs(approx - lik) <= slack).all()
+    _, picks, got_bad = simlab._scorer(configs, None)(y1, y2, truth)
+    assert (got_bad == bad).all()
+    for i, (cfg, ms) in enumerate(zip(configs, collections)):
+        cols = [models.index(m) for m in ms]
+        pens = np.array([penalty(m, cfg) for m in ms])
+        assert (picks[:, i] == _first_min(lik[:, cols] + pens)).all()
 
 
 def test_a_reused_scorer_equals_a_fresh_one_on_every_truth():
