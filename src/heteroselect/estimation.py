@@ -287,17 +287,6 @@ def _block_likelihoods(y1: np.ndarray, fits) -> np.ndarray:
     return lik
 
 
-def _sum_depth(m: int) -> int:
-    """The most additions that one term goes through in numpy's pairwise sum of m contiguous terms
-    (`pairwise_sum` of its add loop): one by one below 8 terms; up to 128, eight interleaved
-    accumulators, merged in three levels, and the remainder one by one; above, two halves, the
-    first a multiple of 8."""
-    if m <= 128:
-        return max(m - 1, 0) if m < 8 else m // 8 + 2 + m % 8
-    half = m // 2 - m // 2 % 8
-    return 1 + max(map(_sum_depth, {half, m - half}))
-
-
 def _block_screen(y1: np.ndarray, fits):
     """(approx, slack)[r, j]: lik[r, j] of `_block_likelihoods(y1, fits)` taken by coarse block, and a
     bound slack >= |approx - lik| on the rounding of either, for the lab to rank by.
@@ -309,30 +298,29 @@ def _block_screen(y1: np.ndarray, fits):
     level by level, into each coarse block I, as S_I.  It halves the sum over the blocks of
     fl(fl(S_I / v) + |I| * L), where |I| is a power of two, so |I| * L is exact.  The per-fit
     arithmetic runs on all fits' coarse blocks side by side, and `np.add.reduceat` sums each
-    fit's segment: its first term plus the pairwise sum of the rest.
+    fit's segment.
 
-    The bound.  Write d(m) = `_sum_depth(m)`, u = 2**-53 and gamma_k = k u / (1 - k u).  Each term
-    of a sum of m terms goes through at most d(m) additions, so the computed sum is the sum of its
-    terms, each times some (1 + theta) with |theta| <= gamma_d(m).  The exact pass is then
-    0.5 * sum_i (e_i / v (1 + theta_{d(n)+2}) + L (1 + theta_{d(n)+1})), and the screen
-    0.5 * sum_i e_i / v (1 + theta_{k+2}) + 0.5 * sum_I |I| L (1 + theta_{c+1}), where
-    k = d(n / fine) + log2(fine / coarse) + c counts the additions of a point's e_i and
-    c = 1 + d(coarse - 1) those of the reduceat.  Their deviations from 0.5 * sum_i (e_i / v + L)
-    add up to at most 0.5 gamma_K B, with K = d(n) + k + 4 and B = sum_i e_i / v + sum_I |I| |L|.
-    The sum X of fl(fl(S_I / v) + |I| |L|), summed as the approximation is, is at least
-    (1 - gamma_K) B.  So |approx - lik| <= 0.5 gamma_K X / (1 - gamma_K) <= (K + 1) u X for
-    K < 2**25, with room for the rounding of that product.  An operation whose result underflows
-    errs by up to 2**-1075 instead; at most n + coarse + 3 of them do.  So
-    slack = (K + 1) u X + (n + coarse + 3) 2**-1074.  It does not grow with the data's offset,
+    The bound holds for any order of addition.  Each term of a sum of m terms goes through at most
+    m - 1 additions (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2), so a
+    computed sum is the sum of its terms, each times some (1 + theta_k) with |theta_k| <= gamma_k =
+    k u / (1 - k u), u = 2**-53, where k counts that term's roundings.  In the exact pass, e_i / v
+    goes through k <= (n - 1) + 2 roundings and L through n.  In the screen, with c coarse blocks,
+    e_i goes through (|I| - 1) + 2 + (c - 1), as the fine sums and their merges are one sum of |I|
+    terms, and |I| L through c.  Their deviations from 0.5 * sum_i (e_i / v + L) add up to at most
+    0.5 gamma_K B, with B = sum_i e_i / v + sum_I |I| |L| and K = n + 1 + |I| + c, at most 2n + 2
+    for every fit, as |I| c = n.  The sum X of fl(fl(S_I / v) + |I| |L|), summed as the
+    approximation is, is at least (1 - gamma_K) B.  So |approx - lik| <= 0.5 gamma_K X / (1 - gamma_K)
+    <= (K + 1) u X with K = 2n + 2, with room for the rounding of that product while K u < 1/4.  An
+    operation whose result underflows errs by up to 2**-1075 instead; at most n + c + 3 of them do.  So
+    slack = (K + 1) u X + (n + c + 3) 2**-1074.  It does not grow with the data's offset,
     because both sides sum the same rounded errors.  X is taken as X + X, so a sum past half the
     float range makes the slack inf, and the row's pick exact: the exact pass's partial sums stay
     below about X, and so finite.  Non-finite values raise no warning, as the picks route their
     rows to `_block_likelihoods`.
     """
     n = y1.shape[-1]
-    y1 = np.ascontiguousarray(y1)  # the lab's rows are strided views, which slow each broadcast subtract
     y1_err = np.empty(y1.shape)
-    sums, depth, means = [], [], None
+    sums, means = [], None
     with np.errstate(over="ignore", invalid="ignore"):
         for block_mean, block_var in fits:
             fine, coarse = block_mean.shape[-1], block_var.shape[-1]
@@ -340,13 +328,10 @@ def _block_screen(y1: np.ndarray, fits):
                 means = block_mean
                 _squared_residuals(y1, means, out=y1_err)
                 level = {fine: np.add.reduce(_blocks(y1_err, fine), axis=-1)}
-                fine_depth = _sum_depth(n // fine)
             while coarse not in level:
                 s = level[min(level)]
                 level[s.shape[-1] // 2] = s[:, ::2] + s[:, 1::2]
             sums.append(level[coarse])
-            # k of the bound: the bit length of fine // coarse is log2(fine / coarse) + 1.
-            depth.append(fine_depth + (fine // coarse).bit_length() + _sum_depth(coarse - 1))
         coarse = np.array([v.shape[-1] for _, v in fits])
         starts = np.cumsum(coarse) - coarse
         var = np.concatenate([v for _, v in fits], axis=-1)
@@ -354,8 +339,7 @@ def _block_screen(y1: np.ndarray, fits):
         p = np.multiply(np.log(var, out=var), np.repeat(n // coarse, coarse), out=var)
         approx = 0.5 * np.add.reduceat(q + p, starts, axis=-1)
         x = np.add.reduceat(np.add(q, np.abs(p, out=p), out=q), starts, axis=-1)
-        k = _sum_depth(n) + np.array(depth) + 4
-        slack = (x + x) * ((k + 1) * 2.0**-54) + (n + coarse + 3) * 2.0**-1074
+        slack = (x + x) * ((2 * n + 3) * 2.0**-54) + (n + coarse + 3) * 2.0**-1074
     return approx, slack
 
 

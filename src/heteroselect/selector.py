@@ -77,9 +77,8 @@ def _screened_pick(y1: np.ndarray, fits, approx: np.ndarray, slack: np.ndarray, 
     for the rounding of these sums themselves.  A model is a candidate when its criterion's lower end is at most
     the row's least upper end; every other model's criterion exceeds a candidate's, so the first
     minimum is a candidate.  A row with one candidate and only finite ends takes it: it is the
-    strict minimum.  The other rows take `_first_min` of exact criteria from `_block_likelihoods`,
-    on the candidates of any of them, or on every fit when an end is not finite, so that ties,
-    NaN and a row with no finite criterion go as in `_first_min`.
+    strict minimum.  The other rows take `_first_min` of exact criteria from `_block_likelihoods`
+    on every fit, so that ties, NaN and a row with no finite criterion go as in `_first_min`.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         crit = approx + pens
@@ -90,9 +89,8 @@ def _screened_pick(y1: np.ndarray, fits, approx: np.ndarray, slack: np.ndarray, 
     picks = np.argmax(candidate, axis=-1)
     rest = np.flatnonzero((candidate.sum(axis=-1) != 1) | ~finite)
     if len(rest):
-        cols = np.flatnonzero(candidate[rest].any(axis=0) | ~finite[rest].all())
-        lik = _block_likelihoods(y1[rest], [(fits[j][0][rest], fits[j][1][rest]) for j in cols])
-        picks[rest] = cols[_first_min(lik + pens[cols])]
+        lik = _block_likelihoods(y1[rest], [(mean[rest], var[rest]) for mean, var in fits])
+        picks[rest] = _first_min(lik + pens)
     return picks
 
 

@@ -219,17 +219,16 @@ def _draw(truth: TruthSpec, rngs) -> tuple[np.ndarray, np.ndarray]:
     """Draw the two replicates once per generator, one row each; the first n normal
     draws of a row feed y1, the next n feed y2.
 
-    Each row of one (R, 2n) buffer is filled from its generator and becomes
-    truth.s + sqrt(sigma) * z in place; y1 and y2 are (R, n) views of its two halves.
+    Generator r fills row r of y1, then row r of y2, in one (2, R, n) buffer, which becomes
+    truth.s + sqrt(sigma) * z in place; y1 and y2 are its two contiguous (R, n) halves.
     """
-    n = truth.n
-    z = np.empty((len(rngs), 2 * n))
-    for rng, row in zip(rngs, z):
-        rng.standard_normal(out=row)
-    halves = z.reshape(len(rngs), 2, n)
-    np.multiply(np.sqrt(truth.sigma), halves, out=halves)
-    np.add(truth.s, halves, out=halves)
-    return halves[:, 0], halves[:, 1]
+    z = np.empty((2, len(rngs), truth.n))
+    for rng, row1, row2 in zip(rngs, z[0], z[1]):
+        rng.standard_normal(out=row1)
+        rng.standard_normal(out=row2)
+    np.multiply(np.sqrt(truth.sigma), z, out=z)
+    np.add(truth.s, z, out=z)
+    return z[0], z[1]
 
 
 def sample(scenario: Scenario, n: int, rng: np.random.Generator) -> Observations:

@@ -8,7 +8,6 @@ from heteroselect.estimation import (
     DegenerateVarianceError,
     Observations,
     TruthSpec,
-    _sum_depth,
     best_approx,
     fit,
     kl_divergence,
@@ -302,44 +301,3 @@ def test_length_and_range_checks_name_the_mismatch(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
-
-
-def _pairwise(terms):
-    """numpy's pairwise sum of a list of floats, as (sum, the most additions that one term goes
-    through in it), each partial sum carried with its own count."""
-
-    def add(a, b):
-        return a[0] + b[0], max(a[1], b[1]) + 1
-
-    m = len(terms)
-    if m > 128:
-        half = m // 2 - m // 2 % 8
-        return add(_pairwise(terms[:half]), _pairwise(terms[half:]))
-    leaves = [(t, 0) for t in terms]
-    if m < 8:
-        total = leaves[0] if leaves else (0.0, 0)  # numpy starts from 0.0, which adds exactly
-        for t in leaves[1:]:
-            total = add(total, t)
-        return total
-    acc = leaves[:8]
-    for i in range(8, m - m % 8, 8):
-        acc = [add(a, t) for a, t in zip(acc, leaves[i : i + 8])]
-    total = add(add(add(acc[0], acc[1]), add(acc[2], acc[3])), add(add(acc[4], acc[5]), add(acc[6], acc[7])))
-    for t in leaves[m - m % 8 :]:
-        total = add(total, t)
-    return total
-
-
-@pytest.mark.parametrize("m", [1, 2, 7, 8, 15, 64, 127, 128, 129, 1000, 1023, 1024, 4097, 65536])
-def test_sum_depth_follows_numpys_pairwise_sums(m):
-    # The screen's slack counts the additions of numpy's sums (`_sum_depth`): a reduce along the last
-    # axis is the pairwise sum of each row, and a reduceat segment its first term plus the pairwise
-    # sum of the rest.  Terms across 60 orders of magnitude make each order of addition show.
-    rng = np.random.default_rng(m)
-    x = rng.standard_normal((2, m)) * np.exp(rng.uniform(-70.0, 70.0, (2, m)))
-    total, depth = _pairwise(x[0].tolist())
-    assert _sum_depth(m) == depth
-    assert np.add.reduce(x, axis=-1)[0] == total
-    assert np.add.reduce(x[:, None], axis=-1)[0, 0] == total
-    rest, _ = _pairwise(x[1, 1:].tolist())
-    assert np.add.reduceat(x, [0], axis=-1)[1, 0] == x[1, 0] + rest

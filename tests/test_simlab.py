@@ -14,8 +14,10 @@ from heteroselect.estimation import (
     Observations,
     _block_likelihoods,
     _block_losses,
+    _block_log_likelihood,
     _block_screen,
     _fit_block,
+    _squared_residuals,
     fit,
     kl_divergence,
 )
@@ -91,6 +93,7 @@ def test_draw_equals_the_one_expression_formula(name, rows):
     z = np.array([seeds.stream(r).standard_normal(2 * n) for r in range(rows)])
     assert np.array_equal(y1, truth.s + np.sqrt(truth.sigma) * z[:, :n])
     assert np.array_equal(y2, truth.s + np.sqrt(truth.sigma) * z[:, n:])
+    assert y1.flags.c_contiguous and y2.flags.c_contiguous
 
 
 def test_sample_mean_matches_truth():
@@ -586,12 +589,14 @@ def test_the_lab_scores_only_the_fits_it_reads_and_exactly(monkeypatch):
 )
 @example(name="M3", n=1024, log_scale=-8.0, offset=1e8, master=0)
 @example(name="M1", n=64, log_scale=8.0, offset=-1e8, master=0)
+@example(name="M2", n=16384, log_scale=0.0, offset=1e8, master=0)
 def test_screened_picks_equal_the_first_minimum_of_exact_criteria(name, n, log_scale, offset, master):
     # The lab picks from `_block_screen`'s approximate likelihoods and takes exact ones only where
     # their slack cannot decide.  On draws mapped to a * y + b, every fit's approximation is within
-    # its slack of the exact likelihood, and every pick of every gamma of the table's grid is
-    # `_first_min` of the exact criteria, on every row: a degenerate one (y2 constant on its
-    # first half; its variances read 1.0) and those that a small scale makes degenerate too.
+    # its slack of the exact likelihood, and of the exact pass's per-point terms summed one by one,
+    # as the slack holds for any order of addition; and every pick of every gamma of the table's
+    # grid is `_first_min` of the exact criteria, on every row: a degenerate one (y2 constant on
+    # its first half; its variances read 1.0) and those that a small scale makes degenerate too.
     rows = 8
     truth = get_scenario(name).truth(n)
     y1, y2 = simlab._draw(truth, [SeedPolicy(master).stream(r) for r in range(rows)])
@@ -605,6 +610,11 @@ def test_screened_picks_equal_the_first_minimum_of_exact_criteria(name, n, log_s
     lik = _block_likelihoods(y1, fits)
     approx, slack = _block_screen(y1, fits)
     assert (np.abs(approx - lik) <= slack).all()
+    y1_err, terms = np.empty((2,) + y1.shape)
+    for j, (block_mean, block_var) in enumerate(fits):
+        _block_log_likelihood(_squared_residuals(y1, block_mean, out=y1_err), block_var, out=terms)
+        seq = 0.5 * np.cumsum(terms, axis=-1)[:, -1]
+        assert (np.abs(approx[:, j] - seq) <= slack[:, j]).all()
     _, picks, got_bad = simlab._scorer(configs, None)(y1, y2, truth)
     assert (got_bad == bad).all()
     for i, (cfg, ms) in enumerate(zip(configs, collections)):
