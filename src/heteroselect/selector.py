@@ -89,7 +89,9 @@ def _screened_pick(y1: np.ndarray, fits, approx: np.ndarray, slack: np.ndarray, 
     picks = np.argmax(candidate, axis=-1)
     rest = np.flatnonzero((candidate.sum(axis=-1) != 1) | ~finite)
     if len(rest):
-        lik = _block_likelihoods(y1[rest], [(mean[rest], var[rest]) for mean, var in fits])
+        # One slice per means array, so that the fits of one fine partition still share theirs.
+        means = {id(mean): mean[rest] for mean, _ in fits}
+        lik = _block_likelihoods(y1[rest], [(means[id(mean)], var[rest]) for mean, var in fits])
         picks[rest] = _first_min(lik + pens)
     return picks
 

@@ -1,7 +1,8 @@
 """Simulation lab: scenarios, seeded data generation and Monte Carlo risk studies.
 
 Every experiment scores targets, each a fixed `Model` or a `CollectionConfig`
-that stands for its selection procedure, through one replication engine, `_run`:
+that stands for its selection procedure, through one replication engine, `_run`,
+on the `TruthSpec` that `Scenario.truth(n)` builds once per run:
 
 - Replications are drawn and scored in blocks of max(1, 2**16 // n) rows.
   Replication r draws from the substream keyed (r,) of its seed policy, so
@@ -103,16 +104,13 @@ def _mean_and_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Scenario(NamedTuple):
-    """A pair of functions on [0, 1] sampled at i/n, with its variance-ratio bound, and the
-    smoothness exponents and Hölder constants of the mean and the variance (the constants
-    set `rate_threshold`)."""
+    """A pair of functions on [0, 1] sampled at i/n, with its variance-ratio bound and the
+    Hölder constants of the mean and the variance, which set `rate_threshold`."""
 
     name: str
     mean_fn: Callable[[np.ndarray], np.ndarray]
     var_fn: Callable[[np.ndarray], np.ndarray]
     true_gamma: float
-    alpha_mean: float = 1.0
-    alpha_var: float = 1.0
     const_mean: float = 1.0
     const_var: float = 1.0
 
@@ -201,8 +199,6 @@ def lipschitz_scenario() -> Scenario:
         mean_fn=lambda x: x,
         var_fn=lambda x: 1.0 + 0.5 * x,
         true_gamma=1.5,
-        alpha_mean=1.0,
-        alpha_var=1.0,
         const_mean=1.0,
         const_var=0.5,
     )
@@ -237,18 +233,17 @@ def sample(scenario: Scenario, n: int, rng: np.random.Generator) -> Observations
     return Observations(y1=y1[0], y2=y2[0])
 
 
-def _run(scenario, targets, reps, seeds, kind):
-    """The replication engine: the `_scorer` of the targets on blocks of the reps draws.
+def _run(truth, targets, reps, seeds, kind):
+    """The replication engine: the `_scorer` of the targets on blocks of the reps draws from truth.
 
-    A block stacks `_block_rows(n)` replications at the targets' sample size n
-    as rows of (R, n) arrays.  Returns the (reps, targets) losses and picks of
+    A block stacks `_block_rows(n)` replications at the truth's and the targets' sample
+    size n as rows of (R, n) arrays.  Returns the (reps, targets) losses and picks of
     all replications and the number of redraws.  Replication r draws from the
     stream (r,) and, while its row is degenerate, redraws from (r, 1), (r, 2),
     ..., up to _MAX_REDRAWS attempts in all.  From n = _MIN_THREADED_N on, the blocks
     run through `_map`.
     """
     score = _scorer(targets, kind)
-    truth = scenario.truth(targets[0].n)
     rows = _block_rows(truth.n)
     losses = np.empty((reps, len(targets)))
     picks = np.empty((reps, len(targets)), dtype=np.intp)
@@ -369,7 +364,7 @@ def risk_profile(
         raise ValueError(f"kind must be one of {RISK_KINDS}, got {kind!r}")
     check_reps("reps", reps, 2)
 
-    losses, _, degenerate = _run(scenario, targets, reps, seeds, kind)
+    losses, _, degenerate = _run(scenario.truth(sizes[0]), targets, reps, seeds, kind)
     return _aggregate(losses, kind, degenerate)
 
 
@@ -444,7 +439,7 @@ def selection_frequency(
     check_reps("reps", reps, 1000)
     cfg = CollectionConfig(n, scenario.true_gamma, THETA, EPSILON, DELTA)
     hit = np.array([1.0 if predicate(m) else 0.0 for m in build_collection(cfg)])
-    _, picks, _ = _run(scenario, [cfg], reps, seeds, None)
+    _, picks, _ = _run(scenario.truth(n), [cfg], reps, seeds, None)
     return float(hit[picks[:, 0]].mean())
 
 
@@ -489,8 +484,8 @@ def convergence_experiment(
     along a grid of sample sizes.
 
     Fits the least-squares slope of log risk against log(n / (log n)^(1+epsilon));
-    for smoothness alpha = min(alpha_mean, alpha_var) the rate theory predicts a
-    slope of -2*alpha/(2*alpha + 1).
+    for Hölder smoothness alpha, the lesser of the mean's and the variance's, the rate
+    theory predicts a slope of -2*alpha/(2*alpha + 1).
     """
     n_grid = list(n_grid)
     if len(n_grid) < 2:

@@ -136,9 +136,9 @@ def test_models_and_configs_hash_as_their_fields(record):
 
 
 def test_scenario_defaults_its_smoothness_constants():
-    constants = ("alpha_mean", "alpha_var", "const_mean", "const_var")
-    assert [getattr(get_scenario("M1"), c) for c in constants] == [1.0, 1.0, 1.0, 1.0]
-    assert [getattr(get_scenario("lipschitz"), c) for c in constants] == [1.0, 1.0, 1.0, 0.5]
+    constants = ("const_mean", "const_var")
+    assert [getattr(get_scenario("M1"), c) for c in constants] == [1.0, 1.0]
+    assert [getattr(get_scenario("lipschitz"), c) for c in constants] == [1.0, 0.5]
 
 
 def test_importing_the_cli_does_not_load_dataclasses():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heteroselect import estimation
 from heteroselect.estimation import (
     VARIANCE_FLOOR,
     DegenerateVarianceError,
@@ -15,6 +16,7 @@ from heteroselect.estimation import (
     _block_screen,
     _fit_block,
     _loss,
+    _squared_residuals as squared_residuals,
     fit,
     log_likelihood,
 )
@@ -152,13 +154,13 @@ def test_first_min_raises_on_a_row_with_no_finite_criterion(criteria):
         _first_min(np.array(criteria))
 
 
-def test_a_screened_row_that_the_slack_cannot_decide_takes_the_exact_first_minimum():
+def test_a_screened_row_that_the_slack_cannot_decide_takes_the_exact_first_minimum(monkeypatch):
     # Penalties set so that two criteria lie within the slack: the screen cannot order them, and
     # the row takes `_first_min` of its exact criteria.  That is the later model where its exact
     # criterion is lower by a few ulps, and the earlier one on an exact tie (one fit, twice).
     n = 256
-    for r in range(4):
-        obs = sample(get_scenario("M3"), n, SeedPolicy(29).stream(r))
+    draws = [sample(get_scenario("M3"), n, SeedPolicy(29).stream(r)) for r in range(4)]
+    for obs in draws:
         y1 = obs.y1[None]
         first, later = _fit_block([Model(n, 1, 2), Model(n, 2, 4)], y1, obs.y2[None])[0]
         for fits, tie in (([first, later], False), ([first, first], True)):
@@ -172,6 +174,25 @@ def test_a_screened_row_that_the_slack_cannot_decide_takes_the_exact_first_minim
             assert (crit[1] == crit[0]) if tie else (crit[1] < crit[0])
             assert abs((approx[0, 0] + pens[0]) - (approx[0, 1] + pens[1])) < slack[0].min()
             assert _screened_pick(y1, fits, approx, slack, pens).tolist() == [_first_min(crit)] == [int(not tie)]
+    # An infinite slack sends every row of a block to the exact criteria, whose squared errors are
+    # still taken once per fine partition, as the fits of one partition share its means.
+    cfg = CollectionConfig(n, 2.0, 2.0, 0.01, 3.0)
+    coll = build_collection(cfg)
+    y1, y2 = np.stack([obs.y1 for obs in draws]), np.stack([obs.y2 for obs in draws])
+    fits, _ = _fit_block(coll, y1, y2)
+    pens = np.array([penalty(m, cfg) for m in coll])
+    exact = _first_min(_block_likelihoods(y1, fits) + pens)
+    approx, slack = _block_screen(y1, fits)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return squared_residuals(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "_squared_residuals", counted)
+    picks = _screened_pick(y1, fits, approx, np.full_like(slack, np.inf), pens)
+    assert len(calls) == len({m.num_fine for m in coll}) < len(coll)
+    assert picks.tolist() == exact.tolist()
 
 
 def test_select_empty_collection():

@@ -12,6 +12,7 @@ from heteroselect import simlab
 from heteroselect.estimation import (
     DegenerateVarianceError,
     Observations,
+    TruthSpec,
     _block_likelihoods,
     _block_losses,
     _block_log_likelihood,
@@ -226,13 +227,37 @@ def test_every_selection_path_raises_when_no_criterion_is_finite():
         for run in (
             lambda: mc_risk(sc, cfg, reps, SeedPolicy(0)),
             lambda: risk_profile(sc, [Model(n, 0, 1), cfg], reps, SeedPolicy(0), "quadratic_mean"),
-            lambda: simlab._run(sc, [cfg], reps, SeedPolicy(0), None),  # the path of selection_frequency
+            lambda: simlab._run(sc.truth(n), [cfg], reps, SeedPolicy(0), None),  # the path of selection_frequency
             lambda: ratio_table([sc], [2.0], n, reps, SeedPolicy(0), theta=1e308),
             lambda: convergence_experiment(lipschitz_scenario(), [n, 2 * n], reps, SeedPolicy(0), theta=1e308),
         ):
             with pytest.raises(ValueError) as got:
                 run()
             assert str(got.value) == str(expected.value)
+
+
+def test_the_engine_runs_on_a_bare_truth(monkeypatch):
+    # A truth built without a scenario, on the least threaded n in two blocks, gives the run
+    # behind `risk_profile` bit for bit: its losses, picks and redraws.
+    sc = get_scenario("M4")
+    n = simlab._MIN_THREADED_N
+    reps = simlab._block_rows(n) + 3
+    targets = [Model(n, 1, 4), CollectionConfig(n, 2.0, 2.0, 0.01, 3.0)]
+    run, runs = simlab._run, []
+
+    def recorded(*args):
+        runs.append(run(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(simlab, "_run", recorded)
+    risk_profile(sc, targets, reps, SeedPolicy(5))
+    truth = sc.truth(n)
+    bare = TruthSpec(truth.s.copy(), truth.sigma.copy())
+    losses, picks, degenerate = run(bare, targets, reps, SeedPolicy(5), "kullback")
+    [(want_losses, want_picks, want_degenerate)] = runs
+    assert losses.tobytes() == want_losses.tobytes() and picks.tolist() == want_picks.tolist()
+    assert degenerate == want_degenerate
+    assert len(set(picks[:, 1].tolist())) > 1
 
 
 def test_oracle_model_for_m1():
