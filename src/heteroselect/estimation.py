@@ -11,8 +11,10 @@ All fit arithmetic lives here, in the block kernel's passes over an (R, n) block
 `_block_screen` ranks them for the lab, from coarse block sums of the exact pass's own
 squared errors with a bound on the rounding, so that the lab needs exact likelihoods only
 where that bound cannot decide a pick; and `_block_losses` scores the fits that are read.
-The loss pass takes the terms that depend only on the variance once per run of
-equal true variance within a coarse block, bit-identical to `kl_divergence`'s
+The loss pass takes each whole term once per cell of a step truth (a stretch of a fine
+block on which the true mean and variance are constant), or else the terms that depend
+only on the variance once per run of equal true variance within a coarse block, and
+writes them to the points with one `np.repeat`, bit-identical to `kl_divergence`'s
 per-point terms.
 """
 
@@ -200,33 +202,33 @@ def _variance_terms(kind: str, sigma, variance, out=(None, None)):
     return np.square(np.subtract(sigma, variance, out=terms), out=terms)
 
 
-def _sigma_runs(sigma: np.ndarray, blocks: int):
-    """The runs of sigma on `blocks` equal coarse blocks: the cells of the common refinement of
-    the blocks and the runs of equal neighbouring values of sigma, in order.
+def _runs(blocks: int, *vectors):
+    """The runs of the truth vectors on `blocks` equal blocks: the cells of the common refinement of
+    the blocks and the runs of equal neighbouring values of each vector, in order.
 
-    Returns (sigma on each run, the block of each run, the run of each point), or None when
-    every point is its own run.
+    Returns (the first point of each run, its length), or None when every point is its own run.
     """
-    n = len(sigma)
-    start = np.empty(n, dtype=bool)
-    start[0] = True
-    np.not_equal(sigma[1:], sigma[:-1], out=start[1:])
+    n = len(vectors[0])
+    start = np.zeros(n, dtype=bool)
+    for v in vectors:
+        start[1:] |= v[1:] != v[:-1]
     start[:: n // blocks] = True
     first = np.flatnonzero(start)
     if len(first) == n:
         return None
-    return sigma[first], first // (n // blocks), np.cumsum(start) - 1
+    return first, np.diff(first, append=n)
 
 
 def _run_loss(kind: str, sigma, runs, sq_err, block_var, out):
     """`_loss` of a kind with variance terms, 'kullback' or 'quadratic_variance', for variances
     given per coarse block, block_var (rows, blocks).
 
-    runs is `_sigma_runs(sigma, blocks)`: the variance terms are taken once per run and
-    expanded to the points, or once per point when runs is None.  out is two (rows, n) arrays
-    for the terms.  Every term equals its value in `_loss` on the expanded variance: a variance
-    and a sigma that compare equal are equal bit for bit, so each term comes from the same IEEE
-    operations on the same inputs, and the same contiguous (rows, n) terms are summed.
+    runs is `_runs(blocks, sigma)`: the variance terms are taken once per run and `np.repeat`
+    writes each to its points, or they are taken once per point when runs is None.  out is two
+    (rows, n) arrays for the per-point terms.  Every term equals its value in `_loss` on the
+    expanded variance: a variance and a sigma that compare equal are equal bit for bit, so each
+    term comes from the same IEEE operations on the same inputs, and the same contiguous (rows, n)
+    terms are summed.
     """
     terms, scratch = out
     blocks = block_var.shape[-1]
@@ -234,17 +236,33 @@ def _run_loss(kind: str, sigma, runs, sq_err, block_var, out):
         np.copyto(_blocks(terms, blocks), block_var[..., None])
         var_terms = _variance_terms(kind, sigma, terms, out=(scratch, terms))
     else:
-        run_sigma, run_block, point_run = runs
-        shape = (len(block_var), len(run_sigma))
-        variance, run_terms = (b.reshape(-1)[: shape[0] * shape[1]].reshape(shape) for b in (scratch, terms))
-        # mode="clip" writes straight into out; the default mode buffers it.  The indices are in range.
-        np.take(block_var, run_block, axis=-1, out=variance, mode="clip")
-        _variance_terms(kind, run_sigma, variance, out=(run_terms, variance))
-        var_terms = np.take(run_terms, point_run, axis=-1, out=scratch, mode="clip")
+        first, length = runs
+        variance = np.take(block_var, first // (len(sigma) // blocks), axis=-1)
+        var_terms = np.repeat(_variance_terms(kind, sigma[first], variance, out=(None, variance)), length, axis=-1)
     if kind == "quadratic_variance":
         return np.add.reduce(var_terms, axis=-1)
     np.divide(_blocks(sq_err, blocks), block_var[..., None], out=_blocks(terms, blocks))
     return 0.5 * np.add.reduce(np.add(terms, var_terms, out=terms), axis=-1)
+
+
+def _cell_loss(kind: str, sigma, cells, cell_err, block_var):
+    """`_loss` of 'kullback' or 'quadratic_mean' on the cells (first, length) of a fine partition,
+    `_runs(fine, s, sigma)`, from the squared mean errors per cell, cell_err (rows, cells), and the
+    variances per coarse block, block_var (rows, blocks).
+
+    The whole term is taken once per cell, by `_loss`'s IEEE operations in its order, and `np.repeat`
+    writes it to the cell's points, so the same contiguous (rows, n) terms are summed.  Values of s
+    that compare equal give equal squared errors, bit for bit: (s - m) ** 2 is +0 for either sign
+    of a zero s - m.
+    """
+    first, length = cells
+    terms = cell_err
+    if kind == "kullback":
+        variance = np.take(block_var, first // (len(sigma) // block_var.shape[-1]), axis=-1)
+        terms = np.divide(cell_err, variance)
+        np.add(terms, _variance_terms(kind, sigma[first], variance, out=(None, variance)), out=terms)
+    total = np.add.reduce(np.repeat(terms, length, axis=-1), axis=-1)
+    return total if kind == "quadratic_mean" else 0.5 * total
 
 
 def _fit_block(models: Sequence[Model], y1: np.ndarray, y2: np.ndarray):
@@ -346,24 +364,39 @@ def _block_screen(y1: np.ndarray, fits):
 def _block_losses(fits, truth: TruthSpec, kind: str) -> np.ndarray:
     """losses[r, j], the loss `kind` against truth of row r of fits[j] of `_fit_block`.
 
-    The squared errors of truth.s are taken once for each stretch of fits that share a
-    means array, and the variance terms once per run of `_sigma_runs(truth.sigma, blocks)`
-    (`_run_loss`), found once per coarse level.  Every (R, n) temporary is written into
-    three buffers allocated once per call.
+    The squared errors of truth.s are taken once for each stretch of fits that share a means
+    array.  A step truth is scored per cell: where the fine partition of a stretch has fewer
+    cells `_runs(fine, truth.s, truth.sigma)` than points, 'kullback' and 'quadratic_mean' take
+    each whole term once per cell (`_cell_loss`).  Otherwise the terms are taken per point, into
+    three (R, n) buffers allocated once per call, and the variance terms once per run of
+    `_runs(coarse, truth.sigma)` (`_run_loss`), found once per coarse level.  Both expand by
+    `np.repeat`, whose result is a new array, as it has no out=; it measured faster than a `take`
+    into a reused buffer: 20-26 us against 49-50 us for a (64, 1024) expansion from at most 67
+    cells (2 shared vCPUs, numpy 2.4).
     """
-    size = len(fits[0][0])
-    losses = np.empty((size, len(fits)))
-    s_err, terms, scratch = np.empty((3, size, truth.n))
-    runs = {blocks: _sigma_runs(truth.sigma, blocks) for blocks in {v.shape[-1] for _, v in fits}}
-    means = None
+    n, rows = truth.n, len(fits[0][0])
+    losses = np.empty((rows, len(fits)))
+    s_err, terms, scratch = np.empty((3, rows, n))
+    sigma_runs = {}
+    means = cells = None
     for j, (block_mean, block_var) in enumerate(fits):
-        if block_mean is not means:
-            means = block_mean
-            _squared_residuals(truth.s, means, out=s_err)
-        if kind == "quadratic_mean":
+        if block_mean is not means and kind != "quadratic_variance":
+            means, fine = block_mean, block_mean.shape[-1]
+            cells = _runs(fine, truth.s, truth.sigma)
+            if cells is None:
+                _squared_residuals(truth.s, means, out=s_err)
+            else:
+                first = cells[0]
+                cell_err = np.square(np.subtract(truth.s[first], np.take(means, first // (n // fine), axis=-1)))
+        if cells is not None:
+            losses[:, j] = _cell_loss(kind, truth.sigma, cells, cell_err, block_var)
+        elif kind == "quadratic_mean":
             losses[:, j] = _loss(kind, truth, s_err, None)
         else:
-            losses[:, j] = _run_loss(kind, truth.sigma, runs[block_var.shape[-1]], s_err, block_var, (terms, scratch))
+            coarse = block_var.shape[-1]
+            if coarse not in sigma_runs:
+                sigma_runs[coarse] = _runs(coarse, truth.sigma)
+            losses[:, j] = _run_loss(kind, truth.sigma, sigma_runs[coarse], s_err, block_var, (terms, scratch))
     return losses
 
 

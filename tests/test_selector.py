@@ -16,6 +16,7 @@ from heteroselect.estimation import (
     _block_screen,
     _fit_block,
     _loss,
+    _runs,
     _squared_residuals as squared_residuals,
     fit,
     log_likelihood,
@@ -240,8 +241,8 @@ def _expanded_fit(m, y1, y2, bad):
 @pytest.mark.parametrize("name, n, rows", [
     # M3's ids stay n-rows, so records of earlier runs still name the same tests.
     pytest.param(name, n, rows, id=f"{n}-{rows}" if name == "M3" else f"{name}-{n}-{rows}")
-    for name in ("M3", "M1", "M2", "M4")
-    for n, rows in ((16, 5), (1024, 5), (65536, 1))
+    for name in ("M3", "M1", "M2", "M4", "lipschitz")
+    for n, rows in ((16, 5), (64, 5), (1024, 5), (65536, 1))
 ])
 def test_shared_kernel_equals_per_model_formulas(name, n, rows):
     # The block kernel shares each fine partition's residuals between its models and
@@ -276,35 +277,49 @@ def test_shared_kernel_equals_per_model_formulas(name, n, rows):
         assert (_block_losses(fits, truth, kind)[~bad] == expected[kind][~bad]).all()
 
 
+def _draw_breaks(draw, n, shape):
+    """Break points among 1, ..., n - 1: 'mixed' ones on dyadic block edges, one point off a dyadic
+    edge (like M1's breaks at n/4 - 1, n/2 - 1 and 3n/4 - 1) and at neighbouring points, or none
+    ('nowhere'), or all ('everywhere')."""
+    if shape == "everywhere":
+        return set(range(1, n))
+    if shape == "nowhere":
+        return set()
+    levels = n.bit_length() - 1
+    edges = st.integers(1, levels).flatmap(lambda k: st.integers(1, 2**k - 1).map(lambda i: i * (n >> k)))
+    breaks = draw(st.sets(edges, max_size=4))
+    breaks |= {e - 1 for e in draw(st.sets(edges, max_size=2)) if e > 1}
+    breaks |= {i + d for i in draw(st.sets(st.integers(1, n - 2), max_size=2)) for d in (0, 1)}
+    return breaks
+
+
+def _steps(values, breaks, n):
+    """The length-n vector that takes its next value at each break."""
+    starts = [0] + sorted(breaks)
+    return np.repeat(values, np.diff(starts + [n]))
+
+
 @st.composite
 def piecewise_constant_truths(draw):
-    """A truth at n in {8, ..., 256} whose sigma breaks on dyadic block edges, one point off
-    a dyadic edge (like M1's n/2 - 1), at neighbouring points, nowhere or everywhere."""
-    levels = draw(st.integers(3, 8))
-    n = 2**levels
-    shape = draw(st.sampled_from(["mixed", "nowhere", "everywhere"]))
-    if shape == "everywhere":
-        breaks = set(range(1, n))
-    elif shape == "nowhere":
-        breaks = set()
-    else:
-        edges = st.integers(1, levels).flatmap(lambda k: st.integers(1, 2**k - 1).map(lambda i: i * (n >> k)))
-        breaks = draw(st.sets(edges, max_size=4))
-        breaks |= {e - 1 for e in draw(st.sets(edges, max_size=2)) if e > 1}
-        breaks |= {i + d for i in draw(st.sets(st.integers(1, n - 2), max_size=2)) for d in (0, 1)}
-    starts = [0] + sorted(breaks)
-    values = draw(st.lists(st.floats(0.25, 4.0), min_size=len(starts), max_size=len(starts)))
-    sigma = np.repeat(values, np.diff(starts + [n]))
+    """A truth at n in {8, ..., 256} whose sigma and s step on breaks of `_draw_breaks`, each on
+    its own, or s on sigma's breaks; s stepping everywhere is pointwise, like M2-M4's."""
+    n = 2 ** draw(st.integers(3, 8))
+    sigma_breaks = _draw_breaks(draw, n, draw(st.sampled_from(["mixed", "nowhere", "everywhere"])))
+    s_shape = draw(st.sampled_from(["mixed", "nowhere", "everywhere", "sigma's"]))
+    s_breaks = sigma_breaks if s_shape == "sigma's" else _draw_breaks(draw, n, s_shape)
+    values = draw(st.lists(st.floats(0.25, 4.0), min_size=len(sigma_breaks) + 1, max_size=len(sigma_breaks) + 1))
     seed = draw(st.integers(0, 2**32 - 1))
     order = draw(st.permutations(range(len(all_models(n)))))
-    return TruthSpec(np.random.default_rng(seed).normal(size=n), sigma), seed, order
+    s = _steps(np.random.default_rng(seed).normal(size=len(s_breaks) + 1), s_breaks, n)
+    return TruthSpec(s, _steps(values, sigma_breaks, n)), seed, order
 
 
 @settings(deadline=None, max_examples=60)
 @given(case=piecewise_constant_truths())
 def test_losses_per_run_equal_per_point_losses(case):
-    # The kernel takes the variance terms of a loss once per run of equal sigma within a
-    # coarse block; per model, on expanded vectors, the formulas must give the same bits.
+    # The kernel takes a whole loss term once per cell of constant s and sigma within a fine
+    # block, or else the variance terms once per run of equal sigma within a coarse block; per
+    # model, on expanded vectors, the formulas must give the same bits.
     # Every model, shuffled, so coarse levels recur non-consecutively.  Row 1 turns
     # degenerate partway through (y2 constant on its first half).  A model with one-point
     # fine blocks fits y2 exactly and turns every row degenerate, so those models come last;
@@ -324,3 +339,17 @@ def test_losses_per_run_equal_per_point_losses(case):
     assert got_bad.tolist() == bad.tolist()
     for kind in RISK_KINDS:
         assert (_block_losses(fits, truth, kind) == expected[kind]).all()
+
+
+def test_runs_of_m1_start_at_every_fine_edge_and_one_point_before_its_breaks():
+    # x = (i + 1) / n puts M1's breaks at x = 1/4, 1/2 and 3/4 on points 15, 31 and 47 of n = 64,
+    # one point before a dyadic edge, so they split a fine block on every partition but the
+    # finest, whose one-point blocks make every point a cell.  Its sigma breaks at 31 alone.
+    truth = get_scenario("M1").truth(64)
+    for fine in (1, 2, 4, 8, 16, 32):
+        edges = set(range(0, 64, 64 // fine))
+        for vectors, breaks in (((truth.s, truth.sigma), {15, 31, 47}), ((truth.sigma,), {31})):
+            first, length = _runs(fine, *vectors)
+            assert first.tolist() == sorted(edges | breaks)
+            assert length.tolist() == np.diff(sorted(edges | breaks) + [64]).tolist()
+    assert _runs(64, truth.s, truth.sigma) is None
