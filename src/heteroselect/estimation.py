@@ -10,7 +10,9 @@ All fit arithmetic lives here, in the block kernel's passes over an (R, n) block
 `_block_likelihoods` ranks the fits exactly, for `select`'s audit of every model;
 `_block_screen` ranks them for the lab, from coarse block sums of the exact pass's own
 squared errors with a bound on the rounding, so that the lab needs exact likelihoods only
-where that bound cannot decide a pick; and `_block_losses` scores the fits that are read.
+where that bound cannot decide a pick; `_block_losses` scores the fits that are read; and
+`_loss_screen` gives every fit's loss by coarse block in closed form, with a bound on the rounding,
+so that the lab's oracle needs exact losses only for the models that can be its pick.
 The loss pass takes each whole term once per cell of a step truth (a stretch of a fine
 block on which the true mean and variance are constant), or else the terms that depend
 only on the variance once per run of equal true variance within a coarse block, and
@@ -367,7 +369,8 @@ def _block_losses(fits, truth: TruthSpec, kind: str) -> np.ndarray:
     The squared errors of truth.s are taken once for each stretch of fits that share a means
     array.  A step truth is scored per cell: where the fine partition of a stretch has fewer
     cells `_runs(fine, truth.s, truth.sigma)` than points, 'kullback' and 'quadratic_mean' take
-    each whole term once per cell (`_cell_loss`).  Otherwise the terms are taken per point, into
+    each whole term once per cell (`_cell_loss`); a mean that changes at every point has none, and is
+    tested for once per call.  Otherwise the terms are taken per point, into
     three (R, n) buffers allocated once per call, and the variance terms once per run of
     `_runs(coarse, truth.sigma)` (`_run_loss`), found once per coarse level.  Both expand by
     `np.repeat`, whose result is a new array, as it has no out=; it measured faster than a `take`
@@ -378,11 +381,12 @@ def _block_losses(fits, truth: TruthSpec, kind: str) -> np.ndarray:
     losses = np.empty((rows, len(fits)))
     s_err, terms, scratch = np.empty((3, rows, n))
     sigma_runs = {}
+    pointwise = bool((truth.s[1:] != truth.s[:-1]).all())  # then every point is its own cell
     means = cells = None
     for j, (block_mean, block_var) in enumerate(fits):
         if block_mean is not means and kind != "quadratic_variance":
             means, fine = block_mean, block_mean.shape[-1]
-            cells = _runs(fine, truth.s, truth.sigma)
+            cells = None if pointwise else _runs(fine, truth.s, truth.sigma)
             if cells is None:
                 _squared_residuals(truth.s, means, out=s_err)
             else:
@@ -398,6 +402,100 @@ def _block_losses(fits, truth: TruthSpec, kind: str) -> np.ndarray:
                 sigma_runs[coarse] = _runs(coarse, truth.sigma)
             losses[:, j] = _run_loss(kind, truth.sigma, sigma_runs[coarse], s_err, block_var, (terms, scratch))
     return losses
+
+
+#: The loss screen's allowance for the error of `np.log`: |np.log(x) - log x| <= LOG_ALLOWANCE * (|log x| + 1)
+#: for every positive normal x.  That is 4,096 ulps of the result, or of 1 near x = 1, a thousand times the
+#: 4 ulps that numpy documents for its own SIMD log, and glibc's log is within 1.
+LOG_ALLOWANCE = 2.0**-40
+
+
+def _loss_screen(fits, truth: TruthSpec, kind: str):
+    """(approx, slack)[r, j]: losses[r, j] of `_block_losses(fits, truth, kind)` taken by coarse block
+    in closed form, and a bound slack >= |approx - losses| on the rounding of either, for the lab's oracle.
+
+    Both take the same rounded squared errors e_i = (truth.s - block mean) ** 2 of `_squared_residuals`,
+    once per fine partition (not for 'quadratic_variance'), and the same coarse block variances v.  The
+    screen sums e_i into fine blocks and adds neighbouring block sums in pairs into each coarse block I,
+    as S_I, as `_block_screen` does, and takes the sums of sigma, sigma ** 2, log sigma and |log sigma|
+    over I once per coarse level in each call.  Then, with |I| a power of two:
+    - 'kullback', 0.5 sum_i (e_i / v + log(v / sigma_i) + sigma_i / v - 1), by block:
+      0.5 sum_I ((S_I + sum_I sigma) / v + |I| log v - sum_I log sigma - |I|);
+    - 'quadratic_mean', sum_I S_I;
+    - 'quadratic_variance', sum_i (sigma_i - v) ** 2, by block:
+      sum_I (sum_I sigma ** 2 - 2 v sum_I sigma + |I| v ** 2).
+    The per-fit arithmetic runs on all fits' coarse blocks side by side, and `np.add.reduceat` sums
+    each fit's segment.
+
+    The bound holds for any order of addition (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 4.2).  Write each loss as a signed sum of nonnegative atoms: e_i / v, sigma_i / v, |log v|,
+    |log sigma_i| and 1 per point for 'kullback'; e_i for 'quadratic_mean'; sigma_i ** 2, 2 v sigma_i
+    and v ** 2 for 'quadratic_variance' (whose term (sigma_i - v) ** 2 is at most their sum).  Let X be
+    their sum over a row's n points, taken by block as the screen takes its terms.  A computed sum is the
+    sum of its atoms, each times some (1 + theta_k) with |theta_k| <= gamma_k = k u / (1 - k u), u =
+    2**-53, where k counts the roundings on the atom's way.  The loss pass's terms go through at most 5
+    roundings (fl(v / sigma) shifts log by at most 1.01 u, an atom 1 times theta_2; fl(1 / fl(v / sigma))
+    rounds sigma / v twice) and then n - 1 additions; the screen's atoms go through at most |I| - 1
+    additions into their block sums, 5 operations on those and c - 1 additions over the c coarse blocks,
+    and |I| + c <= n + 1.  So each side is within 0.5 gamma_K X of the exact real loss ('kullback' halves
+    it), with K = n + 4 for every kind.  Then `np.log`: the loss pass takes it of n ratios, the screen
+    of n sigmas and c variances, the latter times |I|.  Each errs by at most LOG_ALLOWANCE (|log x| + 1),
+    and |log fl(v / sigma)| <= |log v| + |log sigma| + 2 u; with the atoms 1 (n of them) that adds at most
+    3 LOG_ALLOWANCE X to the two sides' 0.5-weighted gap.  So |approx - losses| <= (gamma_K + 3 LOG_ALLOWANCE)
+    X_real, and the computed X is at least (1 - gamma_K - LOG_ALLOWANCE) X_real, more than X_real / 2
+    by far.  A product or quotient whose result underflows errs by up to 2**-1075 instead; at most
+    3n + 3c + 2 of them do on the two sides.  So slack = (X + X) ((K + 1) u + 2 LOG_ALLOWANCE) +
+    (2n + 2c + 2) 2**-1074, with room for the rounding of the slack itself.  A sum past half the float
+    range makes the slack inf, and the oracle exact: the loss pass's partial sums stay below about X.
+    Non-finite values raise no warning, as the oracle sends every model to `_block_losses` then.
+    """
+    n, rows = truth.n, len(fits[0][0])
+    coarse = np.array([v.shape[-1] for _, v in fits])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "kullback":
+            log_sigma = np.log(truth.sigma)
+            points = np.stack([truth.sigma, log_sigma, np.abs(log_sigma)])
+        else:
+            points = np.stack([truth.sigma, np.square(truth.sigma)])
+        moments = {c: np.add.reduce(_blocks(points, c), axis=-1) for c in set(coarse.tolist())}
+        sums = []
+        if kind != "quadratic_variance":
+            s_err = np.empty((rows, n))
+            means = None
+            for block_mean, block_var in fits:
+                if block_mean is not means:
+                    means = block_mean
+                    _squared_residuals(truth.s, means, out=s_err)
+                    level = {means.shape[-1]: np.add.reduce(_blocks(s_err, means.shape[-1]), axis=-1)}
+                while block_var.shape[-1] not in level:
+                    s = level[min(level)]
+                    level[s.shape[-1] // 2] = s[:, ::2] + s[:, 1::2]
+                sums.append(level[block_var.shape[-1]])
+            sums = np.concatenate(sums, axis=-1)
+        starts = np.cumsum(coarse) - coarse
+        size = np.repeat(n // coarse, coarse)
+        var = np.concatenate([v for _, v in fits], axis=-1)
+        block = np.concatenate([moments[c] for c in coarse.tolist()], axis=-1)
+        if kind == "kullback":
+            sigma, log_sigma, abs_log_sigma = block
+            q = np.divide(np.add(sums, sigma, out=sums), var, out=sums)
+            p = np.multiply(size, np.log(var, out=var), out=var)
+            value = q + p - log_sigma - size
+            magnitude = np.add(np.add(q, np.abs(p, out=p), out=q), abs_log_sigma + size, out=q)
+        elif kind == "quadratic_mean":
+            value = magnitude = sums
+        else:
+            sigma, sigma2 = block
+            cross = np.multiply(var + var, sigma)
+            square = np.multiply(size, np.square(var, out=var), out=var)
+            value = sigma2 - cross + square
+            magnitude = np.add(np.add(cross, sigma2, out=cross), square, out=cross)
+        approx = np.add.reduceat(value, starts, axis=-1)
+        if kind == "kullback":
+            approx *= 0.5
+        x = np.add.reduceat(magnitude, starts, axis=-1)
+        slack = (x + x) * ((n + 5) * 2.0**-53 + 2.0 * LOG_ALLOWANCE) + (2 * n + 2 * coarse + 2) * 2.0**-1074
+    return approx, slack
 
 
 def best_approx(m: Model, truth: TruthSpec) -> tuple[Estimate, float]:

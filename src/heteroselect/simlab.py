@@ -1,8 +1,9 @@
 """Simulation lab: scenarios, seeded data generation and Monte Carlo risk studies.
 
-Every experiment scores targets, each a fixed `Model` or a `CollectionConfig`
-that stands for its selection procedure, through one replication engine, `_run`,
-on the `TruthSpec` that `Scenario.truth(n)` builds once per run:
+Every experiment scores targets, each a fixed `Model`, a `CollectionConfig`
+that stands for its selection procedure, or the `Oracle` of a collection,
+through one replication engine, `_run`, on the `TruthSpec` that
+`Scenario.truth(n)` builds once per run:
 
 - Replications are drawn and scored in blocks of max(1, 2**16 // n) rows.
   Replication r draws from the substream keyed (r,) of its seed policy, so
@@ -17,6 +18,11 @@ on the `TruthSpec` that `Scenario.truth(n)` builds once per run:
   Both pick by `selector`'s penalty and its first-minimum rule (ties to the
   earliest model, NaN never wins), so each row's chosen model and loss equal
   those of the scalar `select`/`fit`/`kl_divergence` path bit for bit.
+- An oracle's pick is the first minimum of its models' mean losses.  The lab
+  bounds every mean from `_loss_screen`'s closed-form losses and takes exact
+  losses, after the last block, only for the models whose bound lets them win
+  (`_oracle_candidates`), so the oracle's report equals that of the first
+  minimum over `risk_profile`'s reports of every model, bit for bit.
 - All compared runs of one scenario (the models of a collection; the oracle
   and every gamma of a table row) share one set of draws, common random
   numbers that reduce ratio variance.  A draw degenerate for any of them is
@@ -41,6 +47,7 @@ import numpy as np
 
 from .estimation import (
     RISK_KINDS, DegenerateVarianceError, Observations, TruthSpec, _block_losses, _block_screen, _fit_block,
+    _loss_screen,
 )
 from .model_space import (
     DELTA, EPSILON, THETA, CollectionConfig, Model, build_collection, check_power_of_two, check_reps,
@@ -155,9 +162,29 @@ class SeedPolicy(NamedTuple):
         return self._replace(prefix=self.prefix + key)
 
 
-#: A fixed model, or a configuration that selects from its collection with its
-#: penalty on each replication.
-Target = Union[Model, CollectionConfig]
+class Oracle(NamedTuple("Oracle", [("models", tuple)])):
+    """The oracle of a collection of models: the one of least estimated risk on the run's draws,
+    the first on ties, where NaN never wins (`selector._first_min`).  Its risk is that model's."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace`, which copies by `_make`, checks too
+
+    def __new__(cls, models):
+        models = tuple(models)
+        if not models:
+            raise ValueError("an oracle needs at least one model")
+        if len({m.n for m in models}) > 1:
+            raise ValueError("the oracle's models have different sample sizes")
+        return super().__new__(cls, models)
+
+    @property
+    def n(self) -> int:
+        return self.models[0].n
+
+
+#: A fixed model, a configuration that selects from its collection with its penalty on each
+#: replication, or the oracle of a collection.
+Target = Union[Model, CollectionConfig, Oracle]
 
 
 def builtin_scenarios() -> list[Scenario]:
@@ -242,61 +269,123 @@ def _run(truth, targets, reps, seeds, kind):
     stream (r,) and, while its row is degenerate, redraws from (r, 1), (r, 2),
     ..., up to _MAX_REDRAWS attempts in all.  From n = _MIN_THREADED_N on, the blocks
     run through `_map`.
+
+    An `Oracle` is resolved after the last block.  Each block keeps its fits of the oracle's models
+    and their losses' screen (`_loss_screen`) on its rows that are not redrawn; `_oracle_candidates`
+    bounds every model's mean loss from the screen, and `_block_losses` scores only the candidates,
+    on each block's kept fits, with no redraw and no second fit.  The oracle's column holds the
+    losses of `_first_min` of the candidates' mean losses, each reduced as `_aggregate` reduces a
+    column, and its pick is that model's index, on every row.  It needs a kind: with kind None its
+    column and pick read 0.
     """
     score = _scorer(targets, kind)
     rows = _block_rows(truth.n)
     losses = np.empty((reps, len(targets)))
     picks = np.empty((reps, len(targets)), dtype=np.intp)
+    oracles = [i for i, t in enumerate(targets) if isinstance(t, Oracle)] if kind else []
 
     def block(start):
-        """Score the block of rows from start into its rows of losses and picks; return its redraws."""
+        """Score the block of rows from start into its rows of losses and picks; return its redraws
+        and, per attempt, the rows it wrote, its mask of them and each oracle's (fits, approx, slack)."""
         pending = np.arange(start, min(start + rows, reps))
-        redrawn = 0
+        redrawn, kept = 0, []
         for attempt in range(_MAX_REDRAWS):
             keys = [(r,) if attempt == 0 else (r, attempt) for r in pending.tolist()]
-            loss, pick, bad = score(*_draw(truth, [seeds.stream(*key) for key in keys]), truth)
-            losses[pending[~bad]] = loss[~bad]
-            picks[pending[~bad]] = pick[~bad]
+            loss, pick, bad, screened = score(*_draw(truth, [seeds.stream(*key) for key in keys]), truth)
+            good = ~bad
+            done = pending[good]
+            losses[done] = loss[good]
+            picks[done] = pick[good]
+            if screened:
+                kept.append((done, good, screened))
             redrawn += int(bad.sum())
             pending = pending[bad]
             if not len(pending):
-                return redrawn
+                return redrawn, kept
         raise DegenerateVarianceError(
             f"replication {pending[0]}: degenerate variance persisted across {_MAX_REDRAWS} redraws"
         )
 
-    starts = range(0, reps, rows)
-    degenerate = sum(_map(block, starts) if truth.n >= _MIN_THREADED_N else map(block, starts))
+    spread = _map if truth.n >= _MIN_THREADED_N else (lambda fn, items: list(map(fn, items)))
+    blocks = spread(block, range(0, reps, rows))
+    degenerate = sum(redrawn for redrawn, _ in blocks)
     if degenerate > DEGENERATE_BUDGET * reps:
         raise DegenerateVarianceError(
             f"{degenerate} degenerate replications out of {reps} exceed the "
             f"{DEGENERATE_BUDGET:.1%} budget"
         )
+    kept = [piece for _, pieces in blocks for piece in pieces]
+    for k, i in enumerate(oracles):
+        # The rows in block order: the bound on their sums holds for any order of addition.
+        approx, slack = (np.concatenate([screened[k][m][good] for _, good, screened in kept]) for m in (1, 2))
+        candidates = _oracle_candidates(approx, slack)
+        exact = np.empty((reps, len(candidates)))
+
+        def score_exact(piece):
+            done, good, screened = piece
+            exact[done] = _block_losses([screened[k][0][j] for j in candidates], truth, kind)[good]
+
+        spread(score_exact, kept)
+        best = int(_first_min(_mean_and_se(exact.T.copy())[0]))
+        losses[:, i], picks[:, i] = exact[:, best], candidates[best]
     return losses, picks, degenerate
 
 
-def _scorer(targets: Sequence[Target], kind: str | None):
-    """The block scorer of the targets: score(y1, y2, truth) -> (losses, picks, bad).
+def _oracle_candidates(approx: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """The models that can be the oracle's pick, from the screen (approx, slack) (reps, models) of
+    `_loss_screen`: the indices of those whose mean loss can be the least, in order; every model when
+    any bound is not finite.
 
-    For R rows, losses[r, i] is the loss of target i (0 when kind is None),
-    picks[r, i] the index of its chosen model in its collection (0 for a
-    Model), and bad[r] whether the row is degenerate for any model of any
+    Let L, A and s be a model's exact losses, approximations and slacks over the reps rows, |A - L| <= s
+    row by row.  Whatever the order of addition, a computed sum of reps terms is within gamma =
+    (reps - 1) u / (1 - (reps - 1) u), u = 2**-53, of the sum of their absolute values (Higham, 2nd ed.,
+    4.2), so the computed sum of L that `_aggregate` takes is within sum s + 2 gamma (sum |A| + sum s),
+    to first order, of the computed sum of A.  Two models whose computed sums of L differ by more than
+    2.01 u times the larger, plus reps 2**-1074, have different means after the division by reps, in
+    the same order, as rounding is monotone.  With D = sum |A| + sum s as computed, the margin
+    2 (sum s + (reps + 2) 2**-52 D) + reps 2**-1074 covers all of that for either of two models, and
+    the rounding of the computed sums, of the margin and of the interval's ends, by the factor 2.  So
+    a model whose interval's lower end lies above the least upper end has a larger mean loss than the
+    model that holds that end, and is not the first minimum.
+    """
+    reps = len(approx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(approx, axis=0)
+        slack_sum = np.add.reduce(slack, axis=0)
+        size = np.add.reduce(np.abs(approx), axis=0) + slack_sum
+        margin = 2.0 * (slack_sum + (reps + 2) * 2.0**-52 * size) + reps * 2.0**-1074
+        lo, hi = total - margin, total + margin
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            return np.arange(approx.shape[-1])
+        return np.flatnonzero(lo <= hi.min())
+
+
+def _scorer(targets: Sequence[Target], kind: str | None):
+    """The block scorer of the targets: score(y1, y2, truth) -> (losses, picks, bad, screens).
+
+    For R rows, losses[r, i] is the loss of target i (0 when kind is None, and for an
+    `Oracle`), picks[r, i] the index of its chosen model in its collection (0 for a
+    Model and an Oracle), and bad[r] whether the row is degenerate for any model of any
     target.  Each distinct model is fitted once per block by `_fit_block`, of
     which `select` is the one-row case.  When some target is a CollectionConfig,
     every fit is ranked by `_block_screen` and the config picks by
     `selector._screened_pick`: `_first_min`, the first minimum of likelihood plus
     penalty, where NaN never wins, taken from the screen's approximations where
     their slack decides it and from `_block_likelihoods` on the rows where it does
-    not.  `_block_losses` scores, on every row, only the fits that some row
-    reads: each fixed Model's and each pick.  Each configuration's collection and
-    penalties are computed once, here.
+    not.  `_block_losses` scores, on every row, only the fits that some row of a
+    Model or a CollectionConfig reads: each fixed Model's and each pick.  screens
+    has one (fits, approx, slack) per Oracle, in target order: its models' fits and
+    `_loss_screen` of their losses, for `_run` to resolve (none when kind is None).
+    Each configuration's collection and penalties are computed once, here.
     """
     collections = {t: build_collection(t) for t in targets if isinstance(t, CollectionConfig)}
-    members = [collections.get(t, [t]) for t in targets]
+    members = [t.models if isinstance(t, Oracle) else collections.get(t, [t]) for t in targets]
     models = list(dict.fromkeys(m for ms in members for m in ms))
     column = {m: j for j, m in enumerate(models)}
     cols = [np.array([column[m] for m in ms]) for ms in members]
     pens = [np.array([penalty(m, t) for m in collections[t]]) if t in collections else None for t in targets]
+    oracles = [i for i, t in enumerate(targets) if isinstance(t, Oracle)]
+    scored = [i for i, t in enumerate(targets) if not isinstance(t, Oracle)]
 
     def score(y1, y2, truth):
         fits, bad = _fit_block(models, y1, y2)
@@ -306,13 +395,20 @@ def _scorer(targets: Sequence[Target], kind: str | None):
             for i, (c, p) in enumerate(zip(cols, pens)):
                 if p is not None:
                     picks[:, i] = _screened_pick(y1, [fits[j] for j in c], approx[:, c], slack[:, c], p)
+        losses = np.zeros(picks.shape)
         if kind is None:
-            return np.zeros(picks.shape), picks, bad
-        # The column of the fit that each row reads for each target.
-        chosen = np.stack([c[picks[:, i]] for i, c in enumerate(cols)], axis=-1)
-        read, where = np.unique(chosen, return_inverse=True)
-        losses = _block_losses([fits[j] for j in read], truth, kind)
-        return np.take_along_axis(losses, where.reshape(chosen.shape), axis=-1), picks, bad
+            return losses, picks, bad, []
+        if scored:
+            # The column of the fit that each row reads for each target but the oracles.
+            chosen = np.stack([cols[i][picks[:, i]] for i in scored], axis=-1)
+            read, where = np.unique(chosen, return_inverse=True)
+            read_losses = _block_losses([fits[j] for j in read], truth, kind)
+            losses[:, scored] = np.take_along_axis(read_losses, where.reshape(chosen.shape), axis=-1)
+        screens = []
+        for i in oracles:
+            oracle_fits = [fits[j] for j in cols[i]]
+            screens.append((oracle_fits, *_loss_screen(oracle_fits, truth, kind)))
+        return losses, picks, bad, screens
 
     return score
 
@@ -346,26 +442,31 @@ def risk_profile(
     seeds: SeedPolicy,
     kind: str = "kullback",
 ) -> list[RiskReport]:
-    """One risk report per target (a Model or a CollectionConfig), at the targets'
+    """One risk report per target (a Model, a CollectionConfig or an Oracle), at the targets'
     common sample size, all on shared seeds (common random numbers).
 
     A replication whose draw is degenerate for any model of any target is
     redrawn for all of them, so every target sees exactly the same observations.
     """
+    losses, _, degenerate = _profile(scenario, targets, reps, seeds, kind)
+    return _aggregate(losses, kind, degenerate)
+
+
+def _profile(scenario: Scenario, targets: Sequence[Target], reps: int, seeds: SeedPolicy, kind: str):
+    """`_run` of the targets on the scenario's truth, after `risk_profile`'s checks of its arguments."""
     if not targets:
         raise ValueError("empty target list")
     sizes = sorted({t.n for t in targets})
     if len(sizes) > 1:
         raise ValueError(f"targets have different sample sizes {sizes}")
     for t in targets:
-        if isinstance(t, Model) and t.num_fine == t.n:
-            raise ValueError(f"{t} has one point per fine block, so its variance estimate is 0 on every draw")
+        for m in t.models if isinstance(t, Oracle) else [t] if isinstance(t, Model) else []:
+            if m.num_fine == m.n:
+                raise ValueError(f"{m} has one point per fine block, so its variance estimate is 0 on every draw")
     if kind not in RISK_KINDS:
         raise ValueError(f"kind must be one of {RISK_KINDS}, got {kind!r}")
     check_reps("reps", reps, 2)
-
-    losses, _, degenerate = _run(scenario.truth(sizes[0]), targets, reps, seeds, kind)
-    return _aggregate(losses, kind, degenerate)
+    return _run(scenario.truth(sizes[0]), targets, reps, seeds, kind)
 
 
 def oracle_risk(
@@ -376,10 +477,10 @@ def oracle_risk(
     kind: str = "kullback",
 ) -> tuple[Model, RiskReport]:
     """The model with the smallest estimated risk on shared seeds, with its report, picked
-    by `selector`'s first-minimum rule."""
-    reports = risk_profile(scenario, collection, reps, seeds, kind)
-    best = int(_first_min(np.array([r.estimate for r in reports])))
-    return collection[best], reports[best]
+    by `selector`'s first-minimum rule: the one-target run of the collection's `Oracle`."""
+    oracle = Oracle(collection)
+    losses, picks, degenerate = _profile(scenario, [oracle], reps, seeds, kind)
+    return oracle.models[picks[0, 0]], _aggregate(losses, kind, degenerate)[0]
 
 
 class RatioCell(NamedTuple):
@@ -402,8 +503,8 @@ def ratio_table(
 ) -> list[RatioCell]:
     """Selection-risk / oracle-risk ratios per scenario and penalty gamma.
 
-    The oracle is estimated once per scenario over the collection built with
-    the scenario's true gamma; each grid gamma drives both the collection
+    The oracle is estimated once per scenario, as the `Oracle` of the collection built
+    with the scenario's true gamma; each grid gamma drives both the collection
     filters and the penalty of the selection run.  All runs of one scenario
     are scored on the same draws, each drawn once.  Every oracle collection
     is built before any scenario is scored, so an empty one fails at once.
@@ -413,12 +514,11 @@ def ratio_table(
     if not gamma_grid:
         raise ValueError("empty gamma grid")
     selections = [CollectionConfig(n, g, theta, epsilon, delta) for g in gamma_grid]
-    oracles = [build_collection(CollectionConfig(n, sc.true_gamma, theta, epsilon, delta)) for sc in scenarios]
+    oracles = [Oracle(build_collection(CollectionConfig(n, sc.true_gamma, theta, epsilon, delta))) for sc in scenarios]
     cells = []
-    for i, (sc, oracle_coll) in enumerate(zip(scenarios, oracles)):
-        reports = risk_profile(sc, oracle_coll + selections, reps, seeds.namespaced(i), kind)
-        oracle = reports[int(_first_min(np.array([r.estimate for r in reports[: len(oracle_coll)]])))]
-        for g, rep in zip(gamma_grid, reports[len(oracle_coll) :]):
+    for i, (sc, target) in enumerate(zip(scenarios, oracles)):
+        oracle, *reports = risk_profile(sc, [target] + selections, reps, seeds.namespaced(i), kind)
+        for g, rep in zip(gamma_grid, reports):
             ratio = rep.estimate / oracle.estimate
             se = abs(ratio) * math.sqrt(
                 (rep.std_error / rep.estimate) ** 2 + (oracle.std_error / oracle.estimate) ** 2

@@ -21,7 +21,7 @@ from heteroselect.oracle_checks import (
 )
 from heteroselect.selector import ModelAudit, SelectionResult
 from heteroselect.simlab import (
-    ConvergencePoint, ConvergenceResult, RatioCell, RiskReport, SeedPolicy, get_scenario,
+    ConvergencePoint, ConvergenceResult, Oracle, RatioCell, RiskReport, SeedPolicy, get_scenario,
 )
 
 _MODEL = Model(8, 1, 2)
@@ -73,6 +73,13 @@ _RECORDS = {
     "ModelAudit": (_AUDIT, []),
     "SelectionResult": (SelectionResult(_MODEL, _ESTIMATE, 3.0, (_AUDIT,)), []),
     "Scenario": (get_scenario("lipschitz"), []),
+    "Oracle": (
+        Oracle((_MODEL, Model(8, 0, 1))),
+        [
+            (lambda: Oracle([]), "an oracle needs at least one model"),
+            (lambda: Oracle([_MODEL, Model(16, 1, 2)]), "the oracle's models have different sample sizes"),
+        ],
+    ),
     "RiskReport": (RiskReport(1.5, 0.25, 10, "kullback"), []),
     "SeedPolicy": (SeedPolicy(7, (1, 2)), []),
     "RatioCell": (RatioCell("M1", 2.0, 1.25, 0.01), []),
@@ -160,6 +167,7 @@ def test_importing_the_cli_does_not_load_dataclasses():
         (Observations(np.ones(4), np.ones(4)), {"y2": np.ones(2)}, "replicates must have equal length"),
         (TruthSpec(np.zeros(4), np.ones(4)), {"sigma": np.zeros(4)}, "sigma must be finite and strictly positive"),
         (InverseMomentCase(np.zeros(4), np.ones(4)), {"b": np.ones(3)}, "a and b must have equal length"),
+        (Oracle([_MODEL]), {"models": ()}, "an oracle needs at least one model"),
     ],
     ids=lambda v: type(v).__name__ if isinstance(v, tuple) else None,
 )

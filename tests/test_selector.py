@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from heteroselect import estimation
 from heteroselect.estimation import (
+    LOG_ALLOWANCE,
     VARIANCE_FLOOR,
     DegenerateVarianceError,
     Observations,
@@ -16,8 +18,10 @@ from heteroselect.estimation import (
     _block_screen,
     _fit_block,
     _loss,
+    _loss_screen,
     _runs,
     _squared_residuals as squared_residuals,
+    _variance_terms,
     fit,
     log_likelihood,
 )
@@ -339,6 +343,50 @@ def test_losses_per_run_equal_per_point_losses(case):
     assert got_bad.tolist() == bad.tolist()
     for kind in RISK_KINDS:
         assert (_block_losses(fits, truth, kind) == expected[kind]).all()
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=piecewise_constant_truths(), log_scale=st.floats(-3.0, 3.0), offset=st.floats(-1e8, 1e8))
+def test_the_loss_screen_is_within_its_slack_of_the_exact_losses(case, log_scale, offset):
+    # `_loss_screen` takes every loss by coarse block in closed form.  On a truth a * s + b,
+    # a ** 2 * sigma, for every model with at least two points per fine block, in any order, and
+    # every kind, each approximation lies within its slack of `_block_losses`, and of the same
+    # per-point terms summed one by one, as the slack holds for any order of addition.
+    truth, seed, order = case
+    a = 10.0**log_scale
+    truth = TruthSpec(a * truth.s + offset, a * a * truth.sigma)
+    n, rows = truth.n, 3
+    models = [all_models(n)[i] for i in order if all_models(n)[i].num_fine < n]
+    y1, y2 = truth.s + np.sqrt(truth.sigma) * np.random.default_rng(seed).standard_normal((2, rows, n))
+    fits, _ = _fit_block(models, y1, y2)
+    for kind in RISK_KINDS:
+        approx, slack = _loss_screen(fits, truth, kind)
+        assert (np.abs(approx - _block_losses(fits, truth, kind)) <= slack).all()
+        for j, (block_mean, block_var) in enumerate(fits):
+            sq_err, variance = (truth.s - expand(block_mean, n)) ** 2, expand(block_var, n)
+            terms = sq_err if kind == "quadratic_mean" else _variance_terms(kind, truth.sigma, variance)
+            if kind == "kullback":
+                terms = 0.5 * (sq_err / variance + terms)
+            assert (np.abs(approx[:, j] - np.cumsum(terms, axis=-1)[:, -1]) <= slack[:, j]).all()
+
+
+def test_numpys_log_is_within_the_loss_screens_allowance():
+    # `_loss_screen`'s slack allows |np.log(x) - log x| <= LOG_ALLOWANCE * (|log x| + 1) for every
+    # positive normal x.  Against a 40-digit reference, on whole arrays (numpy's vector loops and
+    # their tails) and on single values: values next to 1, magnitudes over the whole normal range,
+    # and variances of the size that the lab meets.
+    rng = np.random.default_rng(11)
+    near_one = 1.0 + np.arange(-300, 301) * 2.0**-52
+    wide = 2.0 ** rng.uniform(-1022.0, 1023.0, 2000)
+    typical = rng.uniform(1e-12, 10.0, 2001)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        allowance = Decimal(LOG_ALLOWANCE)
+        for x in (near_one, wide, typical, typical[:7]):
+            for got in (np.log(x).tolist(), [float(np.log(v)) for v in x[:50]]):
+                for value, log in zip(x.tolist(), got):
+                    exact = Decimal(value).ln()
+                    assert abs(Decimal(log) - exact) <= allowance * (abs(exact) + 1)
 
 
 def test_runs_of_m1_start_at_every_fine_edge_and_one_point_before_its_breaks():

@@ -26,6 +26,7 @@ from heteroselect.model_space import CollectionConfig, Model, all_models, build_
 from heteroselect.oracle_checks import lemma11_battery, prop1_sandwich_check
 from heteroselect.selector import _first_min, penalty, select
 from heteroselect.simlab import (
+    Oracle,
     RiskReport,
     Scenario,
     SeedPolicy,
@@ -187,24 +188,29 @@ def test_oracle_risk_minimizes_over_shared_seeds():
 
 
 def test_the_oracle_is_the_first_minimum_of_the_estimates_and_never_nan(monkeypatch):
+    # The loss kernel and its screen are stubbed: model j of the collection loses estimates[j]
+    # plus and minus (j + 1) / 64 on the two rows of a run, and the screen gives those losses with
+    # no slack.  The oracle is the first of the two least estimates, a NaN estimate never wins
+    # (its screen is not finite, so every model is scored exactly), and with no finite estimate the
+    # oracle is a ValueError, in `oracle_risk` and in `ratio_table` alike.
     sc = get_scenario("M1")
-    coll = build_collection(CollectionConfig(256, 2.0, 2.0, 0.01, 3.0))
+    cfg = CollectionConfig(256, 2.0, 2.0, 0.01, 3.0)
+    coll = build_collection(cfg)
     estimates = [math.nan, 2.0, 1.0, 1.0] + [5.0] * (len(coll) - 4)
+    index = {(m.num_fine, m.num_coarse): j for j, m in enumerate(coll)}
 
-    selection = RiskReport(3.0, 0.5, 2, "kullback")
+    def losses(fits, truth, kind):
+        j = np.array([index[mean.shape[-1], var.shape[-1]] for mean, var in fits])
+        sign = np.where(np.arange(len(fits[0][0])) % 2, -1.0, 1.0)[:, None]
+        return np.array(estimates)[j] + sign * (j + 1) / 64
 
-    def stub(scenario, targets, reps, seeds, kind="kullback"):
-        # Model j reports estimates[j] with standard error (j + 1) / 100.
-        return [
-            RiskReport(estimates[j], (j + 1) / 100, reps, kind) if isinstance(t, Model) else selection
-            for j, t in enumerate(targets)
-        ]
-
-    monkeypatch.setattr(simlab, "risk_profile", stub)
+    monkeypatch.setattr(simlab, "_block_losses", losses)
+    monkeypatch.setattr(simlab, "_loss_screen", lambda *args: (losses(*args), np.zeros((2, len(args[0])))))
     best, report = oracle_risk(sc, coll, 2, SeedPolicy(0))
-    assert best is coll[2] and report.std_error == 0.03
+    assert best is coll[2] and report == risk_profile(sc, [coll[2]], 2, SeedPolicy(0))[0]
     [cell] = ratio_table([sc], [2.0], 256, 2, SeedPolicy(0))
-    assert (cell.ratio, cell.std_error) == (3.0, 3.0 * math.sqrt((0.5 / 3.0) ** 2 + 0.03**2))
+    selection, oracle = risk_profile(sc, [cfg, coll[2]], 2, SeedPolicy(0).namespaced(0))
+    assert cell.ratio == selection.estimate / oracle.estimate and oracle.estimate == 1.0
     estimates[:] = [math.nan] * len(coll)
     for run in (
         lambda: oracle_risk(sc, coll, 2, SeedPolicy(0)),
@@ -212,6 +218,68 @@ def test_the_oracle_is_the_first_minimum_of_the_estimates_and_never_nan(monkeypa
     ):
         with pytest.raises(ValueError, match="^no model has a finite criterion"):
             run()
+
+
+def test_the_oracle_scores_exactly_only_the_models_that_can_win(monkeypatch):
+    # M4 at n = 256 over 20 reps in two blocks: the screen leaves one candidate of the collection's
+    # models, which alone is scored exactly after the last block.  With an infinite slack every
+    # model is a candidate and scored exactly, and the oracle is the same, bit for bit.
+    sc, n = get_scenario("M4"), 256
+    coll = build_collection(CollectionConfig(n, sc.true_gamma, 2.0, 0.01, 3.0))
+    monkeypatch.setattr(simlab, "_BLOCK_POINTS", 10 * n)
+    calls = []
+
+    def recorded(fits, *args):
+        calls.append(len(fits))
+        return _block_losses(fits, *args)
+
+    monkeypatch.setattr(simlab, "_block_losses", recorded)
+    best, report = oracle_risk(sc, coll, 20, SeedPolicy(9))
+    assert calls == [1, 1]
+    screen = simlab._loss_screen
+    monkeypatch.setattr(simlab, "_loss_screen", lambda *args: (screen(*args)[0], np.full((10, len(args[0])), np.inf)))
+    calls.clear()
+    assert oracle_risk(sc, coll, 20, SeedPolicy(9)) == (best, report)
+    assert calls == [len(coll)] * 2
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    name=st.sampled_from(["M1", "M2", "M3", "M4", "lipschitz"]),
+    kind=st.sampled_from(simlab.RISK_KINDS),
+    log_scale=st.floats(-3.0, 3.0),
+    offset=st.floats(-1e8, 1e8),
+    blocks=st.integers(1, 3),
+    workers=st.sampled_from([1, 2]),
+    master=st.integers(0, 2**63 - 1),
+)
+@example(name="M3", kind="kullback", log_scale=-3.0, offset=1e8, blocks=3, workers=2, master=0)
+@example(name="M1", kind="quadratic_mean", log_scale=3.0, offset=-1e8, blocks=2, workers=1, master=0)
+@example(name="M2", kind="quadratic_variance", log_scale=0.0, offset=0.0, blocks=1, workers=2, master=0)
+def test_the_screened_oracle_is_the_first_minimum_of_the_exact_estimates(
+    name, kind, log_scale, offset, blocks, workers, master
+):
+    # On a truth a * s + b, a ** 2 * sigma (step truths and smooth ones), in one to three 3-row
+    # blocks, the last one ragged, on one worker or two, the screened oracle's model and report are
+    # those of `_first_min` over the exact estimates of every model of the collection.
+    n, rows = 128, 3
+    sc = get_scenario(name)
+    truth = sc.truth(n)
+    a = 10.0**log_scale
+    truth = TruthSpec(a * truth.s + offset, a * a * truth.sigma)
+    coll = build_collection(CollectionConfig(n, sc.true_gamma, 2.0, 0.01, 3.0))
+    reps, seeds = (blocks - 1) * rows + 2, SeedPolicy(master)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simlab, "_BLOCK_POINTS", rows * n)
+        patch.setattr(simlab, "_MIN_THREADED_N", 1)
+        patch.setattr(simlab, "_WORKERS", workers)
+        losses, picks, degenerate = simlab._run(truth, [Oracle(coll)], reps, seeds, kind)
+        every, _, every_degenerate = simlab._run(truth, coll, reps, seeds, kind)
+    reports = simlab._aggregate(every, kind, every_degenerate)
+    best = int(_first_min(np.array([r.estimate for r in reports])))
+    assert picks[:, 0].tolist() == [best] * reps
+    assert losses[:, 0].tobytes() == every[:, best].tobytes()
+    assert simlab._aggregate(losses, kind, degenerate) == [reports[best]]
 
 
 def test_every_selection_path_raises_when_no_criterion_is_finite():
@@ -542,7 +610,7 @@ def test_batched_scoring_equals_scalar_path(master):
         seeds = SeedPolicy(master).namespaced(k)
         y1, y2 = simlab._draw(truth, [seeds.stream(r) for r in range(rows)])
         targets = _targets(sc, n, GRID)
-        scored = {kind: simlab._scorer(targets, kind)(y1, y2, truth) for kind in simlab.RISK_KINDS}
+        scored = {kind: simlab._scorer(targets, kind)(y1, y2, truth)[:3] for kind in simlab.RISK_KINDS}
         for r in range(rows):
             obs = Observations(y1[r], y2[r])
             for i, t in enumerate(targets):
@@ -584,7 +652,7 @@ def test_the_lab_scores_only_the_fits_it_reads_and_exactly(monkeypatch):
     monkeypatch.setattr(simlab, "_block_losses", recorded_losses)
     for kind in simlab.RISK_KINDS:
         every = _block_losses(fits, truth, kind)
-        losses, picks, got_bad = simlab._scorer(targets, kind)(y1, y2, truth)
+        losses, picks, got_bad, _ = simlab._scorer(targets, kind)(y1, y2, truth)
         assert got_bad.tolist() == bad.tolist()
         read = set()
         for i, (t, ms) in enumerate(zip(targets, members)):
@@ -640,7 +708,7 @@ def test_screened_picks_equal_the_first_minimum_of_exact_criteria(name, n, log_s
         _block_log_likelihood(_squared_residuals(y1, block_mean, out=y1_err), block_var, out=terms)
         seq = 0.5 * np.cumsum(terms, axis=-1)[:, -1]
         assert (np.abs(approx[:, j] - seq) <= slack[:, j]).all()
-    _, picks, got_bad = simlab._scorer(configs, None)(y1, y2, truth)
+    _, picks, got_bad, _ = simlab._scorer(configs, None)(y1, y2, truth)
     assert (got_bad == bad).all()
     for i, (cfg, ms) in enumerate(zip(configs, collections)):
         cols = [models.index(m) for m in ms]
@@ -650,19 +718,21 @@ def test_screened_picks_equal_the_first_minimum_of_exact_criteria(name, n, log_s
 
 def test_a_reused_scorer_equals_a_fresh_one_on_every_truth():
     # The kernel keeps nothing between calls, so a scorer that has scored a block of one
-    # truth scores a block of another exactly as a new scorer does, in either order.
+    # truth scores a block of another exactly as a new scorer does, in either order: its
+    # oracle's screen too.
     n = 64
     cfg = CollectionConfig(n, 2.0, 2.0, 0.01, 3.0)
-    targets = build_collection(cfg) + [cfg]
+    targets = build_collection(cfg) + [cfg, Oracle(build_collection(cfg))]
     for kind, order in itertools.product(simlab.RISK_KINDS, [("M1", "M4"), ("M4", "M1")]):
         reused = simlab._scorer(targets, kind)
         for name in order:
             truth = get_scenario(name).truth(n)
             y1, y2 = simlab._draw(truth, [SeedPolicy(71).stream(r) for r in range(8)])
-            losses, picks, bad = reused(y1, y2, truth)
-            fresh_losses, fresh_picks, fresh_bad = simlab._scorer(targets, kind)(y1, y2, truth)
+            losses, picks, bad, [(_, approx, slack)] = reused(y1, y2, truth)
+            fresh_losses, fresh_picks, fresh_bad, [(_, *fresh_screen)] = simlab._scorer(targets, kind)(y1, y2, truth)
             assert (losses == fresh_losses).all() and (picks == fresh_picks).all()
             assert (bad == fresh_bad).all()
+            assert (approx == fresh_screen[0]).all() and (slack == fresh_screen[1]).all()
 
 
 def test_results_do_not_depend_on_block_size(monkeypatch):
@@ -822,7 +892,7 @@ def test_draw_degenerate_for_one_target_is_redrawn_for_all(monkeypatch):
     truth = sc.truth(n)
     keys = [(3, 1) if r == 3 else (r,) for r in range(reps)]
     y1, y2 = simlab._draw(truth, [seeds.stream(*key) for key in keys])
-    expected, _, _ = simlab._scorer(targets, "kullback")(y1, y2, truth)
+    expected, _, _, _ = simlab._scorer(targets, "kullback")(y1, y2, truth)
     redrawn = sample(sc, n, seeds.stream(3, 1))
     assert list(expected[3]) == [
         _scalar_loss("kullback", truth, _scalar_estimate(t, redrawn)) for t in targets
