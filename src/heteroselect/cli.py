@@ -5,8 +5,6 @@ delta=3, gamma grid {1, 1.5, 2, 2.5, 3}, 500 repetitions), so a bare
 invocation of `table` reproduces the reference experiments.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import itertools

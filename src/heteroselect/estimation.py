@@ -8,19 +8,17 @@ All fit arithmetic lives here, in the block kernel's passes over an (R, n) block
 `_fit_block` fits a model collection, and is the only code that fits (`fit`,
 `select(cfg, obs)`, the lab and `variance_mean_check` are its cases);
 `_block_likelihoods` ranks the fits exactly, for `select`'s audit of every model;
-`_block_screen` ranks them for the lab, from coarse block sums of the exact pass's own
-squared errors with a bound on the rounding, so that the lab needs exact likelihoods only
-where that bound cannot decide a pick; `_block_losses` scores the fits that are read; and
-`_loss_screen` gives every fit's loss by coarse block in closed form, with a bound on the rounding,
-so that the lab's oracle needs exact losses only for the models that can be its pick.
-The loss pass takes each whole term once per cell of a step truth (a stretch of a fine
-block on which the true mean and variance are constant), or else the terms that depend
-only on the variance once per run of equal true variance within a coarse block, and
-writes them to the points with one `np.repeat`, bit-identical to `kl_divergence`'s
-per-point terms.
+`_block_screen` ranks them for the lab, with a bound on the rounding, so that the lab needs
+exact likelihoods only where that bound cannot decide a pick; `_block_losses` scores the
+fits that are read; and `_loss_screen` gives every fit's loss by coarse block in closed form,
+with a bound on the rounding, so that the lab's oracle needs exact losses only for the models
+that can be its pick.  Both screens take their coarse block sums from one pass, `_coarse_sums`,
+of the exact passes' own rounded squared errors.  The loss pass takes each whole term once per
+cell of a step truth (a stretch of a fine block on which the true mean and variance are
+constant), or else the terms that depend only on the variance once per run of equal true
+variance within a coarse block, and writes them to the points with one `np.repeat`,
+bit-identical to `kl_divergence`'s per-point terms.
 """
-
-from __future__ import annotations
 
 import math
 from typing import NamedTuple, Sequence
@@ -313,10 +311,9 @@ def _block_screen(y1: np.ndarray, fits):
 
     Both take the same rounded squared errors e_i = (y1 - block mean) ** 2 of `_squared_residuals`,
     once per fine partition, and np.log of the same coarse block variances v, L = log v.  The
-    exact pass halves the sum of fl(fl(e_i / v) + L) over a row's n points.  The screen sums e_i
-    into fine blocks, one reduce per fine partition, then adds neighbouring block sums in pairs,
-    level by level, into each coarse block I, as S_I.  It halves the sum over the blocks of
-    fl(fl(S_I / v) + |I| * L), where |I| is a power of two, so |I| * L is exact.  The per-fit
+    exact pass halves the sum of fl(fl(e_i / v) + L) over a row's n points.  The screen takes the
+    sums S_I of e_i over each coarse block I from `_coarse_sums` and halves the sum over the blocks
+    of fl(fl(S_I / v) + |I| * L), where |I| is a power of two, so |I| * L is exact.  The per-fit
     arithmetic runs on all fits' coarse blocks side by side, and `np.add.reduceat` sums each
     fit's segment.
 
@@ -339,28 +336,44 @@ def _block_screen(y1: np.ndarray, fits):
     rows to `_block_likelihoods`.
     """
     n = y1.shape[-1]
-    y1_err = np.empty(y1.shape)
-    sums, means = [], None
     with np.errstate(over="ignore", invalid="ignore"):
-        for block_mean, block_var in fits:
-            fine, coarse = block_mean.shape[-1], block_var.shape[-1]
-            if block_mean is not means:
-                means = block_mean
-                _squared_residuals(y1, means, out=y1_err)
-                level = {fine: np.add.reduce(_blocks(y1_err, fine), axis=-1)}
-            while coarse not in level:
-                s = level[min(level)]
-                level[s.shape[-1] // 2] = s[:, ::2] + s[:, 1::2]
-            sums.append(level[coarse])
-        coarse = np.array([v.shape[-1] for _, v in fits])
-        starts = np.cumsum(coarse) - coarse
-        var = np.concatenate([v for _, v in fits], axis=-1)
-        q = np.divide(np.concatenate(sums, axis=-1), var)
-        p = np.multiply(np.log(var, out=var), np.repeat(n // coarse, coarse), out=var)
+        sums, var, size, starts, coarse = _coarse_sums(y1, fits)
+        q = np.divide(sums, var, out=sums)
+        p = np.multiply(np.log(var, out=var), size, out=var)
         approx = 0.5 * np.add.reduceat(q + p, starts, axis=-1)
         x = np.add.reduceat(np.add(q, np.abs(p, out=p), out=q), starts, axis=-1)
         slack = (x + x) * ((2 * n + 3) * 2.0**-54) + (n + coarse + 3) * 2.0**-1074
     return approx, slack
+
+
+def _coarse_sums(y: np.ndarray, fits):
+    """(S, *`_coarse_layout(fits, n)`) for the screens: S holds the sums S_I of the rounded squared errors
+    e_i = (y - block mean) ** 2 of `_squared_residuals` over each coarse block I of each fit, side by side.
+
+    e_i is taken once per stretch of fits that share a means array (y is one vector or rows like them) and
+    summed into fine blocks; neighbouring block sums are added in pairs, level by level, down to each fit's
+    coarse level.  So each S_I is one sum of its |I| terms, in some order."""
+    n = y.shape[-1]
+    err = np.empty((len(fits[0][0]), n))
+    sums, means = [], None
+    for block_mean, block_var in fits:
+        if block_mean is not means:
+            means = block_mean
+            _squared_residuals(y, means, out=err)
+            level = {means.shape[-1]: np.add.reduce(_blocks(err, means.shape[-1]), axis=-1)}
+        while block_var.shape[-1] not in level:
+            s = level[min(level)]
+            level[s.shape[-1] // 2] = s[:, ::2] + s[:, 1::2]
+        sums.append(level[block_var.shape[-1]])
+    return (np.concatenate(sums, axis=-1),) + _coarse_layout(fits, n)
+
+
+def _coarse_layout(fits, n: int):
+    """(var, size, starts, coarse): the fits' coarse block variances side by side, each block's size |I|,
+    the first index of each fit's segment, for `np.add.reduceat`, and each fit's count of coarse blocks."""
+    coarse = np.array([v.shape[-1] for _, v in fits])
+    var = np.concatenate([v for _, v in fits], axis=-1)
+    return var, np.repeat(n // coarse, coarse), np.cumsum(coarse) - coarse, coarse
 
 
 def _block_losses(fits, truth: TruthSpec, kind: str) -> np.ndarray:
@@ -416,9 +429,9 @@ def _loss_screen(fits, truth: TruthSpec, kind: str):
 
     Both take the same rounded squared errors e_i = (truth.s - block mean) ** 2 of `_squared_residuals`,
     once per fine partition (not for 'quadratic_variance'), and the same coarse block variances v.  The
-    screen sums e_i into fine blocks and adds neighbouring block sums in pairs into each coarse block I,
-    as S_I, as `_block_screen` does, and takes the sums of sigma, sigma ** 2, log sigma and |log sigma|
-    over I once per coarse level in each call.  Then, with |I| a power of two:
+    screen takes their sums S_I over each coarse block I from `_coarse_sums`, as `_block_screen` does,
+    and the sums of sigma, sigma ** 2, log sigma and |log sigma| over I once per coarse level in each
+    call.  Then, with |I| a power of two:
     - 'kullback', 0.5 sum_i (e_i / v + log(v / sigma_i) + sigma_i / v - 1), by block:
       0.5 sum_I ((S_I + sum_I sigma) / v + |I| log v - sum_I log sigma - |I|);
     - 'quadratic_mean', sum_I S_I;
@@ -449,32 +462,18 @@ def _loss_screen(fits, truth: TruthSpec, kind: str):
     range makes the slack inf, and the oracle exact: the loss pass's partial sums stay below about X.
     Non-finite values raise no warning, as the oracle sends every model to `_block_losses` then.
     """
-    n, rows = truth.n, len(fits[0][0])
-    coarse = np.array([v.shape[-1] for _, v in fits])
+    n = truth.n
     with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "quadratic_variance":
+            var, size, starts, coarse = _coarse_layout(fits, n)
+        else:
+            sums, var, size, starts, coarse = _coarse_sums(truth.s, fits)
         if kind == "kullback":
             log_sigma = np.log(truth.sigma)
             points = np.stack([truth.sigma, log_sigma, np.abs(log_sigma)])
         else:
             points = np.stack([truth.sigma, np.square(truth.sigma)])
         moments = {c: np.add.reduce(_blocks(points, c), axis=-1) for c in set(coarse.tolist())}
-        sums = []
-        if kind != "quadratic_variance":
-            s_err = np.empty((rows, n))
-            means = None
-            for block_mean, block_var in fits:
-                if block_mean is not means:
-                    means = block_mean
-                    _squared_residuals(truth.s, means, out=s_err)
-                    level = {means.shape[-1]: np.add.reduce(_blocks(s_err, means.shape[-1]), axis=-1)}
-                while block_var.shape[-1] not in level:
-                    s = level[min(level)]
-                    level[s.shape[-1] // 2] = s[:, ::2] + s[:, 1::2]
-                sums.append(level[block_var.shape[-1]])
-            sums = np.concatenate(sums, axis=-1)
-        starts = np.cumsum(coarse) - coarse
-        size = np.repeat(n // coarse, coarse)
-        var = np.concatenate([v for _, v in fits], axis=-1)
         block = np.concatenate([moments[c] for c in coarse.tolist()], axis=-1)
         if kind == "kullback":
             sigma, log_sigma, abs_log_sigma = block

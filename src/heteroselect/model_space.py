@@ -8,8 +8,6 @@ It also holds the one check of each kind of input: `check_power_of_two`,
 `check_constant`, `check_vector` (data vectors) and `check_reps` (rep counts).
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math

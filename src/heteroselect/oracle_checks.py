@@ -6,8 +6,6 @@ localization of a variance matrix compressed by a projection, plus the exact
 expectation of the blockwise variance estimator.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -47,7 +45,7 @@ class InverseMomentResult(NamedTuple):
     holds: bool
 
 
-def _gaussian_blocks(rng: np.random.Generator, reps: int, shift: np.ndarray, scale: np.ndarray):
+def _gaussian_blocks(rng: "np.random.Generator", reps: int, shift: np.ndarray, scale: np.ndarray):
     """Yield (first row, block) over reps rows of shift + scale * z, z standard normal, drawn
     from rng `_block_rows(n)` rows at a time into one reused buffer and transformed in place."""
     rows = _block_rows(len(scale))
@@ -59,7 +57,7 @@ def _gaussian_blocks(rng: np.random.Generator, reps: int, shift: np.ndarray, sca
         yield first, block
 
 
-def _inverse_forms(case: InverseMomentCase, reps: int, rng: np.random.Generator) -> np.ndarray:
+def _inverse_forms(case: InverseMomentCase, reps: int, rng: "np.random.Generator") -> np.ndarray:
     """1/Z for each of reps draws of Z, computed in place block by block with the
     operations of 1 / sum((a + sqrt(b) * z)**2) in their order."""
     inv = np.empty(reps)

@@ -1,11 +1,10 @@
-"""Penalty, penalized criterion and the selection rule.
+"""Penalty, penalized criterion and every pick rule.
 
-`select(cfg, obs)` fits the family `build_collection(cfg)` once with the block
-kernel of `estimation` on a one-row block, ranks the fits exactly and returns the first
-minimum by `_first_min`.  The simulation lab picks the same first minimum on blocks of
-replications by `_screened_pick`, from `_block_screen`'s bounded approximations."""
-
-from __future__ import annotations
+`select(cfg, obs)` fits the family `build_collection(cfg)` once with the block kernel of
+`estimation` on a one-row block, ranks the fits exactly and returns the first minimum by
+`_first_min`.  The lab finds the same first minimum from its screens' bounded approximations:
+a selection's by `_screened_pick`, an oracle's candidates by `_oracle_candidates`, both by
+the one interval rule `_candidates`."""
 
 from typing import NamedTuple
 
@@ -72,20 +71,16 @@ def _screened_pick(y1: np.ndarray, fits, approx: np.ndarray, slack: np.ndarray, 
     """The lab's picks, `_first_min(_block_likelihoods(y1, fits) + pens)`, from the screen
     (approx, slack) of `_block_screen` over the same fits.
 
-    The exact criterion lik + pens lies within 2 * (slack + 2**-52 * |approx + pens|) of
+    The exact criterion lik + pens lies within the margin 2 * (slack + 2**-52 * |approx + pens|) of
     approx + pens: the slack, one rounding of the penalty's addition on each side, and a factor 2
-    for the rounding of these sums themselves.  A model is a candidate when its criterion's lower end is at most
-    the row's least upper end; every other model's criterion exceeds a candidate's, so the first
-    minimum is a candidate.  A row with one candidate and only finite ends takes it: it is the
-    strict minimum.  The other rows take `_first_min` of exact criteria from `_block_likelihoods`
-    on every fit, so that ties, NaN and a row with no finite criterion go as in `_first_min`.
+    for the rounding of these sums themselves.  A row with one candidate (`_candidates`) and only
+    finite ends takes it: it is the strict minimum.  The other rows take `_first_min` of exact
+    criteria from `_block_likelihoods` on every fit, so that ties, NaN and a row with no finite
+    criterion go as in `_first_min`.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         crit = approx + pens
-        margin = 2.0 * (slack + 2.0**-52 * np.abs(crit))
-        lo, hi = crit - margin, crit + margin
-        candidate = lo <= hi.min(axis=-1, keepdims=True)
-        finite = np.isfinite(lo).all(axis=-1) & np.isfinite(hi).all(axis=-1)
+        candidate, finite = _candidates(crit, 2.0 * (slack + 2.0**-52 * np.abs(crit)))
     picks = np.argmax(candidate, axis=-1)
     rest = np.flatnonzero((candidate.sum(axis=-1) != 1) | ~finite)
     if len(rest):
@@ -94,6 +89,40 @@ def _screened_pick(y1: np.ndarray, fits, approx: np.ndarray, slack: np.ndarray, 
         lik = _block_likelihoods(y1[rest], [(means[id(mean)], var[rest]) for mean, var in fits])
         picks[rest] = _first_min(lik + pens)
     return picks
+
+
+def _oracle_candidates(approx: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """The models that can be the oracle's pick, from the screen (approx, slack) (reps, models) of
+    `_loss_screen`: the indices of those whose mean loss can be the least, in order; every model when
+    any bound is not finite.
+
+    Let L, A and s be a model's exact losses, approximations and slacks over the reps rows, |A - L| <= s
+    row by row.  Whatever the order of addition, a computed sum of reps terms is within gamma =
+    (reps - 1) u / (1 - (reps - 1) u), u = 2**-53, of the sum of their absolute values (Higham, 2nd ed.,
+    4.2), so the computed sum of L that `simlab._aggregate` takes is within sum s + 2 gamma (sum |A| + sum s),
+    to first order, of the computed sum of A.  Two models whose computed sums of L differ by more than
+    2.01 u times the larger, plus reps 2**-1074, have different means after the division by reps, in
+    the same order, as rounding is monotone.  With D = sum |A| + sum s as computed, the margin
+    2 (sum s + (reps + 2) 2**-52 D) + reps 2**-1074 covers all of that for either of two models, and
+    the rounding of the computed sums, of the margin and of the interval's ends, by the factor 2.  So
+    the candidates are those of `_candidates` on the computed sums of A.
+    """
+    reps = len(approx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(approx, axis=0)
+        slack_sum = np.add.reduce(slack, axis=0)
+        size = np.add.reduce(np.abs(approx), axis=0) + slack_sum
+        margin = 2.0 * (slack_sum + (reps + 2) * 2.0**-52 * size) + reps * 2.0**-1074
+        candidate, finite = _candidates(total, margin)
+    return np.flatnonzero(candidate) if finite else np.arange(len(total))
+
+
+def _candidates(value: np.ndarray, margin: np.ndarray):
+    """(candidate, finite) along the last axis: whether each interval value -+ margin reaches down to the
+    least upper end, and whether every end is finite.  Where each margin bounds its value's distance to the
+    exact one, an entry whose lower end lies above another's upper end exceeds it, so is no first minimum."""
+    lo, hi = value - margin, value + margin
+    return lo <= hi.min(axis=-1, keepdims=True), np.isfinite(lo).all(axis=-1) & np.isfinite(hi).all(axis=-1)
 
 
 def _first_min(criteria: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ through one replication engine, `_run`, on the `TruthSpec` that
 - An oracle's pick is the first minimum of its models' mean losses.  The lab
   bounds every mean from `_loss_screen`'s closed-form losses and takes exact
   losses, after the last block, only for the models whose bound lets them win
-  (`_oracle_candidates`), so the oracle's report equals that of the first
+  (`selector._oracle_candidates`), so the oracle's report equals that of the first
   minimum over `risk_profile`'s reports of every model, bit for bit.
 - All compared runs of one scenario (the models of a collection; the oracle
   and every gamma of a table row) share one set of draws, common random
@@ -37,8 +37,6 @@ through one replication engine, `_run`, on the `TruthSpec` that
   count.
 """
 
-from __future__ import annotations
-
 import math
 import os
 from typing import Callable, NamedTuple, Sequence, Union
@@ -52,7 +50,7 @@ from .estimation import (
 from .model_space import (
     DELTA, EPSILON, THETA, CollectionConfig, Model, build_collection, check_power_of_two, check_reps,
 )
-from .selector import _first_min, _screened_pick, penalty
+from .selector import _first_min, _oracle_candidates, _screened_pick, penalty
 
 #: Fraction of replications allowed to be redrawn due to degenerate variances.
 DEGENERATE_BUDGET = 1e-3
@@ -155,7 +153,7 @@ class SeedPolicy(NamedTuple):
     master_seed: int
     prefix: tuple[int, ...] = ()
 
-    def stream(self, *key: int) -> np.random.Generator:
+    def stream(self, *key: int) -> "np.random.Generator":
         return np.random.default_rng(np.random.SeedSequence(self.master_seed, spawn_key=self.prefix + key))
 
     def namespaced(self, *key: int) -> "SeedPolicy":
@@ -173,6 +171,8 @@ class Oracle(NamedTuple("Oracle", [("models", tuple)])):
         models = tuple(models)
         if not models:
             raise ValueError("an oracle needs at least one model")
+        if not all(isinstance(m, Model) for m in models):
+            raise ValueError("an oracle's models must all be Models")
         if len({m.n for m in models}) > 1:
             raise ValueError("the oracle's models have different sample sizes")
         return super().__new__(cls, models)
@@ -254,7 +254,7 @@ def _draw(truth: TruthSpec, rngs) -> tuple[np.ndarray, np.ndarray]:
     return z[0], z[1]
 
 
-def sample(scenario: Scenario, n: int, rng: np.random.Generator) -> Observations:
+def sample(scenario: Scenario, n: int, rng: "np.random.Generator") -> Observations:
     """Draw the two replicates of the scenario at sample size n."""
     y1, y2 = _draw(scenario.truth(n), [rng])
     return Observations(y1=y1[0], y2=y2[0])
@@ -329,35 +329,6 @@ def _run(truth, targets, reps, seeds, kind):
         best = int(_first_min(_mean_and_se(exact.T.copy())[0]))
         losses[:, i], picks[:, i] = exact[:, best], candidates[best]
     return losses, picks, degenerate
-
-
-def _oracle_candidates(approx: np.ndarray, slack: np.ndarray) -> np.ndarray:
-    """The models that can be the oracle's pick, from the screen (approx, slack) (reps, models) of
-    `_loss_screen`: the indices of those whose mean loss can be the least, in order; every model when
-    any bound is not finite.
-
-    Let L, A and s be a model's exact losses, approximations and slacks over the reps rows, |A - L| <= s
-    row by row.  Whatever the order of addition, a computed sum of reps terms is within gamma =
-    (reps - 1) u / (1 - (reps - 1) u), u = 2**-53, of the sum of their absolute values (Higham, 2nd ed.,
-    4.2), so the computed sum of L that `_aggregate` takes is within sum s + 2 gamma (sum |A| + sum s),
-    to first order, of the computed sum of A.  Two models whose computed sums of L differ by more than
-    2.01 u times the larger, plus reps 2**-1074, have different means after the division by reps, in
-    the same order, as rounding is monotone.  With D = sum |A| + sum s as computed, the margin
-    2 (sum s + (reps + 2) 2**-52 D) + reps 2**-1074 covers all of that for either of two models, and
-    the rounding of the computed sums, of the margin and of the interval's ends, by the factor 2.  So
-    a model whose interval's lower end lies above the least upper end has a larger mean loss than the
-    model that holds that end, and is not the first minimum.
-    """
-    reps = len(approx)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.add.reduce(approx, axis=0)
-        slack_sum = np.add.reduce(slack, axis=0)
-        size = np.add.reduce(np.abs(approx), axis=0) + slack_sum
-        margin = 2.0 * (slack_sum + (reps + 2) * 2.0**-52 * size) + reps * 2.0**-1074
-        lo, hi = total - margin, total + margin
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            return np.arange(approx.shape[-1])
-        return np.flatnonzero(lo <= hi.min())
 
 
 def _scorer(targets: Sequence[Target], kind: str | None):

@@ -78,6 +78,9 @@ _RECORDS = {
         [
             (lambda: Oracle([]), "an oracle needs at least one model"),
             (lambda: Oracle([_MODEL, Model(16, 1, 2)]), "the oracle's models have different sample sizes"),
+            (lambda: Oracle([_MODEL, CollectionConfig(8, 2.0, 2.0, 0.01, 3.0)]),
+             "an oracle's models must all be Models"),
+            (lambda: Oracle([1]), "an oracle's models must all be Models"),
         ],
     ),
     "RiskReport": (RiskReport(1.5, 0.25, 10, "kullback"), []),

@@ -28,7 +28,7 @@ from heteroselect.estimation import (
 from heteroselect.model_space import (
     CollectionConfig, EmptyCollectionError, Model, all_models, block_means, build_collection, expand, log_power,
 )
-from heteroselect.selector import _first_min, _screened_pick, penalty, select
+from heteroselect.selector import _first_min, _oracle_candidates, _screened_pick, penalty, select
 from heteroselect.simlab import RISK_KINDS, SeedPolicy, get_scenario, sample
 
 
@@ -198,6 +198,24 @@ def test_a_screened_row_that_the_slack_cannot_decide_takes_the_exact_first_minim
     picks = _screened_pick(y1, fits, approx, np.full_like(slack, np.inf), pens)
     assert len(calls) == len({m.num_fine for m in coll}) < len(coll)
     assert picks.tolist() == exact.tolist()
+
+
+@pytest.mark.parametrize("approx, slack, expected", [
+    # Sums 4 and 6.5, each within 1 of its exact sum: the margins 2 + rounding make the intervals
+    # [2, 6] and [4.5, 8.5] overlap, so either mean can be the least.
+    pytest.param([[2.0, 3.0], [2.0, 3.5]], [[0.5, 0.5], [0.5, 0.5]], [0, 1], id="overlapping"),
+    # Sums 10 and 4: [8, 12] lies above [2, 6], so only the later, lower model can win.
+    pytest.param([[5.0, 2.0], [5.0, 2.0]], [[0.5, 0.5], [0.5, 0.5]], [1], id="separated"),
+    # Exact screens whose sums 2 and 2 + 2**-51 differ by one ulp: the computed sums of the exact
+    # losses may order them either way.
+    pytest.param([[1.0, 1.0], [1.0, 1.0 + 2.0**-51]], [[0.0, 0.0], [0.0, 0.0]], [0, 1], id="within-rounding"),
+    # One infinite slack bounds nothing: every model is scored exactly, even one far above.
+    pytest.param([[1.0, 50.0, 1.0], [1.0, 50.0, 1.0]], [[0.0, 0.0, np.inf], [0.0, 0.0, 0.0]], [0, 1, 2],
+                 id="non-finite"),
+])
+def test_the_oracle_keeps_every_model_its_bound_cannot_rule_out(approx, slack, expected):
+    # Rows are replications, columns models, as `_loss_screen` lays them out.
+    assert _oracle_candidates(np.array(approx), np.array(slack)).tolist() == expected
 
 
 def test_select_empty_collection():
