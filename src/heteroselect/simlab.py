@@ -5,11 +5,12 @@ that stands for its selection procedure, or the `Oracle` of a collection,
 through one replication engine, `_run`, on the `TruthSpec` that
 `Scenario.truth(n)` builds once per run:
 
-- Replications are drawn and scored in blocks of max(1, 2**16 // n) rows.
-  Replication r draws from the substream keyed (r,) of its seed policy, so
-  results are reproducible bit-for-bit, independent of execution order and
-  of the block size.  A degenerate draw (a variance estimate collapses) is
-  redrawn; its k-th redraw comes from the substream (r, k).
+- Replications are drawn, fitted and scored in blocks of max(1, 2**16 // n)
+  rows.  Replication r draws from the substream keyed (r,) of its seed
+  policy, so results are reproducible bit-for-bit, independent of execution
+  order and of the block size.  A degenerate draw (a variance estimate
+  collapses) is redrawn in place, its k-th redraw from the substream (r, k),
+  and its block refitted; a block is scored once, after its last redraw.
 - A block is scored by `estimation`'s block kernel, which fits each distinct
   model once over all its rows and scores only the fits that are read.
   `select` is the one-row case of the same kernel and ranks every fit exactly.
@@ -33,8 +34,8 @@ through one replication engine, `_run`, on the `TruthSpec` that
   which overlap where numpy releases the GIL: its (R, n) loops and
   `standard_normal`.  Below it a block is mostly per-row Python (a generator
   per row) that holds the GIL, and runs on the calling thread.  Each block
-  writes only its own rows, so the results are the same bytes for any worker
-  count.
+  writes only its own rows, one slice of the run's losses and picks, so the
+  results are the same bytes for any worker count.
 """
 
 import math
@@ -263,91 +264,83 @@ def sample(scenario: Scenario, n: int, rng: "np.random.Generator") -> Observatio
 def _run(truth, targets, reps, seeds, kind):
     """The replication engine: the `_scorer` of the targets on blocks of the reps draws from truth.
 
-    A block stacks `_block_rows(n)` replications at the truth's and the targets' sample
-    size n as rows of (R, n) arrays.  Returns the (reps, targets) losses and picks of
-    all replications and the number of redraws.  Replication r draws from the
-    stream (r,) and, while its row is degenerate, redraws from (r, 1), (r, 2),
-    ..., up to _MAX_REDRAWS attempts in all.  From n = _MIN_THREADED_N on, the blocks
-    run through `_map`.
+    A block stacks `_block_rows(n)` replications at the truth's and the targets' sample size n as
+    rows of (R, n) arrays: it draws them, fits them with `_fit_block` and, while any row is
+    degenerate, redraws just those rows in place and refits the block.  Replication r draws from
+    the stream (r,) and its k-th redraw from (r, k), up to _MAX_REDRAWS draws in all.  The block is
+    scored once, after its last redraw, and writes its rows of the (reps, targets) losses and picks
+    that `_run` returns with the number of redraws.  From n = _MIN_THREADED_N on, the blocks run
+    through `_map`.
 
     An `Oracle` is resolved after the last block.  Each block keeps its fits of the oracle's models
-    and their losses' screen (`_loss_screen`) on its rows that are not redrawn; `_oracle_candidates`
-    bounds every model's mean loss from the screen, and `_block_losses` scores only the candidates,
-    on each block's kept fits, with no redraw and no second fit.  The oracle's column holds the
-    losses of `_first_min` of the candidates' mean losses, each reduced as `_aggregate` reduces a
-    column, and its pick is that model's index, on every row.  It needs a kind: with kind None its
-    column and pick read 0.
+    and their losses' screen (`_loss_screen`); `_oracle_candidates` bounds every model's mean loss
+    from the screen, and `_block_losses` scores only the candidates, on each block's kept fits, with
+    no second fit.  The oracle's column holds the losses of `_first_min` of the candidates' mean
+    losses, each reduced as `_aggregate` reduces a column, and its pick is that model's index, on
+    every row.  It needs a kind: with kind None its column and pick read 0.
     """
-    score = _scorer(targets, kind)
+    models, score = _scorer(targets, kind)
     rows = _block_rows(truth.n)
     losses = np.empty((reps, len(targets)))
     picks = np.empty((reps, len(targets)), dtype=np.intp)
     oracles = [i for i, t in enumerate(targets) if isinstance(t, Oracle)] if kind else []
 
     def block(start):
-        """Score the block of rows from start into its rows of losses and picks; return its redraws
-        and, per attempt, the rows it wrote, its mask of them and each oracle's (fits, approx, slack)."""
-        pending = np.arange(start, min(start + rows, reps))
-        redrawn, kept = 0, []
-        for attempt in range(_MAX_REDRAWS):
-            keys = [(r,) if attempt == 0 else (r, attempt) for r in pending.tolist()]
-            loss, pick, bad, screened = score(*_draw(truth, [seeds.stream(*key) for key in keys]), truth)
-            good = ~bad
-            done = pending[good]
-            losses[done] = loss[good]
-            picks[done] = pick[good]
-            if screened:
-                kept.append((done, good, screened))
-            redrawn += int(bad.sum())
-            pending = pending[bad]
-            if not len(pending):
-                return redrawn, kept
-        raise DegenerateVarianceError(
-            f"replication {pending[0]}: degenerate variance persisted across {_MAX_REDRAWS} redraws"
-        )
+        """Draw, fit and score the block of rows from start into its rows of losses and picks;
+        return its redraws and each oracle's (fits, approx, slack)."""
+        stop = min(start + rows, reps)
+        y1, y2 = _draw(truth, [seeds.stream(r) for r in range(start, stop)])
+        fits, bad = _fit_block(models, y1, y2)
+        redrawn = 0
+        for attempt in range(1, _MAX_REDRAWS):
+            if not bad.any():
+                break
+            failing = (start + np.flatnonzero(bad)).tolist()
+            y1[bad], y2[bad] = _draw(truth, [seeds.stream(r, attempt) for r in failing])
+            redrawn += len(failing)
+            fits, bad = _fit_block(models, y1, y2)
+        if bad.any():
+            raise DegenerateVarianceError(
+                f"replication {start + np.argmax(bad)}: degenerate variance persisted across {_MAX_REDRAWS} redraws"
+            )
+        losses[start:stop], picks[start:stop], screens = score(y1, fits, truth)
+        return redrawn, screens
 
     spread = _map if truth.n >= _MIN_THREADED_N else (lambda fn, items: list(map(fn, items)))
-    blocks = spread(block, range(0, reps, rows))
-    degenerate = sum(redrawn for redrawn, _ in blocks)
+    redraws, screens = zip(*spread(block, range(0, reps, rows)))
+    degenerate = sum(redraws)
     if degenerate > DEGENERATE_BUDGET * reps:
         raise DegenerateVarianceError(
             f"{degenerate} degenerate replications out of {reps} exceed the "
             f"{DEGENERATE_BUDGET:.1%} budget"
         )
-    kept = [piece for _, pieces in blocks for piece in pieces]
     for k, i in enumerate(oracles):
-        # The rows in block order: the bound on their sums holds for any order of addition.
-        approx, slack = (np.concatenate([screened[k][m][good] for _, good, screened in kept]) for m in (1, 2))
+        # The rows in block order, which is replication order.
+        approx, slack = (np.concatenate([screen[k][m] for screen in screens]) for m in (1, 2))
         candidates = _oracle_candidates(approx, slack)
-        exact = np.empty((reps, len(candidates)))
-
-        def score_exact(piece):
-            done, good, screened = piece
-            exact[done] = _block_losses([screened[k][0][j] for j in candidates], truth, kind)[good]
-
-        spread(score_exact, kept)
+        exact = np.concatenate(
+            spread(lambda screen: _block_losses([screen[k][0][j] for j in candidates], truth, kind), screens)
+        )
         best = int(_first_min(_mean_and_se(exact.T.copy())[0]))
         losses[:, i], picks[:, i] = exact[:, best], candidates[best]
     return losses, picks, degenerate
 
 
 def _scorer(targets: Sequence[Target], kind: str | None):
-    """The block scorer of the targets: score(y1, y2, truth) -> (losses, picks, bad, screens).
+    """The block scorer of the targets: (models, score), score(y1, fits, truth) -> (losses, picks,
+    screens), where fits are `_fit_block`'s fits of models, every distinct model of every target, to
+    the block's R rows, none of them degenerate.
 
-    For R rows, losses[r, i] is the loss of target i (0 when kind is None, and for an
-    `Oracle`), picks[r, i] the index of its chosen model in its collection (0 for a
-    Model and an Oracle), and bad[r] whether the row is degenerate for any model of any
-    target.  Each distinct model is fitted once per block by `_fit_block`, of
-    which `select` is the one-row case.  When some target is a CollectionConfig,
-    every fit is ranked by `_block_screen` and the config picks by
-    `selector._screened_pick`: `_first_min`, the first minimum of likelihood plus
-    penalty, where NaN never wins, taken from the screen's approximations where
-    their slack decides it and from `_block_likelihoods` on the rows where it does
-    not.  `_block_losses` scores, on every row, only the fits that some row of a
-    Model or a CollectionConfig reads: each fixed Model's and each pick.  screens
-    has one (fits, approx, slack) per Oracle, in target order: its models' fits and
-    `_loss_screen` of their losses, for `_run` to resolve (none when kind is None).
-    Each configuration's collection and penalties are computed once, here.
+    losses[r, i] is the loss of target i on row r (0 when kind is None, and for an `Oracle`) and
+    picks[r, i] the index of its chosen model in its collection (0 for a Model and an Oracle).
+    When some target is a CollectionConfig, every fit is ranked by `_block_screen` and the config
+    picks by `selector._screened_pick`: `_first_min`, the first minimum of likelihood plus penalty,
+    where NaN never wins, taken from the screen's approximations where their slack decides it and
+    from `_block_likelihoods` on the rows where it does not.  `_block_losses` scores, on every row,
+    only the fits that some row of a Model or a CollectionConfig reads: each fixed Model's and each
+    pick.  screens has one (fits, approx, slack) per Oracle, in target order: its models' fits and
+    `_loss_screen` of their losses, for `_run` to resolve (none when kind is None).  Each
+    configuration's collection and penalties are computed once, here.
     """
     collections = {t: build_collection(t) for t in targets if isinstance(t, CollectionConfig)}
     members = [t.models if isinstance(t, Oracle) else collections.get(t, [t]) for t in targets]
@@ -358,8 +351,7 @@ def _scorer(targets: Sequence[Target], kind: str | None):
     oracles = [i for i, t in enumerate(targets) if isinstance(t, Oracle)]
     scored = [i for i, t in enumerate(targets) if not isinstance(t, Oracle)]
 
-    def score(y1, y2, truth):
-        fits, bad = _fit_block(models, y1, y2)
+    def score(y1, fits, truth):
         picks = np.zeros((len(y1), len(targets)), dtype=np.intp)
         if collections:
             approx, slack = _block_screen(y1, fits)
@@ -368,7 +360,7 @@ def _scorer(targets: Sequence[Target], kind: str | None):
                     picks[:, i] = _screened_pick(y1, [fits[j] for j in c], approx[:, c], slack[:, c], p)
         losses = np.zeros(picks.shape)
         if kind is None:
-            return losses, picks, bad, []
+            return losses, picks, []
         if scored:
             # The column of the fit that each row reads for each target but the oracles.
             chosen = np.stack([cols[i][picks[:, i]] for i in scored], axis=-1)
@@ -379,9 +371,9 @@ def _scorer(targets: Sequence[Target], kind: str | None):
         for i in oracles:
             oracle_fits = [fits[j] for j in cols[i]]
             screens.append((oracle_fits, *_loss_screen(oracle_fits, truth, kind)))
-        return losses, picks, bad, screens
+        return losses, picks, screens
 
-    return score
+    return models, score
 
 
 def _aggregate(losses: np.ndarray, kind: str, degenerate: int) -> list[RiskReport]:
@@ -425,6 +417,7 @@ def risk_profile(
 
 def _profile(scenario: Scenario, targets: Sequence[Target], reps: int, seeds: SeedPolicy, kind: str):
     """`_run` of the targets on the scenario's truth, after `risk_profile`'s checks of its arguments."""
+    targets = list(targets)
     if not targets:
         raise ValueError("empty target list")
     sizes = sorted({t.n for t in targets})
@@ -480,6 +473,7 @@ def ratio_table(
     are scored on the same draws, each drawn once.  Every oracle collection
     is built before any scenario is scored, so an empty one fails at once.
     """
+    scenarios, gamma_grid = list(scenarios), list(gamma_grid)
     if not scenarios:
         raise ValueError("empty scenario list")
     if not gamma_grid:

@@ -503,6 +503,15 @@ def test_doubling_reps_shrinks_std_error():
     assert large.std_error < small.std_error
 
 
+def test_experiments_read_one_shot_iterables_as_lists():
+    # ratio_table reads its scenarios and gamma grid more than once, and risk_profile its targets.
+    sc, n, seeds = get_scenario("M1"), 64, SeedPolicy(0)
+    coll = build_collection(CollectionConfig(n, 2.0, 2.0, 0.01, 3.0))
+    table = ratio_table([sc], [1.0, 2.0], n, 10, seeds)
+    assert len(table) == 2 and ratio_table(iter([sc]), iter([1.0, 2.0]), n, 10, seeds) == table
+    assert risk_profile(sc, iter(coll), 10, seeds) == risk_profile(sc, coll, 10, seeds)
+
+
 def _tiny_variance_scenario():
     return Scenario("tiny", lambda x: np.zeros_like(x), lambda x: np.full_like(x, 1e-14), true_gamma=1.0)
 
@@ -537,15 +546,15 @@ def test_persistent_degenerate_draws_raise_after_max_redraws(monkeypatch):
     coll = build_collection(CollectionConfig(16, 1.0, 2.0, 0.01, 3.0))
     seeds = SeedPolicy(1)
     seen, _ = _hooked_fit(monkeypatch)
-    with pytest.raises(DegenerateVarianceError, match="persisted"):
+    with pytest.raises(DegenerateVarianceError, match="^replication 0: degenerate variance persisted"):
         mc_risk(sc, coll[0], 10, seeds)
     keys = [(0,)] + [(0, k) for k in range(1, simlab._MAX_REDRAWS)]
     assert len(seen) == len(keys)
     for y1, key in zip(seen, keys):
         np.testing.assert_array_equal(y1[0], sample(sc, 16, seeds.stream(*key)).y1)
-    with pytest.raises(DegenerateVarianceError, match="persisted"):
+    with pytest.raises(DegenerateVarianceError, match="^replication 0: degenerate variance persisted"):
         risk_profile(sc, coll, 10, seeds)
-    with pytest.raises(DegenerateVarianceError, match="persisted"):
+    with pytest.raises(DegenerateVarianceError, match="^replication 0: degenerate variance persisted"):
         selection_frequency(sc, 16, lambda m: True, 1000, seeds)
 
 
@@ -587,6 +596,16 @@ def _targets(sc, n, grid):
     ]
 
 
+def _score(scorer, y1, y2, truth):
+    """Score one block as `simlab._run` does: fit the models of the scorer (`simlab._scorer`'s
+    (models, score)) with `_fit_block`, then score the fits.  (losses, picks, bad, screens), with
+    bad the fit's mask of degenerate rows."""
+    models, score = scorer
+    fits, bad = _fit_block(models, y1, y2)
+    losses, picks, screens = score(y1, fits, truth)
+    return losses, picks, bad, screens
+
+
 def _scalar_estimate(target, obs):
     if isinstance(target, CollectionConfig):
         return select(target, obs).estimate
@@ -610,7 +629,7 @@ def test_batched_scoring_equals_scalar_path(master):
         seeds = SeedPolicy(master).namespaced(k)
         y1, y2 = simlab._draw(truth, [seeds.stream(r) for r in range(rows)])
         targets = _targets(sc, n, GRID)
-        scored = {kind: simlab._scorer(targets, kind)(y1, y2, truth)[:3] for kind in simlab.RISK_KINDS}
+        scored = {kind: _score(simlab._scorer(targets, kind), y1, y2, truth)[:3] for kind in simlab.RISK_KINDS}
         for r in range(rows):
             obs = Observations(y1[r], y2[r])
             for i, t in enumerate(targets):
@@ -652,7 +671,7 @@ def test_the_lab_scores_only_the_fits_it_reads_and_exactly(monkeypatch):
     monkeypatch.setattr(simlab, "_block_losses", recorded_losses)
     for kind in simlab.RISK_KINDS:
         every = _block_losses(fits, truth, kind)
-        losses, picks, got_bad, _ = simlab._scorer(targets, kind)(y1, y2, truth)
+        losses, picks, got_bad, _ = _score(simlab._scorer(targets, kind), y1, y2, truth)
         assert got_bad.tolist() == bad.tolist()
         read = set()
         for i, (t, ms) in enumerate(zip(targets, members)):
@@ -708,7 +727,7 @@ def test_screened_picks_equal_the_first_minimum_of_exact_criteria(name, n, log_s
         _block_log_likelihood(_squared_residuals(y1, block_mean, out=y1_err), block_var, out=terms)
         seq = 0.5 * np.cumsum(terms, axis=-1)[:, -1]
         assert (np.abs(approx[:, j] - seq) <= slack[:, j]).all()
-    _, picks, got_bad, _ = simlab._scorer(configs, None)(y1, y2, truth)
+    _, picks, got_bad, _ = _score(simlab._scorer(configs, None), y1, y2, truth)
     assert (got_bad == bad).all()
     for i, (cfg, ms) in enumerate(zip(configs, collections)):
         cols = [models.index(m) for m in ms]
@@ -728,8 +747,9 @@ def test_a_reused_scorer_equals_a_fresh_one_on_every_truth():
         for name in order:
             truth = get_scenario(name).truth(n)
             y1, y2 = simlab._draw(truth, [SeedPolicy(71).stream(r) for r in range(8)])
-            losses, picks, bad, [(_, approx, slack)] = reused(y1, y2, truth)
-            fresh_losses, fresh_picks, fresh_bad, [(_, *fresh_screen)] = simlab._scorer(targets, kind)(y1, y2, truth)
+            losses, picks, bad, [(_, approx, slack)] = _score(reused, y1, y2, truth)
+            fresh = _score(simlab._scorer(targets, kind), y1, y2, truth)
+            fresh_losses, fresh_picks, fresh_bad, [(_, *fresh_screen)] = fresh
             assert (losses == fresh_losses).all() and (picks == fresh_picks).all()
             assert (bad == fresh_bad).all()
             assert (approx == fresh_screen[0]).all() and (slack == fresh_screen[1]).all()
@@ -884,21 +904,28 @@ def test_blocks_run_on_threads_from_the_threaded_sample_size_on(monkeypatch):
 
 
 def test_draw_degenerate_for_one_target_is_redrawn_for_all(monkeypatch):
+    # Draw 3, in the middle of a 512-row block, is degenerate only for a model that one config's
+    # collection holds: it is redrawn for every target, the oracle of the table's collection too.
     sc, n, reps, seeds = get_scenario("M1"), 128, 1000, SeedPolicy(47)
     targets = _targets(sc, n, [1.0, 2.0])
+    models = [t for t in targets if isinstance(t, Model)]
+    targets.append(Oracle(models))
     only_g1 = Model(n, 2, 4)
     in_collection = [build_collection(t) for t in targets if isinstance(t, CollectionConfig)]
-    assert only_g1 in in_collection[0] and only_g1 not in in_collection[1] and only_g1 not in targets
+    assert only_g1 in in_collection[0] and only_g1 not in in_collection[1] and only_g1 not in models
     truth = sc.truth(n)
     keys = [(3, 1) if r == 3 else (r,) for r in range(reps)]
     y1, y2 = simlab._draw(truth, [seeds.stream(*key) for key in keys])
-    expected, _, _, _ = simlab._scorer(targets, "kullback")(y1, y2, truth)
+    expected, _, _, _ = _score(simlab._scorer(targets, "kullback"), y1, y2, truth)
     redrawn = sample(sc, n, seeds.stream(3, 1))
-    assert list(expected[3]) == [
-        _scalar_loss("kullback", truth, _scalar_estimate(t, redrawn)) for t in targets
+    assert list(expected[3, :-1]) == [
+        _scalar_loss("kullback", truth, _scalar_estimate(t, redrawn)) for t in targets[:-1]
     ]
 
     _hooked_fit(monkeypatch, [sample(sc, n, seeds.stream(3)).y1], only_with=only_g1)
     reports = risk_profile(sc, targets, reps, seeds, "kullback")
     assert [rep.degenerate for rep in reports] == [1] * len(targets)
-    assert [rep.estimate for rep in reports] == [expected[:, j].mean() for j in range(len(targets))]
+    assert [rep.estimate for rep in reports[:-1]] == [expected[:, j].mean() for j in range(len(targets) - 1)]
+    # The oracle's report is the first minimum of its models' reports on the redrawn draws.
+    per_model = reports[: len(models)]
+    assert reports[-1] == per_model[_first_min(np.array([rep.estimate for rep in per_model]))]
