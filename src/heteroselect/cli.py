@@ -7,13 +7,16 @@ invocation of `table` reproduces the reference experiments.
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
 import os
+import stat
 import sys
 import warnings
 from collections.abc import Iterable, Iterator
+from typing import BinaryIO
 
 import numpy as np
 
@@ -65,13 +68,18 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _lines_within_field_limit(path: str) -> bool:
-    """Whether no line of the file is past `csv.field_size_limit()` characters, which `np.loadtxt`
-    does not check: true when each whole block of half that many bytes holds a line break, as a
-    longer line covers one (so a line between half the limit and the limit fails too)."""
+def _lines_within_field_limit(raw: BinaryIO) -> bool:
+    """Whether no line of the binary stream, read from its start, is past `csv.field_size_limit()`
+    characters, which `np.loadtxt` does not check: true when each whole block of half that many
+    bytes holds a line break, as a longer line covers one (so a line between half the limit and the
+    limit fails too)."""
     size = max(csv.field_size_limit() // 2, 1)
-    with open(path, "rb") as fh:
-        return all(len(b) < size or b"\n" in b or b"\r" in b for b in iter(lambda: fh.read(size), b""))
+    raw.seek(0)
+    return all(len(b) < size or b"\n" in b or b"\r" in b for b in iter(lambda: raw.read(size), b""))
+
+
+#: The suffixes by which `np.loadtxt`, given a path, opens the file through a decompressor.
+_DECOMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 
 
 def _read_pairs(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -80,25 +88,41 @@ def _read_pairs(path: str) -> tuple[np.ndarray, np.ndarray]:
     `np.loadtxt` parses the data rows when it can.  On a file with no line past
     the csv module's field size limit, it accepts a strict subset of the row
     loop's dialect, with bit-equal values.  Anything it rejects or reads as
-    other than at least one row of two finite columns, and any file that may
-    hold a longer line, goes through the row loop, which defines the dialect
-    and reports the offending line.  A UTF-8 byte-order mark before the header
-    (Excel's "CSV UTF-8") is skipped.
+    other than at least one row of two finite columns, any file that may hold
+    a longer line, and any file whose header spans more than one line, goes
+    through the row loop, which defines the dialect and reports the offending
+    line.  A UTF-8 byte-order mark before the header (Excel's "CSV UTF-8") is
+    skipped; LF, CRLF and CR line endings are read alike.
+
+    `np.loadtxt` is given a regular file by its path, which it parses in
+    C-level chunks.  Any other input, such as a pipe or a process substitution
+    (`<(...)`), can be read only once: it is read whole into memory, and that
+    one copy is checked and parsed, with the same dialect and messages.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and not path.endswith(_DECOMPRESSED_SUFFIXES):
+                source, skip = os.path.abspath(path), 1  # absolute, so that numpy never reads it as a URL
+            else:
+                fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding="utf-8-sig", newline="")
+                source, skip = fh, 0  # `np.loadtxt` reads on from the header
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip().lower() for h in header] != ["y1", "y2"]:
                 raise InputError(f"{path}: expected CSV header 'y1,y2', got {header}")
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                    data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, dtype=float)
-            except ValueError:
-                data = None
+            data = None
+            if reader.line_num == 1:  # `skiprows` counts lines, not a header's quoted line breaks
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                        data = np.loadtxt(
+                            source, delimiter=",", skiprows=skip, ndmin=2, comments=None, dtype=float,
+                            encoding="utf-8-sig",
+                        )
+                except ValueError:
+                    pass
             parsed = data is not None and data.shape[0] > 0 and data.shape[1] == 2 and np.isfinite(data).all()
-            if parsed and _lines_within_field_limit(path):
+            if parsed and _lines_within_field_limit(fh.buffer):
                 y1, y2 = data.T.copy()
                 return y1, y2
             fh.seek(0)

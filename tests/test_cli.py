@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +243,10 @@ _DIALECT = [
     ("a,b\n1,2\n", "{path}: expected CSV header 'y1,y2', got ['a', 'b']"),
     ('y1,y2\n"1\n",2\nnan,3\n', "{path}:4: non-finite value"),
     ('y1,y2\n"1\n",2\n3,4,5\n', "{path}:4: expected two columns, got 3"),
+    # A header with a quoted line break spans two lines, so `np.loadtxt` cannot skip it as one.
+    ('y1,"y2\n"\n1,2\n', ([1.0], [2.0])),
+    ('y1,"y2\r\n"\r\n1.5,2\r\n', ([1.5], [2.0])),
+    ("y1,y2\r1,2\r3,4\r", ([1.0, 3.0], [2.0, 4.0])),
     # Fields past the csv module's 131,072-character limit, which is kept.  The data row's digits
     # overflow to inf, so `np.loadtxt` hands the file to the row loop.
     pytest.param(
@@ -273,15 +279,62 @@ def test_read_pairs_skips_a_byte_order_mark(text, expected, tmp_path):
     _check_read_pairs(codecs.BOM_UTF8 + text.encode(), expected, tmp_path)
 
 
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["no-bom", "bom"])
+@pytest.mark.parametrize("text, expected", _DIALECT)
+@pytest.mark.filterwarnings("error")
+def test_read_pairs_reads_a_pipe_as_its_file(text, expected, bom):
+    # A pipe is read once: its rows, or its error naming the pipe's path and the row's line.
+    with _pipe(bom + text.encode()) as path:
+        _expect_pairs(path, expected)
+
+
+@contextmanager
+def _pipe(data):
+    """The path of a pipe's read end, which a thread fills with `data` and closes."""
+    r, w = os.pipe()
+
+    def write():
+        try:
+            with os.fdopen(w, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader failed before draining the pipe
+            pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+        writer.join()
+
+
+@pytest.mark.parametrize("name", [f"in.csv{s}" for s in cli._DECOMPRESSED_SUFFIXES] + ["http://host/in.csv"])
+def test_read_pairs_reads_the_named_file_as_text(name, tmp_path, monkeypatch):
+    # Given these names, `np.loadtxt` would open the file through a decompressor, or open `host/in.csv`
+    # as the URL's local copy.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "host").mkdir()
+    (tmp_path / "host" / "in.csv").write_bytes(b"y1,y2\n5,6\n")
+    path = tmp_path / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"y1,y2\n1,2\n3,4\n")
+    _expect_pairs(name, ([1.0, 3.0], [2.0, 4.0]))
+
+
 def _check_read_pairs(data, expected, tmp_path):
     path = tmp_path / "in.csv"
     path.write_bytes(data)
+    _expect_pairs(str(path), expected)
+
+
+def _expect_pairs(path, expected):
     if isinstance(expected, str):
         with pytest.raises(cli.InputError) as info:
-            cli._read_pairs(str(path))
+            cli._read_pairs(path)
         assert str(info.value) == expected.format(path=path)
         return
-    for got, want in zip(cli._read_pairs(str(path)), expected):
+    for got, want in zip(cli._read_pairs(path), expected):
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert got.tobytes() == np.array(want).tobytes()
 
@@ -446,18 +499,25 @@ def test_fit_non_utf8_input_is_an_input_error(tmp_path, capsys, data):
 def test_fit_reads_a_byte_order_mark_file_through_loadtxt(m1_csv, tmp_path, monkeypatch):
     bom = tmp_path / "bom.csv"
     bom.write_bytes(codecs.BOM_UTF8 + m1_csv.read_bytes())
-    loadtxt, shapes = np.loadtxt, []
+    loadtxt, shapes, sources = np.loadtxt, [], []
 
-    def recording_loadtxt(*args, **kwargs):
-        data = loadtxt(*args, **kwargs)
+    def recording_loadtxt(source, *args, **kwargs):
+        data = loadtxt(source, *args, **kwargs)
         shapes.append(data.shape)
+        sources.append(source)
         return data
 
     monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
     for path in (m1_csv, bom):
         assert main(["fit", "--input", str(path), "--output", str(path.with_suffix(".json"))]) == EXIT_OK
     assert shapes == [(1024, 2), (1024, 2)]  # both parsed by `np.loadtxt`, not the row loop
+    assert sources == [str(m1_csv), str(bom)]  # by path, which numpy parses in C-level chunks
     assert bom.with_suffix(".json").read_bytes() == m1_csv.with_suffix(".json").read_bytes()
+    # A pipe is read once, into memory, and `np.loadtxt` parses that copy: the file's output bytes.
+    with _pipe(bom.read_bytes()) as pipe:
+        assert main(["fit", "--input", pipe, "--output", str(tmp_path / "pipe.json")]) == EXIT_OK
+    assert shapes[2] == (1024, 2) and not isinstance(sources[2], str)
+    assert (tmp_path / "pipe.json").read_bytes() == m1_csv.with_suffix(".json").read_bytes()
 
 
 def test_table_unknown_scenario(capsys):
