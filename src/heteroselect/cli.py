@@ -21,7 +21,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .estimation import KAPPA, DegenerateVarianceError, Observations
-from .model_space import DELTA, EPSILON, THETA, CollectionConfig, check_reps
+from .model_space import DELTA, EPSILON, THETA, CollectionConfig, build_collection, check_reps
 from .oracle_checks import (
     InverseMomentCase,
     lemma10_battery,
@@ -33,6 +33,7 @@ from .selector import select
 from .simlab import (
     RISK_KINDS,
     SeedPolicy,
+    _map,
     builtin_scenarios,
     convergence_experiment,
     get_scenario,
@@ -326,24 +327,20 @@ def cmd_verify(args) -> int:
     if not (math.isfinite(kappa) and kappa > 0):
         raise InputError(f"--kappa must be finite and > 0, got {kappa}")
 
-    # First: constants that admit no sandwich model fail in its collection, before any draw.
-    entries = prop1_sandwich_check(
-        get_scenario("M1"),
-        n=args.n,
-        reps=args.reps // 50,
-        seeds=seeds.namespaced(3),
-        theta=args.theta,
-        epsilon=args.epsilon,
-        delta=args.delta,
-    )
-    exact = lemma11_check(
-        InverseMomentCase(a=np.zeros(4), b=np.ones(4)),
-        reps=args.reps,
-        seeds=seeds.namespaced(0),
-        kappa=kappa,
-    )
-    battery = lemma11_battery(50, reps=args.reps // 10, seeds=seeds.namespaced(1), kappa=kappa)
-    spectrum = lemma10_battery(100, n=64, seeds=seeds.namespaced(2))
+    m1 = get_scenario("M1")
+    # Constants that admit no sandwich model fail in its collection, before any check runs.
+    build_collection(CollectionConfig(args.n, m1.true_gamma, args.theta, args.epsilon, args.delta))
+    exact_case = InverseMomentCase(a=np.zeros(4), b=np.ones(4))
+    # One map, longest check first: the sandwich's blocks and the battery's cases share its threads.
+    entries, exact, battery, spectrum = _map(lambda check: check(), [
+        lambda: prop1_sandwich_check(
+            m1, n=args.n, reps=args.reps // 50, seeds=seeds.namespaced(3),
+            theta=args.theta, epsilon=args.epsilon, delta=args.delta,
+        ),
+        lambda: lemma11_check(exact_case, reps=args.reps, seeds=seeds.namespaced(0), kappa=kappa),
+        lambda: lemma11_battery(50, reps=args.reps // 10, seeds=seeds.namespaced(1), kappa=kappa),
+        lambda: lemma10_battery(100, n=64, seeds=seeds.namespaced(2)),
+    ])
     checks = [
         {
             "name": "inverse_moment_exact_chi_square",

@@ -189,7 +189,8 @@ def lemma11_battery(
 ) -> list[InverseMomentResult]:
     """`lemma11_check` on random cases, each on its own seed namespace, the cases run through
     `_map` at any n: a case draws a whole block per `standard_normal` call, so its
-    GIL-holding Python is per block, not per draw."""
+    GIL-holding Python is per block, not per draw.  Inside `verify` this map is nested in the
+    checks' map, so the cases share its threads with the sandwich's blocks."""
     cases = random_inverse_moment_cases(num_cases, seeds.namespaced(0))
     return _map(lambda i: lemma11_check(cases[i], reps, seeds.namespaced(1 + i), kappa=kappa), range(len(cases)))
 

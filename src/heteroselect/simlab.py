@@ -29,17 +29,20 @@ through one replication engine, `_run`, on the `TruthSpec` that
   numbers that reduce ratio variance.  A draw degenerate for any of them is
   redrawn for all of them.
 - At most DEGENERATE_BUDGET (0.1%) of the replications may be redrawn.
-- At n >= _MIN_THREADED_N the blocks of a run are scored on `_WORKERS` threads,
-  one per CPU of the process's affinity up to 2 (`taskset -c 0` gives one),
-  which overlap where numpy releases the GIL: its (R, n) loops and
-  `standard_normal`.  Below it a block is mostly per-row Python (a generator
-  per row) that holds the GIL, and runs on the calling thread.  Each block
-  writes only its own rows, one slice of the run's losses and picks, so the
-  results are the same bytes for any worker count.
+- At n >= _MIN_THREADED_N the blocks of a run are scored through `_map` on
+  `_WORKERS` threads, one per CPU of the process's affinity up to 2 (`taskset
+  -c 0` gives one), which overlap where numpy releases the GIL: its (R, n)
+  loops and `standard_normal`.  A map nested in another's item runs on the
+  outer map's threads, so `verify`'s checks and their blocks and cases share
+  them.  Below it a block is mostly per-row Python (a generator per row) that
+  holds the GIL, and runs on the calling thread.  Each block writes only its
+  own rows, one slice of the run's losses and picks, so the results are the
+  same bytes for any worker count.
 """
 
 import math
 import os
+import threading
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -76,27 +79,107 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_POINTS // n)
 
 
+class _Map:
+    """One open `_map` call: its items, their results and errors, its caller's `np.geterr()`, the
+    next item to take (items are taken in order, up to end) and how many are running."""
+
+    def __init__(self, fn, items):
+        self.fn, self.items, self.errstate = fn, items, np.geterr()
+        self.results, self.errors = [None] * len(items), {}
+        self.next = self.running = 0
+        self.end = len(items)
+
+    def done(self) -> bool:
+        return self.next == self.end and not self.running
+
+
+class _Pool:
+    """The helper threads of an outermost `_map` call: the maps open on them, oldest first, under
+    one condition variable, notified whenever a map opens or closes or an item ends.  The helpers
+    end when no map is open."""
+
+    def __init__(self):
+        self.cond = threading.Condition()
+        self.maps = []
+
+    def _take(self, mine):
+        for m in [mine, *self.maps] if mine else self.maps:
+            if m.next < m.end:
+                m.next += 1
+                m.running += 1
+                return m, m.next - 1
+        return None
+
+    def serve(self, until, mine=None):
+        """Run items, mine's first and then the oldest open map's, until until() holds."""
+        while True:
+            with self.cond:
+                while not until() and not (job := self._take(mine)):
+                    self.cond.wait()
+                if until():
+                    return
+            m, i = job
+            try:
+                with np.errstate(**m.errstate):
+                    m.results[i] = m.fn(m.items[i])
+            except BaseException as exc:  # raised again by the map's caller
+                with self.cond:
+                    m.errors[i], m.end = exc, m.next  # the untaken items are withdrawn
+            with self.cond:
+                m.running -= 1
+                self.cond.notify_all()
+
+    def help(self):
+        _local.pool = self
+        self.serve(lambda: not self.maps)
+
+
+#: `.pool`: the `_Pool` whose helper thread this is, on its helper threads only.
+_local = threading.local()
+
+
 def _map(fn, items) -> list:
     """[fn(item) for item in items] on up to `_WORKERS` threads, the results in item order.
 
-    Of the items that raise, the lowest one's error is raised, as a serial loop raises it.
-    Each thread runs under the caller's `np.geterr()`, since a new thread starts with
-    numpy's defaults.  One item, or one worker, is a plain loop.
+    An outermost call starts min(`_WORKERS`, items) helper threads and waits while they run the
+    items.  A call from inside an item (a nested map) starts none: its thread runs its own untaken
+    items, then, while any of them runs on another thread, the oldest open map's, so nested maps
+    share the helpers and never run more than `_WORKERS` items at once.  Of the items that raise,
+    the lowest one's error is raised, as a serial loop raises it: once an item fails, the map's
+    untaken items are withdrawn, and the map returns when its running items end.  Each item runs
+    under its map caller's `np.geterr()`, on whichever thread runs it, since a new thread starts
+    with numpy's defaults.  One item, or one worker, is a plain loop.
     """
     items = list(items)
-    threads = min(_WORKERS, len(items))
-    if threads <= 1:
+    if min(_WORKERS, len(items)) <= 1:
         return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor  # it imports logging: only when threaded
-
-    saved = np.geterr()
-
-    def run(item):
-        with np.errstate(**saved):
-            return fn(item)
-
-    with ThreadPoolExecutor(threads) as pool:
-        return list(pool.map(run, items))
+    m = _Map(fn, items)
+    pool = getattr(_local, "pool", None)
+    helpers = []
+    if pool is None:
+        pool = _Pool()
+        helpers = [threading.Thread(target=pool.help) for _ in range(min(_WORKERS, len(items)))]
+    with pool.cond:
+        pool.maps.append(m)
+        pool.cond.notify_all()
+    try:
+        for t in helpers:
+            t.start()
+        if helpers:
+            with pool.cond:
+                pool.cond.wait_for(m.done)
+        else:
+            pool.serve(m.done, m)
+    finally:
+        with pool.cond:
+            pool.maps.remove(m)
+            pool.cond.notify_all()
+        for t in helpers:
+            if t.is_alive():
+                t.join()
+    if m.errors:
+        raise m.errors[min(m.errors)]
+    return m.results
 
 
 def _mean_and_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -641,14 +641,20 @@ def test_fit_bad_gamma_is_an_input_error(m1_csv, tmp_path):
 
 
 def test_verify_bad_n_fails_before_any_check(monkeypatch):
-    def no_battery(*args, **kwargs):
+    # The checks run on threads, where an error of a later check than the first failing one is
+    # dropped, so the calls are recorded and not only raised.
+    calls = []
+
+    def no_check(*args, **kwargs):
+        calls.append(args)
         raise AssertionError("verify ran a check before validating its flags")
 
-    for name in ("lemma11_check", "lemma11_battery", "lemma10_battery"):
-        monkeypatch.setattr(cli, name, no_battery)
+    for name in ("prop1_sandwich_check", "lemma11_check", "lemma11_battery", "lemma10_battery"):
+        monkeypatch.setattr(cli, name, no_check)
     # 4 is a power of two with no admissible sandwich model; at epsilon = 1000 its penalty overflows.
     for flags in (["--n", "1000"], ["--n", "4"], ["--epsilon", "1000"]):
         assert main(["verify"] + flags) == EXIT_INPUT
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -766,6 +772,17 @@ def test_verify_passes_and_reports(tmp_path):
         "compressed_spectrum_battery",
         "risk_sandwich_m1",
     ]
+
+
+def test_verify_report_is_the_same_bytes_for_any_worker_count(tmp_path, monkeypatch):
+    # The four checks and their blocks and cases share the threads; each keeps its own seeds and slots.
+    reports = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simlab, "_WORKERS", workers)
+        out = tmp_path / f"verify-{workers}.json"
+        assert main(["verify", "--n", "256", "--reps", "100000", "--seed", "11", "--output", str(out)]) == EXIT_OK
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_verify_adversarial_kappa_fails(tmp_path, capsys):

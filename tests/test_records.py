@@ -153,8 +153,8 @@ def test_scenario_defaults_its_smoothness_constants():
 
 def test_importing_the_cli_does_not_load_dataclasses():
     # Each dataclass generates its methods with `exec` at import: a cost every command pays at start-up.
-    # numpy loads `numpy.random` lazily, at the first draw (about 18 ms), and `concurrent.futures`
-    # loads `logging` (about 9.5 ms), which only the threaded Monte Carlo path needs.
+    # numpy loads `numpy.random` lazily, at the first draw (about 18 ms).  No path imports
+    # `concurrent.futures`, which loads `logging` (about 9.5 ms): `simlab._map` runs on `threading`.
     env = dict(os.environ, PYTHONPATH=str(Path(heteroselect.__file__).resolve().parents[1]))
     lazy = ["dataclasses", "numpy.random", "concurrent.futures", "logging"]
     code = f"import sys, heteroselect.cli; print([m for m in {lazy!r} if m in sys.modules])"

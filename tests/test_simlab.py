@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import threading
 import time
 
@@ -883,6 +884,163 @@ def test_a_callers_errstate_holds_in_helper_threads(monkeypatch):
     assert len(threads) == 2
     with np.errstate(all="raise", divide="ignore"):
         assert [float(x[0]) for x in simlab._map(fn, range(2))] == [math.inf, math.inf]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_nested_maps_share_the_workers_and_return_results_in_order(monkeypatch, workers):
+    # Three levels of maps, with a short switch interval so that the threads interleave often: at most
+    # `_WORKERS` leaves run at once, all on helper threads, and every level keeps its item order.
+    monkeypatch.setattr(simlab, "_WORKERS", workers)
+    lock = threading.Lock()
+    running, most, threads = [0], [0], set()
+
+    def leaf(x):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+            threads.add(threading.get_ident())
+        time.sleep(0.001)
+        with lock:
+            running[0] -= 1
+        return x * x
+
+    def middle(x):
+        return simlab._map(leaf, range(x, x + 4))
+
+    def outer(x):
+        return simlab._map(middle, range(10 * x, 10 * x + 3))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = simlab._map(outer, range(5))
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [[[y * y for y in range(x, x + 4)] for x in range(10 * o, 10 * o + 3)] for o in range(5)]
+    assert running == [0] and 1 < most[0] <= workers
+    assert len(threads) == workers and threading.get_ident() not in threads
+
+
+def _leaves_met_by_helping(monkeypatch):
+    """Outer items A and B on 2 workers, under np.errstate(all="ignore").  A maps middle items m0 and m1
+    under divide="raise"; B ends first, so B's thread takes the middle item that A's thread did not,
+    and there maps leaves c0 and c1 under over="raise", which meet at a 2-party barrier.  A's thread,
+    its own middle item done, waits on the other one, so the leaves meet only if it runs one of them.
+    Returns (item, thread, np.geterr()) of every item run, and A's thread."""
+    monkeypatch.setattr(simlab, "_WORKERS", 2)
+    barrier, taken, b_ended = threading.Barrier(2, timeout=10), threading.Event(), threading.Event()
+    log, opener = [], {}
+
+    def record(item):
+        log.append((item, threading.get_ident(), np.geterr()))
+
+    def leaf(item):
+        record(item)
+        barrier.wait()
+
+    def middle(item):
+        record(item)
+        if threading.get_ident() == opener["A"]:
+            assert taken.wait(10)  # the other thread has taken the other middle item
+        else:
+            taken.set()
+            with np.errstate(over="raise"):
+                simlab._map(leaf, ["c0", "c1"])
+
+    def outer(item):
+        record(item)
+        if item == "B":
+            b_ended.set()
+        else:  # B's thread waits for work when A's map opens, so the opening must wake it
+            assert b_ended.wait(10)
+            time.sleep(0.01)
+            opener["A"] = threading.get_ident()
+            with np.errstate(divide="raise"):
+                simlab._map(middle, ["m0", "m1"])
+
+    with np.errstate(all="ignore"):
+        simlab._map(outer, ["A", "B"])
+    return log, opener["A"]
+
+
+def test_a_thread_whose_items_are_all_taken_runs_another_open_maps_item(monkeypatch):
+    log, a_thread = _leaves_met_by_helping(monkeypatch)
+    leaves = {thread for item, thread, _ in log if item in ("c0", "c1")}
+    assert sorted(item for item, _, _ in log) == ["A", "B", "c0", "c1", "m0", "m1"]
+    assert len(leaves) == 2 and a_thread in leaves
+
+
+def test_each_item_runs_under_its_map_callers_errstate_on_any_thread(monkeypatch):
+    # The leaf that A's thread runs keeps the leaves' caller's errstate, not A's, and the middle item
+    # that B's thread runs keeps A's, not the new thread's defaults.
+    log, _ = _leaves_met_by_helping(monkeypatch)
+    outer = dict(divide="ignore", over="ignore", under="ignore", invalid="ignore")
+    middle = dict(outer, divide="raise")
+    leaf = dict(middle, over="raise")
+    expected = {"A": outer, "B": outer, "m0": middle, "m1": middle, "c0": leaf, "c1": leaf}
+    assert {item: errstate for item, _, errstate in log} == expected
+
+
+def test_nested_maps_raise_the_lowest_failing_items_error_at_each_level(monkeypatch):
+    monkeypatch.setattr(simlab, "_WORKERS", 2)
+    caught = {}
+
+    def leaf(x, i):
+        if i == 2:
+            time.sleep(0.02)
+        if i in (2, 4):
+            raise ValueError(f"{x} {i}")
+        return i
+
+    def outer(x):
+        with pytest.raises(ValueError) as err:
+            simlab._map(lambda i: leaf(x, i), range(8))
+        caught[x] = str(err.value)
+        if x == 1:
+            time.sleep(0.05)  # item 3 may fail first in time
+        if x in (1, 3):
+            raise ValueError(f"outer {x}")
+        return x
+
+    with pytest.raises(ValueError, match="^outer 1$"):
+        simlab._map(outer, range(6))
+    assert {0, 1} <= set(caught) and all(message == f"{x} 2" for x, message in caught.items())
+
+
+def test_a_map_left_by_an_exception_withdraws_its_untaken_items(monkeypatch):
+    # Item 0 of a nested map fails at once, so that map's other items are withdrawn: at most the one
+    # the second thread may have taken runs, none after the map is left, and the later map, on the
+    # same threads, runs only its own items.
+    monkeypatch.setattr(simlab, "_WORKERS", 2)
+    events = []
+
+    def failing(i):
+        events.append(("failing", i))
+        if i == 0:
+            raise ValueError("item 0")
+        time.sleep(0.001)
+
+    def later(i):
+        events.append(("later", i))
+        return i
+
+    def outer(x):
+        if x == 0:
+            with pytest.raises(ValueError, match="^item 0$"):
+                simlab._map(failing, range(20))
+            events.append(("left", 0))
+            return []
+        time.sleep(0.02)
+        return simlab._map(later, range(20))
+
+    assert simlab._map(outer, range(2)) == [[], list(range(20))]
+    left = events.index(("left", 0))
+    assert len([e for e in events if e[0] == "failing"]) <= 2
+    assert all(e[0] != "failing" for e in events[left:])
+    assert sorted(i for kind, i in events if kind == "later") == list(range(20))
+    with pytest.raises(ValueError, match="^item 0$"):
+        simlab._map(failing, range(20))
+    assert simlab._map(later, range(5)) == list(range(5))
 
 
 def test_blocks_run_on_threads_from_the_threaded_sample_size_on(monkeypatch):
